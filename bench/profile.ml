@@ -3,11 +3,12 @@
    the engines' hot paths.  This binary times the same fsm-step kernels
    with plain counted loops (warmup + wall clock), plus the isolated
    miss/hit micro-kernels that localise a regression to the dispatch or
-   the fire path.  Usage: dune exec bench/profile.exe *)
+   the fire path, and the deploy-time costs every scenario build pays
+   (typecheck, lowering, suite deployment).  Usage:
+   dune exec bench/profile.exe *)
 open Artemis_experiments
 module A = Artemis
 module Interp = A.Fsm.Interp
-module Compile = A.Fsm.Compile
 module Table = A.Fsm.Table
 
 let kernel_trace =
@@ -36,13 +37,10 @@ let time name iters f =
 
 let () =
   let machines = Scalability.replicated_machines 1 in
-  let compiled = List.map Compile.compile machines in
   let tables = List.map Table.compile machines in
   let machines_a = Array.of_list machines in
-  let compiled_a = Array.of_list compiled in
   let tables_a = Array.of_list tables in
   let istores_a = Array.of_list (List.map Interp.memory_store machines) in
-  let cstores_a = Array.of_list (List.map Compile.memory_store compiled) in
   let tinsts_a = Array.of_list (List.map Table.instance tables) in
   let trace = Array.of_list kernel_trace in
   let nm = Array.length machines_a in
@@ -51,14 +49,6 @@ let () =
       let ev = trace.(e) in
       for j = 0 to nm - 1 do
         ignore (Interp.step machines_a.(j) istores_a.(j) ev)
-      done
-    done
-  in
-  let comp () =
-    for e = 0 to Array.length trace - 1 do
-      let ev = trace.(e) in
-      for j = 0 to nm - 1 do
-        ignore (Compile.step compiled_a.(j) cstores_a.(j) ev)
       done
     done
   in
@@ -74,15 +64,7 @@ let () =
   (* per-machine cost over the full trace: which property pattern regressed? *)
   Array.iteri
     (fun j (m : A.Fsm.Ast.machine) ->
-      let c = compiled_a.(j) and t = tables_a.(j) in
-      let cs = cstores_a.(j) and ti = tinsts_a.(j) in
-      time
-        (Printf.sprintf "C %s" m.A.Fsm.Ast.machine_name)
-        n
-        (fun () ->
-          for e = 0 to Array.length trace - 1 do
-            ignore (Compile.step c cs trace.(e))
-          done);
+      let t = tables_a.(j) and ti = tinsts_a.(j) in
       time
         (Printf.sprintf "T %s" m.A.Fsm.Ast.machine_name)
         n
@@ -93,19 +75,14 @@ let () =
     machines_a;
   (* the bechamel kernels, twice each to expose drift *)
   time "fsm-step-interpreted" n interp;
-  time "fsm-step-compiled" n comp;
   time "fsm-step-table" n tbl;
-  time "fsm-step-compiled(2)" n comp;
+  time "fsm-step-interpreted(2)" n interp;
   time "fsm-step-table(2)" n tbl;
   (* dispatch cost in isolation: an event no machine watches *)
   let miss_ev =
     { Interp.kind = Interp.Start; task = "nosuchtask"; timestamp = A.Time.of_ms 1;
       path = 1; dep_data = []; energy_mj = 20. }
   in
-  time "miss-compiled" (n * 10) (fun () ->
-      for j = 0 to nm - 1 do
-        ignore (Compile.step compiled_a.(j) cstores_a.(j) miss_ev)
-      done);
   time "miss-table" (n * 10) (fun () ->
       for j = 0 to nm - 1 do
         ignore (Table.step tables_a.(j) tinsts_a.(j) miss_ev)
@@ -120,16 +97,24 @@ let () =
     go 0
   in
   let j = pick "maxTries_accel" in
-  let c_mt = compiled_a.(j) and t_mt = tables_a.(j) in
-  let s_mt = cstores_a.(j) and i_mt = tinsts_a.(j) in
+  let t_mt = tables_a.(j) and i_mt = tinsts_a.(j) in
   let hit_s =
     { Interp.kind = Interp.Start; task = "accel"; timestamp = A.Time.of_ms 1;
       path = 1; dep_data = []; energy_mj = 20. }
   in
   let hit_e = { hit_s with Interp.kind = Interp.End } in
-  time "hit-pair-compiled" (n * 10) (fun () ->
-      ignore (Compile.step c_mt s_mt hit_s);
-      ignore (Compile.step c_mt s_mt hit_e));
   time "hit-pair-table" (n * 10) (fun () ->
       ignore (Table.step t_mt i_mt hit_s);
-      ignore (Table.step t_mt i_mt hit_e))
+      ignore (Table.step t_mt i_mt hit_e));
+  (* deploy cost over the health benchmark's properties: typecheck alone,
+     the one lowering, and a whole suite deployment on fresh NVM *)
+  let health =
+    let app, _ = A.Health_app.make (A.Nvm.create ()) in
+    A.compile_exn ~app A.Health_app.spec_text
+  in
+  time "typecheck-health" (n / 10) (fun () ->
+      List.iter A.Fsm.Typecheck.check_exn health);
+  time "lower-health" (n / 10) (fun () ->
+      List.iter (fun m -> ignore (Table.compile m)) health);
+  time "deploy-health" (n / 10) (fun () ->
+      ignore (A.Suite.create (A.Nvm.create ()) health))

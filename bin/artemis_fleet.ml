@@ -51,36 +51,34 @@ let progress_printer total =
 
 let run spec_path name scenarios seeds seed_first harvesters engines backends
     jobs chunk json devices out progress =
-  if jobs < 0 then begin
-    Printf.eprintf
-      "artemis_fleet: --jobs must be 0 (auto) or positive (got %d)\n" jobs;
-    2
-  end
-  else
-    let jobs = if jobs = 0 then Artemis.Par.recommended_jobs () else jobs in
-    match
-      load_spec spec_path name scenarios seeds seed_first harvesters engines
-        backends
-    with
-    | Error msg ->
-        Printf.eprintf "artemis_fleet: %s\n" msg;
-        1
-    | Ok spec ->
-        let on_progress =
-          if progress then Some (progress_printer (Fleet.spec_size spec))
-          else None
-        in
-        let report = Fleet.run ~jobs ?chunk ?on_progress spec in
-        let emit oc =
-          if json then Fleet.output_report_json ~devices oc report
-          else output_string oc (Fleet.report_summary report)
-        in
-        (match out with
-        | None -> emit stdout
-        | Some path ->
-            Out_channel.with_open_bin path emit;
-            Printf.printf "fleet report written to %s\n" path);
-        0
+  match Artemis.Par.jobs_of_flag ~prog:"artemis_fleet" jobs with
+  | Error msg ->
+      prerr_endline msg;
+      2
+  | Ok jobs -> (
+      match
+        load_spec spec_path name scenarios seeds seed_first harvesters engines
+          backends
+      with
+      | Error msg ->
+          Printf.eprintf "artemis_fleet: %s\n" msg;
+          1
+      | Ok spec ->
+          let on_progress =
+            if progress then Some (progress_printer (Fleet.spec_size spec))
+            else None
+          in
+          let report = Fleet.run ~jobs ?chunk ?on_progress spec in
+          let emit oc =
+            if json then Fleet.output_report_json ~devices oc report
+            else output_string oc (Fleet.report_summary report)
+          in
+          (match out with
+          | None -> emit stdout
+          | Some path ->
+              Out_channel.with_open_bin path emit;
+              Printf.printf "fleet report written to %s\n" path);
+          0)
 
 let spec_arg =
   Arg.(
@@ -134,8 +132,8 @@ let engine_arg =
     & opt_all string [ "default" ]
     & info [ "engine" ] ~docv:"ENGINE"
         ~doc:
-          "Monitor engine(s) (repeatable): $(b,default), $(b,interpreted), \
-           $(b,compiled) or $(b,table).")
+          "Monitor engine(s) (repeatable): $(b,default) keeps each \
+           scenario's own engine, or $(b,table) or $(b,interpreted).")
 
 let backend_arg =
   Arg.(

@@ -105,13 +105,11 @@ let run_experiment name jobs =
       2
 
 let run system_name engine delay_min continuous temp_base show_trace trace_limit show_summary csv_path trace_out metrics_out show_metrics adapt_path experiment matrix matrix_json seed jobs =
-  if jobs < 0 then begin
-    Printf.eprintf "artemis_sim: --jobs must be 0 (auto) or positive (got %d)\n"
-      jobs;
-    2
-  end
-  else
-  let jobs = if jobs = 0 then Artemis.Par.recommended_jobs () else jobs in
+  match Artemis.Par.jobs_of_flag ~prog:"artemis_sim" jobs with
+  | Error msg ->
+      prerr_endline msg;
+      2
+  | Ok jobs ->
   match (matrix, experiment) with
   | Some name, _ -> run_matrix name matrix_json seed
   | None, Some name -> run_experiment name jobs
@@ -231,20 +229,12 @@ let system_arg =
         ~doc:"Runtime to use: $(b,artemis) (default) or $(b,mayfly).")
 
 let engine_arg =
-  let engine_conv =
-    Arg.enum
-      [
-        ("interpreted", Artemis.Monitor.Interpreted);
-        ("compiled", Artemis.Monitor.Compiled);
-        ("table", Artemis.Monitor.Table);
-      ]
-  in
   Arg.(
     value
-    & opt (some engine_conv) None
+    & opt (some (enum Artemis.Monitor.engines)) None
     & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:"Monitor execution backend (artemis runtime only): \
-              $(b,interpreted), $(b,compiled) (the default) or $(b,table).")
+        ~doc:"Monitor execution backend (artemis runtime only): $(b,table) \
+              (the default) or $(b,interpreted), the reference semantics.")
 
 let delay_arg =
   Arg.(

@@ -40,78 +40,84 @@ let print_violations campaign =
         r.F.violations)
     (campaign.F.baseline :: campaign.F.runs)
 
-let run scenario_name engine list depth random max_depth seed replay json skip_verify trace_out jobs =
-  Artemis.Obs.reset ();
-  Artemis.Obs.set_tracing (trace_out <> None);
-  let write_trace code =
-    (match trace_out with
-    | None -> ()
-    | Some path ->
-        Out_channel.with_open_bin path (fun oc ->
-            output_string oc (Artemis.Obs.trace_json ()));
-        Printf.eprintf "trace written to %s\n" path);
-    code
+let campaign ~jobs scenario engine depth random max_depth seed replay json
+    skip_verify =
+  let scenario =
+    match engine with
+    | None -> scenario
+    | Some e -> Scenario.with_engine e scenario
   in
-  write_trace
-  @@
-  if jobs < 0 then begin
-    Printf.eprintf "faultsim: --jobs must be 0 (auto) or positive (got %d)\n" jobs;
-    2
-  end
-  else
-  let jobs = if jobs = 0 then Artemis.Par.recommended_jobs () else jobs in
-  if list then list_sites ()
-  else
-    match Scenario.find scenario_name with
-    | None ->
-        Printf.eprintf "unknown scenario %S (%s)\n" scenario_name
-          (String.concat "|"
-             (List.map (fun s -> s.Scenario.name) Scenario.all));
-        2
-    | Some scenario -> (
-        let scenario =
-          match engine with
-          | None -> scenario
-          | Some e -> Scenario.with_engine e scenario
-        in
-        match replay with
-        | Some line -> (
-            match F.replay scenario ~line with
-            | Error msg ->
-                Printf.eprintf "bad replay line: %s\n" msg;
-                2
-            | Ok (result, reproducible) ->
-                Printf.printf "replay %s: %s, %d violations, %s\n" line
-                  result.F.outcome
-                  (List.length result.F.violations)
-                  (if reproducible then "reproducible"
-                   else "NOT REPRODUCIBLE");
-                List.iter
-                  (fun (v : F.violation) ->
-                    Printf.printf "VIOLATION [%s] %s\n" v.F.oracle v.F.detail)
-                  result.F.violations;
-                if result.F.violations = [] && reproducible then 0 else 1)
-        | None ->
-            let campaign =
-              match random with
-              | Some runs ->
-                  F.random_campaign ~jobs scenario ~seed ~runs ~max_depth
-              | None -> F.exhaustive ~jobs scenario ~seed ~depth
-            in
-            if json then F.output_campaign_json stdout campaign
-            else begin
-              print_string (F.campaign_summary campaign);
-              print_violations campaign
-            end;
-            let reproducible =
-              skip_verify || verify_replays scenario campaign
-            in
-            if
-              F.total_violations campaign = 0
-              && campaign.F.baseline.F.violations = []
-              && reproducible
-            then 0
-            else 1)
+  match replay with
+  | Some line -> (
+      match F.replay scenario ~line with
+      | Error msg ->
+          Printf.eprintf "bad replay line: %s\n" msg;
+          2
+      | Ok (result, reproducible) ->
+          Printf.printf "replay %s: %s, %d violations, %s\n" line
+            result.F.outcome
+            (List.length result.F.violations)
+            (if reproducible then "reproducible" else "NOT REPRODUCIBLE");
+          List.iter
+            (fun (v : F.violation) ->
+              Printf.printf "VIOLATION [%s] %s\n" v.F.oracle v.F.detail)
+            result.F.violations;
+          if result.F.violations = [] && reproducible then 0 else 1)
+  | None ->
+      let campaign =
+        match random with
+        | Some runs -> F.random_campaign ~jobs scenario ~seed ~runs ~max_depth
+        | None -> F.exhaustive ~jobs scenario ~seed ~depth
+      in
+      if json then F.output_campaign_json stdout campaign
+      else begin
+        print_string (F.campaign_summary campaign);
+        print_violations campaign
+      end;
+      let reproducible = skip_verify || verify_replays scenario campaign in
+      if
+        F.total_violations campaign = 0
+        && campaign.F.baseline.F.violations = []
+        && reproducible
+      then 0
+      else 1
+
+let find_scenario name =
+  match Scenario.find name with
+  | Some s -> Ok (Some s)
+  | None ->
+      Error
+        (Printf.sprintf "unknown scenario %S (%s)" name
+           (String.concat "|" (List.map (fun s -> s.Scenario.name) Scenario.all)))
+
+let run scenario_name engine list depth random max_depth seed replay json
+    skip_verify trace_out jobs =
+  (* Usage errors exit before the trace writer is installed, so a
+     rejected invocation never creates or overwrites --trace-out. *)
+  match
+    ( Artemis.Par.jobs_of_flag ~prog:"faultsim" jobs,
+      if list then Ok None else find_scenario scenario_name )
+  with
+  | Error msg, _ | _, Error msg ->
+      prerr_endline msg;
+      2
+  | Ok jobs, Ok scenario ->
+      Artemis.Obs.reset ();
+      Artemis.Obs.set_tracing (trace_out <> None);
+      let code =
+        match scenario with
+        | None -> list_sites ()
+        | Some scenario ->
+            campaign ~jobs scenario engine depth random max_depth seed replay
+              json skip_verify
+      in
+      (match trace_out with
+      | None -> ()
+      | Some path ->
+          Out_channel.with_open_bin path (fun oc ->
+              output_string oc (Artemis.Obs.trace_json ()));
+          Printf.eprintf "trace written to %s\n" path);
+      code
 
 let scenario_arg =
   Arg.(
@@ -124,21 +130,13 @@ let scenario_arg =
               $(b,stale-read) and $(b,war-buggy).")
 
 let engine_arg =
-  let engine_conv =
-    Arg.enum
-      [
-        ("interpreted", Artemis.Monitor.Interpreted);
-        ("compiled", Artemis.Monitor.Compiled);
-        ("table", Artemis.Monitor.Table);
-      ]
-  in
   Arg.(
     value
-    & opt (some engine_conv) None
+    & opt (some (enum Artemis.Monitor.engines)) None
     & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:"Monitor execution backend for the campaign: \
-              $(b,interpreted), $(b,compiled) (the default) or $(b,table). \
-              All oracles must hold under every engine.")
+        ~doc:"Monitor execution backend for the campaign: $(b,table) (the \
+              default) or $(b,interpreted), the reference semantics. All \
+              oracles must hold under every engine.")
 
 let list_arg =
   Arg.(

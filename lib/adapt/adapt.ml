@@ -238,7 +238,7 @@ type outcome =
   | Applied of applied
   | Rejected of { id : int; reason : string }
 
-let create ?(engine = Monitor.Compiled) ?(admission = fun _ -> Ok ()) nvm ~app
+let create ?(engine = Monitor.Table) ?(admission = fun _ -> Ok ()) nvm ~app
     suite =
   let buffer =
     Nvm.cell nvm ~region:Staging ~name:"adapt.buffer" ~bytes:512 None
@@ -309,12 +309,21 @@ let validate_structure t update =
         | Ok [] -> Error "machines: empty payload"
         | Ok machines -> (
             let tasks = Task.task_names t.app in
+            (* typecheck and scan the triggers; lowering waits for the
+               build, which deploys each machine exactly once *)
             let check_machine (m : Ast.machine) =
-              let compiled = Compile.compile m (* typechecks; raises *) in
+              Typecheck.check_exn m;
+              let unknown (tr : Ast.transition) =
+                match tr.Ast.trigger with
+                | Ast.On_start task | Ast.On_end task
+                  when not (List.mem task tasks) ->
+                    Some task
+                | Ast.On_start _ | Ast.On_end _ | Ast.On_any -> None
+              in
               match
-                List.find_opt
-                  (fun task -> not (List.mem task tasks))
-                  (Compile.watched_tasks compiled)
+                List.find_map
+                  (fun (s : Ast.state) -> List.find_map unknown s.Ast.transitions)
+                  m.Ast.states
               with
               | Some task ->
                   failwith

@@ -52,7 +52,6 @@ module Fsm = struct
   module Printer = Artemis_fsm.Printer
   module Typecheck = Artemis_fsm.Typecheck
   module Interp = Artemis_fsm.Interp
-  module Compile = Artemis_fsm.Compile
   module Table = Artemis_fsm.Table
   module Explore = Artemis_fsm.Explore
 end
@@ -124,9 +123,9 @@ let compile_exn ?options ?app spec_text =
   | Error msg -> failwith msg
 
 (** Allocate the application-specific monitors on a device's FRAM.
-    [engine] selects the execution backend (default: deploy-time compiled
-    closures; [Monitor.Interpreted] keeps the AST interpreter;
-    [Monitor.Table] runs the flat-table bytecode engine). *)
+    [engine] selects the execution backend (default [Monitor.Table], the
+    flat-table bytecode engine; [Monitor.Interpreted] keeps the reference
+    AST interpreter). *)
 let deploy ?engine device machines =
   Suite.create ?engine (Device.nvm device) machines
 

@@ -34,7 +34,7 @@ val run :
   unit ->
   row list
 (** Default factors: 1, 2, 4, 8.  [engine] selects the monitor execution
-    backend (compiled by default), letting the bench compare the two.
+    backend ([Table] by default), letting the bench compare the two.
     [jobs] (default 1) distributes the factor sweep over that many
     domains; each row builds its own device, so rows are independent and
     the result order is fixed. *)

@@ -34,7 +34,7 @@ type t = {
   description : string;
   build : engine:Monitor.engine option -> seed:int -> built;
       (** [seed] feeds the task-context PRNG; [engine] selects the
-          monitor execution backend (default [Compiled]) *)
+          monitor execution backend (default [Table]) *)
 }
 
 val quickstart : t

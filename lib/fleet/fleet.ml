@@ -124,15 +124,17 @@ type spec = {
   backends : string list;
 }
 
+(* "default" keeps each scenario's own engine; every other name comes
+   from the one engine table next to [Monitor.engine]. *)
 let engine_of_string = function
   | "default" -> Ok None
-  | "interpreted" -> Ok (Some Monitor.Interpreted)
-  | "compiled" -> Ok (Some Monitor.Compiled)
-  | "table" -> Ok (Some Monitor.Table)
-  | other ->
-      Error
-        (Printf.sprintf "unknown engine %S (default|interpreted|compiled|table)"
-           other)
+  | name -> (
+      match List.assoc_opt name Monitor.engines with
+      | Some e -> Ok (Some e)
+      | None ->
+          Error
+            (Printf.sprintf "unknown engine %S (%s)" name
+               (String.concat "|" ("default" :: List.map fst Monitor.engines))))
 
 let backend_of_string name =
   match Backends.find name with

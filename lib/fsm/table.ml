@@ -135,9 +135,9 @@ end
 type t = {
   machine : machine;
   state_names : string array;
-  state_ids : (string, int) Hashtbl.t;
+  state_ids : Strmap.t;
   var_decl_arr : var_decl array;
-  var_ids : (string, int) Hashtbl.t;
+  var_ids : Strmap.t;
   var_reg : int array;  (* slot -> register index within its class *)
   var_is_float : bool array;  (* slot -> register class *)
   n_iregs : int;  (* register 0 is the control state *)
@@ -201,7 +201,6 @@ type t = {
   stack_i : int;  (* worst-case operand stack depths, from lowering *)
   stack_f : int;
   watched : string list;
-  watched_tbl : (string, unit) Hashtbl.t;
   any_event : bool;
 }
 
@@ -224,11 +223,11 @@ let varray v = Array.sub v.buf 0 v.len
 
 type emitter = {
   ecode : vec;
+  (* constant pools, newest first; a machine has a handful of constants,
+     so interning scans the list *)
   mutable fpool_rev : float list;
-  fpool_tbl : (int64, int) Hashtbl.t;  (* keyed by bits: NaN-safe interning *)
   mutable n_f : int;
   mutable spool_rev : string list;
-  spool_tbl : (string, int) Hashtbl.t;
   mutable n_s : int;
   mutable failpool_rev : Interp.failure list;
   mutable n_fail : int;
@@ -240,10 +239,8 @@ let emitter () =
   {
     ecode = vec ();
     fpool_rev = [];
-    fpool_tbl = Hashtbl.create 8;
     n_f = 0;
     spool_rev = [];
-    spool_tbl = Hashtbl.create 8;
     n_s = 0;
     failpool_rev = [];
     n_fail = 0;
@@ -254,26 +251,34 @@ let emitter () =
 let bumpi em d = if d > em.imax then em.imax <- d
 let bumpf em d = if d > em.fmax then em.fmax <- d
 
+(* index of the first pool entry (oldest first) satisfying [same], or
+   [-1] *)
+let pool_find same rev n =
+  let rec go i = function
+    | [] -> -1
+    | x :: rest -> if same x then i else go (i - 1) rest
+  in
+  go (n - 1) rev
+
+(* floats are interned by bit pattern: NaN-safe, and -0. stays distinct *)
 let fidx em x =
   let bits = Int64.bits_of_float x in
-  match Hashtbl.find_opt em.fpool_tbl bits with
-  | Some i -> i
-  | None ->
+  match pool_find (fun y -> Int64.equal (Int64.bits_of_float y) bits) em.fpool_rev em.n_f with
+  | -1 ->
       let i = em.n_f in
       em.fpool_rev <- x :: em.fpool_rev;
       em.n_f <- i + 1;
-      Hashtbl.add em.fpool_tbl bits i;
       i
+  | i -> i
 
-let sidx em s =
-  match Hashtbl.find_opt em.spool_tbl s with
-  | Some i -> i
-  | None ->
+let sidx em k =
+  match pool_find (String.equal k) em.spool_rev em.n_s with
+  | -1 ->
       let i = em.n_s in
-      em.spool_rev <- s :: em.spool_rev;
+      em.spool_rev <- k :: em.spool_rev;
       em.n_s <- i + 1;
-      Hashtbl.add em.spool_tbl s i;
       i
+  | i -> i
 
 let failidx em f =
   let i = em.n_fail in
@@ -291,97 +296,115 @@ let emit_jump em op =
 
 let patch em at = em.ecode.buf.(at) <- em.ecode.len
 
-(* Post-typecheck every expression has a static type, so lowering is
-   total; the [failwith] branches are unreachable for machines that
-   passed [Typecheck.check_exn]. *)
-let ty_exn vars e =
-  match Typecheck.expr_type ~vars e with
-  | Ok ty -> ty
-  | Error msg -> failwith ("Table.compile: " ^ msg)
+(* What lowering a machine's code needs: the emitter and the variable
+   slot -> register mapping. *)
+type lower = {
+  em : emitter;
+  slot_ids : Strmap.t;  (* variable -> slot *)
+  slot_float : bool array;  (* slot -> register class *)
+  slot_reg : int array;  (* slot -> register index within its class *)
+}
 
 (* [i]/[f] are the operand-stack depths on entry; every push records the
    new peak so instance scratch arrays can be sized exactly.  The
    invariant: an expression leaves exactly one value, on the stack of
-   its static class (float vs int/bool/time). *)
-let rec emit_expr ~vars ~slots em e ~i ~f =
+   its static class, and [emit_expr] returns that class ([true] for the
+   float stack).  The machine has passed [Typecheck.check_exn], so the
+   class of an operator's left operand decides the opcode family and no
+   expression is typed twice. *)
+let rec emit_expr lo e ~i ~f =
+  let em = lo.em in
   let code = em.ecode in
+  let emit = emit_expr lo in
   match e with
   | Lit (Vint n) ->
       vpush code op_ipush;
       vpush code n;
-      bumpi em (i + 1)
+      bumpi em (i + 1);
+      false
   | Lit (Vbool b) ->
       vpush code op_ipush;
       vpush code (if b then 1 else 0);
-      bumpi em (i + 1)
+      bumpi em (i + 1);
+      false
   | Lit (Vtime tt) ->
       vpush code op_ipush;
       vpush code (Time.to_us tt);
-      bumpi em (i + 1)
+      bumpi em (i + 1);
+      false
   | Lit (Vfloat x) ->
       vpush code op_fpush;
       vpush code (fidx em x);
-      bumpf em (f + 1)
+      bumpf em (f + 1);
+      true
   | Var x ->
-      let is_float, reg, _slot = slots x in
-      if is_float then begin
+      let slot = Strmap.find lo.slot_ids x ~default:(-1) in
+      if lo.slot_float.(slot) then begin
         vpush code op_fload;
-        vpush code reg;
-        bumpf em (f + 1)
+        vpush code lo.slot_reg.(slot);
+        bumpf em (f + 1);
+        true
       end
       else begin
         vpush code op_iload;
-        vpush code reg;
-        bumpi em (i + 1)
+        vpush code lo.slot_reg.(slot);
+        bumpi em (i + 1);
+        false
       end
   | Timestamp ->
       vpush code op_tsload;
-      bumpi em (i + 1)
+      bumpi em (i + 1);
+      false
   | Event_path ->
       vpush code op_pathload;
-      bumpi em (i + 1)
+      bumpi em (i + 1);
+      false
   | Dep_data k ->
       vpush code op_depload;
       vpush code (sidx em k);
-      bumpf em (f + 1)
+      bumpf em (f + 1);
+      true
   | Energy_level ->
       vpush code op_energyload;
-      bumpf em (f + 1)
+      bumpf em (f + 1);
+      true
   | Unop (Neg, a) ->
-      emit_expr ~vars ~slots em a ~i ~f;
-      vpush code (if ty_exn vars a = Tfloat then op_fneg else op_ineg)
+      let fl = emit a ~i ~f in
+      vpush code (if fl then op_fneg else op_ineg);
+      fl
   | Unop (Not, a) ->
-      emit_expr ~vars ~slots em a ~i ~f;
-      vpush code op_not
+      ignore (emit a ~i ~f : bool);
+      vpush code op_not;
+      false
   | Binop (And, a, b) ->
-      (* short-circuit, like every other engine: b's code (and its
-         dynamic errors) is skipped when a is false *)
-      emit_expr ~vars ~slots em a ~i ~f;
+      (* short-circuit, like the interpreter: b's code (and its dynamic
+         errors) is skipped when a is false *)
+      ignore (emit a ~i ~f : bool);
       let jz = emit_jump em op_jz in
-      emit_expr ~vars ~slots em b ~i ~f;
+      ignore (emit b ~i ~f : bool);
       let jend = emit_jump em op_jmp in
       patch em jz;
       vpush code op_ipush;
       vpush code 0;
       bumpi em (i + 1);
-      patch em jend
+      patch em jend;
+      false
   | Binop (Or, a, b) ->
-      emit_expr ~vars ~slots em a ~i ~f;
+      ignore (emit a ~i ~f : bool);
       let jz = emit_jump em op_jz in
       vpush code op_ipush;
       vpush code 1;
       bumpi em (i + 1);
       let jend = emit_jump em op_jmp in
       patch em jz;
-      emit_expr ~vars ~slots em b ~i ~f;
-      patch em jend
+      ignore (emit b ~i ~f : bool);
+      patch em jend;
+      false
   | Binop (op, a, b) ->
       (* operands evaluate left-to-right, matching the interpreter: when
          both raise, the left error must win in every engine *)
-      let float_operands = ty_exn vars a = Tfloat in
-      if float_operands then begin
-        emit_expr ~vars ~slots em a ~i ~f;
-        emit_expr ~vars ~slots em b ~i ~f:(f + 1);
+      if emit a ~i ~f then begin
+        ignore (emit b ~i ~f:(f + 1) : bool);
         let opc =
           match op with
           | Add -> op_fadd
@@ -397,13 +420,14 @@ let rec emit_expr ~vars ~slots em e ~i ~f =
           | Mod | And | Or -> assert false (* ill-typed / handled above *)
         in
         vpush code opc;
-        (match op with
-        | Eq | Ne | Lt | Le | Gt | Ge -> bumpi em (i + 1)
-        | _ -> ())
+        match op with
+        | Eq | Ne | Lt | Le | Gt | Ge ->
+            bumpi em (i + 1);
+            false
+        | _ -> true
       end
       else begin
-        emit_expr ~vars ~slots em a ~i ~f;
-        emit_expr ~vars ~slots em b ~i:(i + 1) ~f;
+        ignore (emit b ~i:(i + 1) ~f : bool);
         let opc =
           match op with
           | Add -> op_iadd
@@ -419,41 +443,42 @@ let rec emit_expr ~vars ~slots em e ~i ~f =
           | Ge -> op_ige
           | And | Or -> assert false
         in
-        vpush code opc
+        vpush code opc;
+        false
       end
 
-let rec emit_stmt ~vars ~slots ~machine_name em = function
+let rec emit_stmt lo ~machine_name = function
   | Assign (x, e) ->
-      emit_expr ~vars ~slots em e ~i:0 ~f:0;
-      let is_float, reg, slot = slots x in
-      vpush em.ecode (if is_float then op_fstore else op_istore);
-      vpush em.ecode reg;
-      vpush em.ecode slot
+      ignore (emit_expr lo e ~i:0 ~f:0 : bool);
+      let slot = Strmap.find lo.slot_ids x ~default:(-1) in
+      let code = lo.em.ecode in
+      vpush code (if lo.slot_float.(slot) then op_fstore else op_istore);
+      vpush code lo.slot_reg.(slot);
+      vpush code slot
   | If (cond, then_, else_) ->
-      emit_expr ~vars ~slots em cond ~i:0 ~f:0;
-      let jz = emit_jump em op_jz in
-      List.iter (emit_stmt ~vars ~slots ~machine_name em) then_;
-      let jend = emit_jump em op_jmp in
-      patch em jz;
-      List.iter (emit_stmt ~vars ~slots ~machine_name em) else_;
-      patch em jend
+      ignore (emit_expr lo cond ~i:0 ~f:0 : bool);
+      let jz = emit_jump lo.em op_jz in
+      List.iter (emit_stmt lo ~machine_name) then_;
+      let jend = emit_jump lo.em op_jmp in
+      patch lo.em jz;
+      List.iter (emit_stmt lo ~machine_name) else_;
+      patch lo.em jend
   | Fail (action, target_path) ->
       (* the failure record is fully known at compile time *)
       let k =
-        failidx em { Interp.failed_machine = machine_name; action; target_path }
+        failidx lo.em
+          { Interp.failed_machine = machine_name; action; target_path }
       in
-      vpush em.ecode op_fail;
-      vpush em.ecode k
+      vpush lo.em.ecode op_fail;
+      vpush lo.em.ecode k
 
 let compile (m : machine) =
   Typecheck.check_exn m;
   let state_names = Array.of_list (List.map (fun s -> s.state_name) m.states) in
-  let state_ids = Hashtbl.create (Array.length state_names) in
-  Array.iteri (fun idx n -> Hashtbl.replace state_ids n idx) state_names;
+  let state_ids = Strmap.build (List.mapi (fun idx s -> (s.state_name, idx)) m.states) in
   let var_decl_arr = Array.of_list m.vars in
   let nvars = Array.length var_decl_arr in
-  let var_ids = Hashtbl.create (max 1 nvars) in
-  Array.iteri (fun idx v -> Hashtbl.replace var_ids v.var_name idx) var_decl_arr;
+  let var_ids = Strmap.build (List.mapi (fun idx v -> (v.var_name, idx)) m.vars) in
   let var_is_float = Array.map (fun v -> v.ty = Tfloat) var_decl_arr in
   let var_reg = Array.make (max 1 nvars) 0 in
   let n_iregs = ref 1 (* register 0: control state *) and n_fregs = ref 0 in
@@ -468,8 +493,7 @@ let compile (m : machine) =
         incr n_iregs
       end)
     var_is_float;
-  (* watched tasks in first-mention order, as in Compile *)
-  let watched_tbl = Hashtbl.create 8 in
+  (* watched tasks in first-mention order *)
   let watched = ref [] in
   let any_event = ref false in
   List.iter
@@ -478,30 +502,22 @@ let compile (m : machine) =
         (fun tr ->
           match tr.trigger with
           | On_start task | On_end task ->
-              if not (Hashtbl.mem watched_tbl task) then begin
-                Hashtbl.replace watched_tbl task ();
-                watched := task :: !watched
-              end
+              if not (List.mem task !watched) then watched := task :: !watched
           | On_any -> any_event := true)
         s.transitions)
     m.states;
   let watched = List.rev !watched in
   let task_ids = Strmap.build (List.mapi (fun idx task -> (task, idx)) watched) in
   let n_tasks = List.length watched in
-  let task_names = Array.of_list watched in
   (* lower every transition's guard and body *)
-  let vars x = Option.map (fun v -> v.ty) (find_var m x) in
-  let slots x =
-    let slot = Hashtbl.find var_ids x in
-    (var_is_float.(slot), var_reg.(slot), slot)
-  in
   let em = emitter () in
+  let lo = { em; slot_ids = var_ids; slot_float = var_is_float; slot_reg = var_reg } in
   (* quick-form recognizers (codes documented on [type t]); anything they
      decline falls through to full bytecode, so they are free to be
      conservative *)
   let int_slot x =
-    let is_float, reg, slot = slots x in
-    if is_float then None else Some (reg, slot)
+    let slot = Strmap.find var_ids x ~default:(-1) in
+    if var_is_float.(slot) then None else Some (var_reg.(slot), slot)
   in
   let cmp_base = function
     | Lt -> Some 0
@@ -514,7 +530,8 @@ let compile (m : machine) =
   in
   let quick_guard = function
     | None -> Some (1, 0, 0)
-    | Some (Var x) when vars x = Some Tbool -> (
+    | Some (Var x) -> (
+        (* a typechecked guard variable is a bool: an int-class register *)
         match int_slot x with
         | Some (reg, _) -> Some (7 (* reg <> 0 *), reg, 0)
         | None -> None)
@@ -572,7 +589,7 @@ let compile (m : machine) =
           (* quick_guard only declines a present guard *)
           let g = Option.get tr.guard in
           tr_guard_pc.(idx) <- em.ecode.len;
-          emit_expr ~vars ~slots em g ~i:0 ~f:0;
+          ignore (emit_expr lo g ~i:0 ~f:0 : bool);
           vpush em.ecode op_halt);
       (match quick_body tr.body with
       | Some (q, reg, k, slot) ->
@@ -582,41 +599,40 @@ let compile (m : machine) =
           tr_qb_slot.(idx) <- slot
       | None ->
           tr_body_pc.(idx) <- em.ecode.len;
-          List.iter
-            (emit_stmt ~vars ~slots ~machine_name:m.machine_name em)
-            tr.body;
+          List.iter (emit_stmt lo ~machine_name:m.machine_name) tr.body;
           vpush em.ecode op_halt);
-      tr_target.(idx) <- Hashtbl.find state_ids tr.target)
+      tr_target.(idx) <- Strmap.find state_ids tr.target ~default:(-1))
     transitions;
   (* dense dispatch over (state, kind, task column); rows with identical
-     candidate lists share one CSR segment *)
-  let state_trs =
-    let next = ref 0 in
-    List.map
-      (fun s ->
-        List.map
-          (fun tr ->
-            let idx = !next in
-            incr next;
-            (idx, tr))
-          s.transitions)
-      m.states
-    |> Array.of_list
-  in
+     candidate lists share one CSR segment.  [tr_col] is the column a
+     transition's trigger names ([-1] for [On_any], which fires in every
+     column) and [tr_kind] its event kind. *)
+  let tr_col = Array.make (max 1 ntrans) (-1) in
+  let tr_kind = Array.make (max 1 ntrans) (-1) in
+  Array.iteri
+    (fun idx tr ->
+      match tr.trigger with
+      | On_any -> ()
+      | On_start task ->
+          tr_kind.(idx) <- 0;
+          tr_col.(idx) <- Strmap.find task_ids task ~default:(-1)
+      | On_end task ->
+          tr_kind.(idx) <- 1;
+          tr_col.(idx) <- Strmap.find task_ids task ~default:(-1))
+    transitions;
   let cands = vec () in
-  let seg_tbl = Hashtbl.create 32 in
+  let segs = ref [] (* (candidate list, offset), a few per machine *) in
   let seg_of lst =
     match lst with
     | [] -> -1
     | _ -> (
-        let key = String.concat "," (List.map string_of_int lst) in
-        match Hashtbl.find_opt seg_tbl key with
+        match List.assoc_opt lst !segs with
         | Some off -> off
         | None ->
             let off = cands.len in
             vpush cands (List.length lst);
             List.iter (vpush cands) lst;
-            Hashtbl.add seg_tbl key off;
+            segs := (lst, off) :: !segs;
             off)
   in
   let nstates = Array.length state_names in
@@ -631,27 +647,23 @@ let compile (m : machine) =
   in
   let stride = 1 lsl row_shift in
   let dispatch = Array.make (max 1 (nstates * 2 * stride)) (-1) in
-  Array.iteri
-    (fun si trs ->
+  let first = ref 0 in
+  List.iteri
+    (fun si s ->
+      let lo_tr = !first and hi_tr = !first + List.length s.transitions in
+      first := hi_tr;
       for kind = 0 to 1 do
         for col = 0 to n_tasks do
-          let matching =
-            List.filter_map
-              (fun (idx, tr) ->
-                let fires =
-                  match (tr.trigger, kind) with
-                  | On_any, _ -> true
-                  | On_start task, 0 | On_end task, 1 ->
-                      col < n_tasks && String.equal task_names.(col) task
-                  | (On_start _ | On_end _), _ -> false
-                in
-                if fires then Some idx else None)
-              trs
-          in
-          dispatch.((((si * 2) + kind) lsl row_shift) + col) <- seg_of matching
+          (* declaration order: collect backwards, consing to the front *)
+          let matching = ref [] in
+          for idx = hi_tr - 1 downto lo_tr do
+            if tr_kind.(idx) < 0 || (tr_kind.(idx) = kind && tr_col.(idx) = col)
+            then matching := idx :: !matching
+          done;
+          dispatch.((((si * 2) + kind) lsl row_shift) + col) <- seg_of !matching
         done
       done)
-    state_trs;
+    m.states;
   {
     machine = m;
     state_names;
@@ -662,7 +674,7 @@ let compile (m : machine) =
     var_is_float;
     n_iregs = !n_iregs;
     n_fregs = !n_fregs;
-    initial = Hashtbl.find state_ids m.initial;
+    initial = Strmap.find state_ids m.initial ~default:(-1);
     task_ids;
     n_tasks;
     dispatch;
@@ -689,7 +701,6 @@ let compile (m : machine) =
     stack_i = em.imax;
     stack_f = em.fmax;
     watched;
-    watched_tbl;
     any_event = !any_event;
   }
 
@@ -699,16 +710,22 @@ let machine t = t.machine
 let name t = t.machine.machine_name
 let state_count t = Array.length t.state_names
 let state_name t i = t.state_names.(i)
-let state_id t n = Hashtbl.find t.state_ids n
+(* [Strmap] never raises; the public lookups keep [Not_found] *)
+let find_exn map key =
+  let i = Strmap.find map key ~default:(-1) in
+  if i < 0 then raise Not_found else i
+
+let state_id t n = find_exn t.state_ids n
 let initial_state t = t.initial
 let var_count t = Array.length t.var_decl_arr
 let var_name t i = t.var_decl_arr.(i).var_name
-let var_id t n = Hashtbl.find t.var_ids n
+let var_id t n = find_exn t.var_ids n
 let var_decls t = t.var_decl_arr
 let task_count t = t.n_tasks
 let watched_tasks t = t.watched
 let watches_any_event t = t.any_event
-let mentions_task t task = t.any_event || Hashtbl.mem t.watched_tbl task
+let mentions_task t task =
+  t.any_event || Strmap.find t.task_ids task ~default:(-1) >= 0
 
 let dispatch_words t =
   (* per-transition metadata: guard pc, body pc, target, plus the seven

@@ -1,9 +1,8 @@
 (** Table-driven monitor engine: machines lowered to flat integer arrays.
 
-    The third execution engine (after {!Interp} and {!Compile}).  Where
-    the closure-compiled engine still allocates a closure per compiled
-    expression node and chases a pointer per call, this pass lowers a
-    typechecked machine into dense integer tables:
+    The deployed engine ({!Interp} is the reference semantics it is
+    checked against).  Lowering a typechecked machine produces dense
+    integer tables:
 
     - states, variables and watched tasks are interned to dense ids;
     - trigger dispatch is one dense [(state, kind, task) -> candidates]
@@ -20,13 +19,15 @@
     happens at run time.  A steady-state step - dispatch, guard
     evaluation, body execution, state update - allocates nothing
     (enforced by a [Gc.minor_words] test) and touches only the
-    machine's contiguous register block.
+    machine's contiguous register block.  The same tables are what the
+    energy-admissibility analysis bounds ({!step_costs}), so the engine
+    that runs is the engine that is analysed.
 
     {!Interp} remains the reference semantics: for every machine, store
     and event trace, {!step} is observationally equivalent to
-    {!Interp.step} and {!Compile.step} - same states, same variable
-    values, same failures, same dynamic errors with identical messages
-    - enforced by the three-way differential fuzz tests. *)
+    {!Interp.step} - same states, same variable values, same failures,
+    same dynamic errors with identical messages - enforced by the
+    differential fuzz tests. *)
 
 type t
 (** A lowered machine: immutable tables shared by all its instances. *)
@@ -52,7 +53,8 @@ val var_name : t -> int -> string
 
 val var_id : t -> string -> int
 (** @raise Not_found for an unknown variable name.  Slots are variable
-    declaration order, compatible with {!Compile.var_id}. *)
+    declaration order, so a deployed monitor's FRAM cell layout does not
+    depend on its engine. *)
 
 val var_decls : t -> Ast.var_decl array
 
@@ -98,7 +100,7 @@ val instance :
     [var_sink slot] is called immediately after each variable
     assignment commits to the register file, [state_sink id] after a
     fired transition updates the control state - the NVM-backed monitor
-    uses them to write the same FRAM cells the other engines write, in
+    uses them to write the same FRAM cells the interpreter writes, in
     the same order.  Both default to no-ops (the memory-backed form). *)
 
 type packed = {
@@ -115,8 +117,8 @@ val step : t -> inst -> Interp.event -> Interp.failure list
     of the current state fires, in declaration order, exactly as
     {!Interp.step}.  Returns [[]] (no allocation) on the steady-state
     path.  @raise Interp.Runtime_error on the same dynamic errors as
-    the other engines (missing [data(x)] payload, division by zero),
-    with identical messages. *)
+    the interpreter (missing [data(x)] payload, division by zero), with
+    identical messages. *)
 
 val current_state : inst -> int
 val set_state : inst -> int -> unit

@@ -1,60 +1,68 @@
 open Ast
 
-let rec expr_type ~vars e =
-  let ( let* ) r f = Result.bind r f in
+(* Expression typing raises on the first error (left operand first), so
+   well-typed expressions - the common case at deploy time - allocate no
+   [result] values or continuation closures. *)
+exception Type_error of string
+
+let type_error fmt = Printf.ksprintf (fun s -> raise (Type_error s)) fmt
+
+let same what ta tb =
+  if ta = tb then ta
+  else
+    type_error "%s expects equal operand types, got %s and %s" what
+      (ty_to_string ta) (ty_to_string tb)
+
+(* [var_ty] raises [Type_error] for an undeclared variable *)
+let rec ty_of ~var_ty e =
   match e with
-  | Lit v -> Ok (ty_of_value v)
-  | Var x -> (
-      match vars x with
-      | Some ty -> Ok ty
-      | None -> Error (Printf.sprintf "undeclared variable %S" x))
-  | Timestamp -> Ok Ttime
-  | Event_path -> Ok Tint
-  | Dep_data _ -> Ok Tfloat
-  | Energy_level -> Ok Tfloat
+  | Lit v -> ty_of_value v
+  | Var x -> var_ty x
+  | Timestamp -> Ttime
+  | Event_path -> Tint
+  | Dep_data _ -> Tfloat
+  | Energy_level -> Tfloat
   | Unop (Neg, e) -> (
-      let* ty = expr_type ~vars e in
-      match ty with
-      | Tint | Tfloat | Ttime -> Ok ty
-      | Tbool -> Error "cannot negate a bool")
+      match ty_of ~var_ty e with
+      | (Tint | Tfloat | Ttime) as ty -> ty
+      | Tbool -> type_error "cannot negate a bool")
   | Unop (Not, e) -> (
-      let* ty = expr_type ~vars e in
-      match ty with
-      | Tbool -> Ok Tbool
-      | Tint | Tfloat | Ttime -> Error "! expects a bool")
+      match ty_of ~var_ty e with
+      | Tbool -> Tbool
+      | Tint | Tfloat | Ttime -> type_error "! expects a bool")
   | Binop (op, a, b) -> (
-      let* ta = expr_type ~vars a in
-      let* tb = expr_type ~vars b in
-      let same what =
-        if ta = tb then Ok ta
-        else
-          Error
-            (Printf.sprintf "%s expects equal operand types, got %s and %s"
-               what (ty_to_string ta) (ty_to_string tb))
-      in
+      let ta = ty_of ~var_ty a in
+      let tb = ty_of ~var_ty b in
       match op with
       | Add | Sub -> (
-          let* ty = same "arithmetic" in
-          match ty with
-          | Tint | Tfloat | Ttime -> Ok ty
-          | Tbool -> Error "arithmetic on bool")
+          match same "arithmetic" ta tb with
+          | (Tint | Tfloat | Ttime) as ty -> ty
+          | Tbool -> type_error "arithmetic on bool")
       | Mul | Div -> (
-          let* ty = same "arithmetic" in
-          match ty with
-          | Tint | Tfloat -> Ok ty
-          | Ttime -> Error "* and / are not defined on time"
-          | Tbool -> Error "arithmetic on bool")
+          match same "arithmetic" ta tb with
+          | (Tint | Tfloat) as ty -> ty
+          | Ttime -> type_error "* and / are not defined on time"
+          | Tbool -> type_error "arithmetic on bool")
       | Mod -> (
-          let* ty = same "%" in
-          match ty with
-          | Tint -> Ok Tint
-          | Tbool | Tfloat | Ttime -> Error "% expects ints")
+          match same "%" ta tb with
+          | Tint -> Tint
+          | Tbool | Tfloat | Ttime -> type_error "%% expects ints")
       | Eq | Ne | Lt | Le | Gt | Ge ->
-          let* _ = same "comparison" in
-          Ok Tbool
+          ignore (same "comparison" ta tb : ty);
+          Tbool
       | And | Or ->
-          if ta = Tbool && tb = Tbool then Ok Tbool
-          else Error "&& and || expect bools")
+          if ta = Tbool && tb = Tbool then Tbool
+          else type_error "&& and || expect bools")
+
+let undeclared x = type_error "undeclared variable %S" x
+
+let typed ~var_ty e =
+  match ty_of ~var_ty e with
+  | ty -> Ok ty
+  | exception Type_error msg -> Error msg
+
+let expr_type ~vars e =
+  typed ~var_ty:(fun x -> match vars x with Some ty -> ty | None -> undeclared x) e
 
 let check m =
   let errors = ref [] in
@@ -80,46 +88,51 @@ let check m =
           (ty_to_string (ty_of_value v.init))
           (ty_to_string v.ty))
     m.vars;
-  let vars x = Option.map (fun v -> v.ty) (find_var m x) in
-  let in_ctx state_name what = Printf.sprintf "state %S, %s" state_name what in
-  let rec check_stmt ctx = function
+  let expr_type =
+    typed ~var_ty:(fun x ->
+        match find_var m x with Some v -> v.ty | None -> undeclared x)
+  in
+  (* a transition's errors are prefixed with its state; the prefix is only
+     formatted when there is an error to report *)
+  let at state fmt = err ("state %S, transition: " ^^ fmt) state in
+  let rec check_stmt state = function
     | Assign (x, e) -> (
-        match (vars x, expr_type ~vars e) with
-        | None, _ -> err "%s: assignment to undeclared variable %S" ctx x
-        | Some _, Error msg -> err "%s: %s" ctx msg
-        | Some ty, Ok te ->
-            if ty <> te then
-              err "%s: assigning %s to variable %S of type %s" ctx
-                (ty_to_string te) x (ty_to_string ty))
+        match (find_var m x, expr_type e) with
+        | None, _ -> at state "assignment to undeclared variable %S" x
+        | Some _, Error msg -> at state "%s" msg
+        | Some v, Ok te ->
+            if v.ty <> te then
+              at state "assigning %s to variable %S of type %s"
+                (ty_to_string te) x (ty_to_string v.ty))
     | If (cond, then_, else_) ->
-        (match expr_type ~vars cond with
-        | Error msg -> err "%s: %s" ctx msg
+        (match expr_type cond with
+        | Error msg -> at state "%s" msg
         | Ok Tbool -> ()
         | Ok other ->
-            err "%s: if condition has type %s, expected bool" ctx
+            at state "if condition has type %s, expected bool"
               (ty_to_string other));
-        List.iter (check_stmt ctx) then_;
-        List.iter (check_stmt ctx) else_
-    | Fail (_, Some p) when p <= 0 -> err "%s: fail Path must be positive" ctx
+        List.iter (check_stmt state) then_;
+        List.iter (check_stmt state) else_
+    | Fail (_, Some p) when p <= 0 -> at state "fail Path must be positive"
     | Fail (_, _) -> ()
   in
   List.iter
     (fun s ->
+      let state = s.state_name in
       List.iter
         (fun tr ->
-          let ctx = in_ctx s.state_name "transition" in
           (match tr.guard with
           | None -> ()
           | Some g -> (
-              match expr_type ~vars g with
-              | Error msg -> err "%s: %s" ctx msg
+              match expr_type g with
+              | Error msg -> at state "%s" msg
               | Ok Tbool -> ()
               | Ok other ->
-                  err "%s: guard has type %s, expected bool" ctx
+                  at state "guard has type %s, expected bool"
                     (ty_to_string other)));
-          List.iter (check_stmt ctx) tr.body;
+          List.iter (check_stmt state) tr.body;
           if find_state m tr.target = None then
-            err "%s: target state %S does not exist" ctx tr.target)
+            at state "target state %S does not exist" tr.target)
         s.transitions)
     m.states;
   match List.rev !errors with [] -> Ok () | errs -> Error errs

@@ -11,37 +11,37 @@ let ty_bytes = function
   | Ast.Tfloat -> 4
   | Ast.Ttime -> 8
 
-type engine = Interpreted | Compiled | Table
+type engine = Interpreted | Table
+
+let engines = [ ("interpreted", Interpreted); ("table", Table) ]
 
 (* The table engine keeps its working state in registers, but the FRAM
    cells must stay authoritative for crash recovery: the instance's sinks
    write each assignment through to its cell in program order (so NVM
-   write counts and injection-site hits match the other engines), and the
+   write counts and injection-site hits match the interpreter), and the
    registers are refreshed from the cells whenever they may have diverged
    - after a transaction abort or power failure (tracked by the store's
    [Nvm.revert_count]) or an out-of-band cell write (reset, persistent
    state migration), which forces [synced_at] back to [min_int]. *)
 type table_rt = {
-  table : Table.t;
   tinst : Table.inst;
   nvm : Nvm.t;
   mutable synced_at : int;  (* revert_count at the last register refresh *)
 }
 
+type exec = Run_table of table_rt | Run_interp of Interp.store
+
 type t = {
   obs : Obs.ctx;  (* the owning device's recording surface *)
-  compiled : Compile.t;
-  engine : engine;
+  table : Table.t;  (* the one lowering: interning tables and table code *)
   state_cell : int Nvm.cell;  (* interned state id *)
   var_cells : Ast.value Nvm.cell array;  (* indexed by variable slot *)
-  cstore : Compile.store;
-  istore : Interp.store;  (* reference semantics over the same cells *)
-  trt : table_rt option;  (* present iff [engine = Table] *)
+  exec : exec;
   bytes : int;
 }
 
-let create ?(engine = Compiled) ?cell_prefix nvm (machine : Ast.machine) =
-  let compiled = Compile.compile machine (* typechecks *) in
+let create ?(engine = Table) ?cell_prefix nvm (machine : Ast.machine) =
+  let table = Table.compile machine (* typechecks *) in
   let prefix =
     match cell_prefix with
     | Some p -> p
@@ -49,7 +49,7 @@ let create ?(engine = Compiled) ?cell_prefix nvm (machine : Ast.machine) =
   in
   let state_cell =
     Nvm.cell nvm ~region:Monitor ~name:(prefix ^ ".state") ~bytes:2
-      (Compile.initial_state compiled)
+      (Table.initial_state table)
   in
   let var_cells =
     Array.map
@@ -57,31 +57,7 @@ let create ?(engine = Compiled) ?cell_prefix nvm (machine : Ast.machine) =
         Nvm.cell nvm ~region:Monitor
           ~name:(prefix ^ "." ^ v.Ast.var_name)
           ~bytes:(ty_bytes v.Ast.ty) v.Ast.init)
-      (Compile.var_decls compiled)
-  in
-  let cstore =
-    {
-      Compile.get = (fun slot -> Nvm.read var_cells.(slot));
-      set = (fun slot v -> Nvm.write_join var_cells.(slot) v);
-      get_state = (fun () -> Nvm.read state_cell);
-      set_state = (fun id -> Nvm.write_join state_cell id);
-    }
-  in
-  (* The interpreted store resolves names through the interning tables so
-     both engines share the exact same FRAM cells. *)
-  let istore =
-    let slot_exn x =
-      match Compile.var_id compiled x with
-      | slot -> slot
-      | exception Not_found ->
-          raise (Interp.Runtime_error (Printf.sprintf "unknown variable %S" x))
-    in
-    {
-      Interp.get = (fun x -> Nvm.read var_cells.(slot_exn x));
-      set = (fun x v -> Nvm.write_join var_cells.(slot_exn x) v);
-      get_state = (fun () -> Compile.state_name compiled (Nvm.read state_cell));
-      set_state = (fun s -> Nvm.write_join state_cell (Compile.state_id compiled s));
-    }
+      (Table.var_decls table)
   in
   (* The generated C keeps each property's parameters (limits, dependent
      task pointer, action fields) in an FRAM-resident property_t struct
@@ -95,11 +71,9 @@ let create ?(engine = Compiled) ?cell_prefix nvm (machine : Ast.machine) =
     2 + property_table_bytes
     + List.fold_left (fun acc v -> acc + ty_bytes v.Ast.ty) 0 machine.Ast.vars
   in
-  let trt =
+  let exec =
     match engine with
-    | Interpreted | Compiled -> None
     | Table ->
-        let table = Table.compile machine in
         (* the var sink must read back the register it just wrote, so it
            needs the instance being constructed: tie the knot via a ref *)
         let self = ref None in
@@ -113,45 +87,60 @@ let create ?(engine = Compiled) ?cell_prefix nvm (machine : Ast.machine) =
             ~state_sink:(fun id -> Nvm.write_join state_cell id)
         in
         self := Some tinst;
-        Some { table; tinst; nvm; synced_at = min_int }
+        Run_table { tinst; nvm; synced_at = min_int }
+    | Interpreted ->
+        (* the reference semantics resolves names through the interning
+           tables, so both engines share the exact same FRAM cells *)
+        let slot_exn x =
+          match Table.var_id table x with
+          | slot -> slot
+          | exception Not_found ->
+              raise
+                (Interp.Runtime_error (Printf.sprintf "unknown variable %S" x))
+        in
+        Run_interp
+          {
+            Interp.get = (fun x -> Nvm.read var_cells.(slot_exn x));
+            set = (fun x v -> Nvm.write_join var_cells.(slot_exn x) v);
+            get_state = (fun () -> Table.state_name table (Nvm.read state_cell));
+            set_state =
+              (fun s -> Nvm.write_join state_cell (Table.state_id table s));
+          }
   in
-  { obs = Nvm.obs nvm; compiled; engine; state_cell; var_cells; cstore; istore; trt; bytes }
+  { obs = Nvm.obs nvm; table; state_cell; var_cells; exec; bytes }
 
-let name t = Compile.name t.compiled
-let machine t = Compile.machine t.compiled
-let engine t = t.engine
-let compiled t = t.compiled
+let name t = Table.name t.table
+let machine t = Table.machine t.table
+let engine t = match t.exec with Run_table _ -> Table | Run_interp _ -> Interpreted
+let table t = t.table
 
 (* Reset/reinit writes join any enclosing transaction (write_join) so a
    path restart can make the whole monitor re-initialisation atomic. *)
 (* any write to the cells that bypasses the table instance's sinks must
    force a register refresh before the next table step *)
 let invalidate_registers t =
-  match t.trt with Some rt -> rt.synced_at <- min_int | None -> ()
+  match t.exec with Run_table rt -> rt.synced_at <- min_int | Run_interp _ -> ()
 
 let hard_reset t =
-  Nvm.write_join t.state_cell (Compile.initial_state t.compiled);
+  Nvm.write_join t.state_cell (Table.initial_state t.table);
   Array.iteri
     (fun slot (v : Ast.var_decl) -> Nvm.write_join t.var_cells.(slot) v.Ast.init)
-    (Compile.var_decls t.compiled);
+    (Table.var_decls t.table);
   invalidate_registers t
 
 let reinitialize t =
-  Nvm.write_join t.state_cell (Compile.initial_state t.compiled);
+  Nvm.write_join t.state_cell (Table.initial_state t.table);
   Array.iteri
     (fun slot (v : Ast.var_decl) ->
       if not v.Ast.persistent then Nvm.write_join t.var_cells.(slot) v.Ast.init)
-    (Compile.var_decls t.compiled);
+    (Table.var_decls t.table);
   invalidate_registers t
 
 let step t event =
   Obs.Ctx.incr t.obs m_steps;
   let failures =
-    match t.engine with
-    | Compiled -> Compile.step t.compiled t.cstore event
-    | Interpreted -> Interp.step (Compile.machine t.compiled) t.istore event
-    | Table ->
-        let rt = Option.get t.trt in
+    match t.exec with
+    | Run_table rt ->
         (* registers go stale only after a rollback (revert counter) or an
            out-of-band cell write ([invalidate_registers]); on the
            steady-state path this is one integer compare *)
@@ -160,24 +149,25 @@ let step t event =
           Table.set_state rt.tinst (Nvm.read t.state_cell);
           let cells = t.var_cells in
           for slot = 0 to Array.length cells - 1 do
-            Table.load_var rt.table rt.tinst slot (Nvm.read cells.(slot))
+            Table.load_var t.table rt.tinst slot (Nvm.read cells.(slot))
           done;
           rt.synced_at <- rc
         end;
-        Table.step rt.table rt.tinst event
+        Table.step t.table rt.tinst event
+    | Run_interp store -> Interp.step (Table.machine t.table) store event
   in
   (match failures with [] -> () | fs -> Obs.Ctx.add t.obs m_failures (List.length fs));
   failures
 
-let current_state t = Compile.state_name t.compiled (Nvm.read t.state_cell)
+let current_state t = Table.state_name t.table (Nvm.read t.state_cell)
 
 let read_var t x =
-  match Compile.var_id t.compiled x with
+  match Table.var_id t.table x with
   | slot -> Nvm.read t.var_cells.(slot)
   | exception Not_found ->
       invalid_arg
         (Printf.sprintf "Monitor.read_var: monitor %S has no variable %S"
-           (Compile.name t.compiled) x)
+           (Table.name t.table) x)
 
 (* --- live adaptation (PR 4): persistent-state hand-over --- *)
 
@@ -194,8 +184,8 @@ let compatible_layout ~from t =
              w.Ast.persistent
              && String.equal w.Ast.var_name v.Ast.var_name
              && w.Ast.ty = v.Ast.ty)
-           (Compile.var_decls from.compiled))
-    (Compile.var_decls t.compiled)
+           (Table.var_decls from.table))
+    (Table.var_decls t.table)
 
 (* Copy persistent values from the retiring monitor into the replacement.
    Each copy is a plain [Nvm.write]: individually durable, and idempotent
@@ -203,16 +193,16 @@ let compatible_layout ~from t =
    be re-run from the top after a mid-migration power failure without
    changing the outcome.  Returns the migrated variable names. *)
 let migrate_persistent ~from t =
-  Array.to_list (Compile.var_decls t.compiled)
+  Array.to_list (Table.var_decls t.table)
   |> List.filter_map (fun (v : Ast.var_decl) ->
          if not v.Ast.persistent then None
          else
-           match Compile.var_id from.compiled v.Ast.var_name with
+           match Table.var_id from.table v.Ast.var_name with
            | exception Not_found -> None
            | old_slot ->
-               let w = (Compile.var_decls from.compiled).(old_slot) in
+               let w = (Table.var_decls from.table).(old_slot) in
                if w.Ast.persistent && w.Ast.ty = v.Ast.ty then (
-                 let slot = Compile.var_id t.compiled v.Ast.var_name in
+                 let slot = Table.var_id t.table v.Ast.var_name in
                  Nvm.write t.var_cells.(slot) (Nvm.read from.var_cells.(old_slot));
                  Some v.Ast.var_name)
                else None)
@@ -220,6 +210,6 @@ let migrate_persistent ~from t =
   invalidate_registers t;
   migrated
 
-let watches_task t task = Compile.mentions_task t.compiled task
+let watches_task t task = Table.mentions_task t.table task
 let watches_event t (event : Interp.event) = watches_task t event.Interp.task
 let fram_bytes t = t.bytes

@@ -3,10 +3,12 @@
     ImmortalThreads-generated C monitors of Section 4.2.3 - it survives
     power failures without losing track of the properties it checks.
 
-    The machine is compiled once at deploy time ({!Compile}): variables
-    live in a slot-indexed array of FRAM cells, the control state is an
-    interned id, and event dispatch is a hash lookup - the per-event path
-    does no list scans or string comparisons. *)
+    The machine is lowered once at deploy time ({!Table.compile}):
+    variables live in a slot-indexed array of FRAM cells, the control
+    state is an interned id, and event dispatch is a dense table lookup -
+    the per-event path does no list scans or string comparisons.  The same
+    lowering supplies the interning tables and watched-task index for
+    either engine, so a deployment lowers each machine exactly once. *)
 
 open Artemis_nvm
 open Artemis_fsm
@@ -16,21 +18,27 @@ type t
 type engine =
   | Interpreted
       (** Reference semantics: {!Interp.step} over the AST.  Kept for
-          differential testing and the interpreted-vs-compiled bench. *)
-  | Compiled  (** Deploy-time compiled closures ({!Compile.step}). *)
+          differential testing and the interpreted-vs-table bench. *)
   | Table
-      (** Flat-table bytecode engine ({!Table.step}): dense dispatch plus
-          postfix bytecode over an int/float register file.  The FRAM
-          cells stay authoritative — registers are refreshed from the
-          cells before each step and every assignment is written through
-          to its cell in program order, so footprint accounting and
-          crash recovery are identical to the other engines. *)
+      (** The deployed engine ({!Table.step}): dense dispatch plus postfix
+          bytecode over an int/float register file - the structure the
+          energy-admissibility bound analyses.  The FRAM cells stay
+          authoritative: registers are refreshed from the cells before a
+          step whenever they may be stale, and every assignment is
+          written through to its cell in program order, so footprint
+          accounting and crash recovery are identical to the
+          interpreter's. *)
+
+val engines : (string * engine) list
+(** Every engine under its command-line and fleet-spec name, in
+    declaration order.  The binaries' [--engine] options and the fleet
+    runner's ["engines"] axis are all built from this one table. *)
 
 val create : ?engine:engine -> ?cell_prefix:string -> Nvm.t -> Ast.machine -> t
-(** Typechecks and compiles the machine, then allocates one FRAM cell per
+(** Typechecks and lowers the machine, then allocates one FRAM cell per
     variable plus a state cell, all in the [Monitor] region (their bytes
     are what Table 2 reports as monitor FRAM).  [engine] defaults to
-    [Compiled]; both engines operate on the same FRAM cells and are
+    [Table]; both engines operate on the same FRAM cells and are
     observationally equivalent.  [cell_prefix] overrides the machine name
     as the cell-name prefix — the live-adaptation protocol deploys
     replacement generations under ["g<N>/<machine>"] so both generations'
@@ -41,8 +49,9 @@ val name : t -> string
 val machine : t -> Ast.machine
 val engine : t -> engine
 
-val compiled : t -> Compile.t
-(** The compiled form (interning tables, static trigger information). *)
+val table : t -> Table.t
+(** The deploy-time lowering (interning tables, static trigger
+    information; the executed code under the [Table] engine). *)
 
 val hard_reset : t -> unit
 (** First-boot initialisation ([resetMonitor], Figure 8 line 14). *)

@@ -14,7 +14,7 @@ type t = {
 
 let of_monitors monitors =
   let tasks =
-    List.concat_map (fun m -> Compile.watched_tasks (Monitor.compiled m)) monitors
+    List.concat_map (fun m -> Table.watched_tasks (Monitor.table m)) monitors
     |> List.sort_uniq String.compare
   in
   let dispatch = Hashtbl.create (max 1 (List.length tasks)) in
@@ -24,7 +24,7 @@ let of_monitors monitors =
         (List.filter (fun m -> Monitor.watches_task m task) monitors))
     tasks;
   let any_watchers =
-    List.filter (fun m -> Compile.watches_any_event (Monitor.compiled m)) monitors
+    List.filter (fun m -> Table.watches_any_event (Monitor.table m)) monitors
   in
   { monitors; dispatch; any_watchers }
 

@@ -13,7 +13,7 @@ open Artemis_fsm
 type t
 
 val create : ?engine:Monitor.engine -> Nvm.t -> Ast.machine list -> t
-(** [engine] defaults to [Compiled] (see {!Monitor.create}). *)
+(** [engine] defaults to [Table] (see {!Monitor.create}). *)
 
 val of_monitors : Monitor.t list -> t
 (** Build a suite (and its dispatch index) over already-created monitors.

@@ -277,7 +277,7 @@ let make_state ?(probe = fun _ -> ()) ?(journaling = false) ?(adaptations = [])
   let engine =
     match Suite.monitors suite with
     | m :: _ -> Monitor.engine m
-    | [] -> Monitor.Compiled
+    | [] -> Monitor.Table
   in
   (* Energy admission for OTA updates (PR 9): a validated update whose
      properties could never complete a monitor call on one capacitor

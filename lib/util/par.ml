@@ -31,6 +31,14 @@ type range = { mutable lo : int; mutable hi : int }  (* [lo, hi) *)
 
 let recommended_jobs () = Domain.recommended_domain_count ()
 
+let jobs_of_flag ~prog jobs =
+  if jobs < 0 then
+    Error
+      (Printf.sprintf "%s: --jobs must be 0 (auto) or positive (got %d)" prog
+         jobs)
+  else if jobs = 0 then Ok (recommended_jobs ())
+  else Ok jobs
+
 (* One lock operation per ~1/8 of a worker's even share: coarse enough
    that the mutex disappears from profiles, fine enough that stealing
    can still even out a skewed tail. *)

@@ -270,6 +270,37 @@ let test_run_adaptive () =
       | _ -> Alcotest.fail "expected Update_applied at generation 1")
   | rs -> Alcotest.failf "expected one record, got %d" (List.length rs)
 
+(* Table is the deployed engine: a plain Monitor.create and a scenario
+   built without an engine both run it, while an update applied inside an
+   interpreted deployment builds interpreted replacements - the runtime
+   keeps the engine it was given. *)
+let test_engine_defaults () =
+  let engines suite = List.map Monitor.engine (Suite.monitors suite) in
+  let m =
+    Monitor.create (Nvm.create ())
+      (Fsm.Parser.parse_machine_exn
+         "machine m { initial state A { on startTask(t) -> A; } }")
+  in
+  Alcotest.(check bool) "Monitor.create deploys Table" true
+    (Monitor.engine m = Monitor.Table);
+  let b = Scenario.quickstart.Scenario.build ~engine:None ~seed:42 in
+  Alcotest.(check bool) "Scenario.build ~engine:None deploys Table" true
+    (engines b.Scenario.suite <> []
+    && List.for_all (( = ) Monitor.Table) (engines b.Scenario.suite));
+  let device = Device.create () in
+  let app, _ = Health_app.make (Device.nvm device) in
+  let suite =
+    compile_and_deploy_exn ~engine:Monitor.Interpreted device app
+      Health_app.spec_text
+  in
+  let r = Runtime.run_adaptive ~adaptations:[ (40, health_update) ] device app suite in
+  Alcotest.(check int) "update applied" 1 r.Runtime.final_generation;
+  let final = r.Runtime.final_suite in
+  Alcotest.(check bool) "replacement present" true
+    (Suite.find final "MITD_send_accel" <> None);
+  Alcotest.(check bool) "every monitor stays Interpreted" true
+    (List.for_all (( = ) Monitor.Interpreted) (engines final))
+
 (* Differential check: a run that adapts at iteration K must equal a
    from-scratch replay of its committed journal - same events, same
    update at the same point - modulo nothing: even migrated variables
@@ -364,6 +395,8 @@ let suite =
     ("per-site crash recovery is exactly-once", `Quick,
       test_per_site_crash_recovery);
     ("run_adaptive swaps the live suite", `Quick, test_run_adaptive);
+    ("engine defaults: Table deployed, OTA keeps the engine", `Quick,
+      test_engine_defaults);
     ("differential: adapted run == from-scratch replay", `Quick,
       test_differential_replay);
     ("depth-1 campaign over the update window", `Quick, test_faultsim_campaign);

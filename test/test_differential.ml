@@ -1,15 +1,14 @@
-(* Differential fuzzing of the three FSM execution engines: for random
-   well-typed machines and random event traces, the deploy-time compiled
-   closures (Fsm.Compile) and the flat-table bytecode engine (Fsm.Table)
-   must be observationally equivalent to the reference interpreter
-   (Fsm.Interp) - same control state, same variable values, same emitted
-   failures, same dynamic errors - including over NVM-backed monitors
-   with power failures injected between events. *)
+(* Differential fuzzing of the two FSM execution engines: for random
+   well-typed machines and random event traces, the deployed flat-table
+   bytecode engine (Fsm.Table) must be observationally equivalent to the
+   reference interpreter (Fsm.Interp) - same control state, same
+   variable values, same emitted failures, same dynamic errors -
+   including over NVM-backed monitors with power failures injected
+   between events. *)
 
 open Artemis
 module F = Fsm.Ast
 module Interp = Fsm.Interp
-module Compile = Fsm.Compile
 module Table = Fsm.Table
 
 (* --- random well-typed machines --- *)
@@ -210,35 +209,27 @@ let equal_outcome a b =
   | Err x, Err y -> String.equal x y
   | Failures _, Err _ | Err _, Failures _ -> false
 
-(* memory-backed stores: pure three-way engine equivalence *)
+(* memory-backed stores: pure engine equivalence *)
 let memory_equivalence =
-  QCheck.Test.make ~name:"table = compiled = interpreted (memory stores)"
-    ~count:700
+  QCheck.Test.make ~name:"table = interpreted (memory stores)" ~count:700
     (QCheck.make ~print:show_machine_trace QCheck.Gen.(pair machine trace))
     (fun (m, evs) ->
-      let c = Compile.compile m in
       let t = Table.compile m in
-      let istore = Interp.memory_store m and cstore = Compile.memory_store c in
+      let istore = Interp.memory_store m in
       let tinst = Table.instance t in
       List.for_all
         (fun ev ->
           let ri = step_catch (fun () -> Interp.step m istore ev) in
-          let rc = step_catch (fun () -> Compile.step c cstore ev) in
           let rt = step_catch (fun () -> Table.step t tinst ev) in
-          equal_outcome ri rc && equal_outcome ri rt
-          && String.equal
-               (istore.Interp.get_state ())
-               (Compile.state_name c (cstore.Compile.get_state ()))
+          equal_outcome ri rt
           && String.equal
                (istore.Interp.get_state ())
                (Table.state_name t (Table.current_state tinst))
           && List.for_all
                (fun (v : F.var_decl) ->
-                 let vi = istore.Interp.get v.F.var_name in
-                 F.same_value vi
-                   (cstore.Compile.get (Compile.var_id c v.F.var_name))
-                 && F.same_value vi
-                      (Table.read_var t tinst (Table.var_id t v.F.var_name)))
+                 F.same_value
+                   (istore.Interp.get v.F.var_name)
+                   (Table.read_var t tinst (Table.var_id t v.F.var_name)))
                var_pool)
         evs)
 
@@ -247,8 +238,7 @@ let memory_equivalence =
    engines must stay in lockstep *)
 let nvm_equivalence =
   QCheck.Test.make
-    ~name:"table = compiled = interpreted (NVM monitors, power failures)"
-    ~count:500
+    ~name:"table = interpreted (NVM monitors, power failures)" ~count:500
     (QCheck.make
        ~print:(fun (m, evs, noise) ->
          show_machine_trace (m, evs)
@@ -257,22 +247,16 @@ let nvm_equivalence =
        QCheck.Gen.(
          triple machine trace (list_size (int_range 5 40) (int_bound 9))))
     (fun (m, evs, noise) ->
-      let nvm_i = Nvm.create ()
-      and nvm_c = Nvm.create ()
-      and nvm_t = Nvm.create () in
+      let nvm_i = Nvm.create () and nvm_t = Nvm.create () in
       let mon_i = Monitor.create ~engine:Monitor.Interpreted nvm_i m in
-      let mon_c = Monitor.create ~engine:Monitor.Compiled nvm_c m in
       let mon_t = Monitor.create ~engine:Monitor.Table nvm_t m in
       let agree () =
-        String.equal (Monitor.current_state mon_i) (Monitor.current_state mon_c)
-        && String.equal
-             (Monitor.current_state mon_i)
-             (Monitor.current_state mon_t)
+        String.equal (Monitor.current_state mon_i) (Monitor.current_state mon_t)
         && List.for_all
              (fun (v : F.var_decl) ->
-               let vi = Monitor.read_var mon_i v.F.var_name in
-               F.same_value vi (Monitor.read_var mon_c v.F.var_name)
-               && F.same_value vi (Monitor.read_var mon_t v.F.var_name))
+               F.same_value
+                 (Monitor.read_var mon_i v.F.var_name)
+                 (Monitor.read_var mon_t v.F.var_name))
              var_pool
       in
       let rec go evs noise =
@@ -282,21 +266,18 @@ let nvm_equivalence =
             let n, noise =
               match noise with [] -> (0, []) | n :: rest -> (n, rest)
             in
-            (* inject identical disturbances into all three deployments *)
+            (* inject identical disturbances into both deployments *)
             if n = 9 then begin
               Nvm.power_failure nvm_i;
-              Nvm.power_failure nvm_c;
               Nvm.power_failure nvm_t
             end
             else if n = 8 then begin
               Monitor.reinitialize mon_i;
-              Monitor.reinitialize mon_c;
               Monitor.reinitialize mon_t
             end;
             let ri = step_catch (fun () -> Monitor.step mon_i ev) in
-            let rc = step_catch (fun () -> Monitor.step mon_c ev) in
             let rt = step_catch (fun () -> Monitor.step mon_t ev) in
-            equal_outcome ri rc && equal_outcome ri rt && agree () && go evs noise
+            equal_outcome ri rt && agree () && go evs noise
       in
       go evs noise)
 
@@ -312,18 +293,18 @@ let suite_dispatch_equivalence =
       let ms = List.mapi rename ms in
       let s_idx = Suite.create (Nvm.create ()) ms in
       let s_ref = Suite.create (Nvm.create ()) ms in
-      let s_tbl = Suite.create ~engine:Monitor.Table (Nvm.create ()) ms in
+      let s_int = Suite.create ~engine:Monitor.Interpreted (Nvm.create ()) ms in
       List.for_all
         (fun ev ->
           let ri = step_catch (fun () -> Suite.step_all s_idx ev) in
           let rr = step_catch (fun () -> Suite.step_all_unindexed s_ref ev) in
-          let rt = step_catch (fun () -> Suite.step_all s_tbl ev) in
-          equal_outcome ri rr && equal_outcome ri rt)
+          let rn = step_catch (fun () -> Suite.step_all s_int ev) in
+          equal_outcome ri rr && equal_outcome ri rn)
         evs)
 
 (* whole-runtime differential across monitor deployments: for every
    deployment style of Section 7 (separate module, inlined, external
-   wireless), running a fuzzed property under the Compiled engine on an
+   wireless), running a fuzzed property under the Table engine on an
    intermittently powered device must reproduce the Interpreted engine's
    run exactly - same trace, same outcome, same final monitor FRAM *)
 let deployment =
@@ -341,7 +322,7 @@ let deployment_name = function
 
 let runtime_deployment_equivalence =
   QCheck.Test.make
-    ~name:"table = compiled = interpreted (full runtime, all deployments)"
+    ~name:"table = interpreted (full runtime, all deployments)"
     ~count:60
     (QCheck.make
        ~print:(fun (m, d) ->
@@ -383,7 +364,6 @@ let runtime_deployment_equivalence =
         | exception Interp.Runtime_error msg -> (Err msg, None, Suite.monitors suite)
       in
       let oi, ri, msi = exec Monitor.Interpreted in
-      let oc, rc, msc = exec Monitor.Compiled in
       let ot, rt, mst = exec Monitor.Table in
       let monitors_agree =
         List.for_all2
@@ -396,8 +376,7 @@ let runtime_deployment_equivalence =
                      (Monitor.read_var b v.F.var_name))
                  var_pool)
       in
-      equal_outcome oi oc && equal_outcome oi ot && ri = rc && ri = rt
-      && monitors_agree msi msc && monitors_agree msi mst)
+      equal_outcome oi ot && ri = rt && monitors_agree msi mst)
 
 (* backend matrix differential (PR 10): for a random scenario, monitor
    engine, seed and injected power-failure schedule over the shared
@@ -420,8 +399,7 @@ module FScenario = Artemis_faultsim.Scenario
 let matrix_scenarios =
   [ FScenario.quickstart; FScenario.health; FScenario.stale_read ]
 
-let matrix_engines =
-  [ Monitor.Interpreted; Monitor.Compiled; Monitor.Table ]
+let matrix_engines = List.map snd Monitor.engines
 
 let semantic_stream device =
   List.filter_map
@@ -468,9 +446,10 @@ let rt_count = List.length Runtime.injection_sites
 let clamp_entry (s, o) = (rt_first + (s mod rt_count), o mod 4)
 
 let backend_matrix_print ((s_i, e_i, seed), schedule) =
-  Printf.sprintf "scenario=%s engine=%d seed=%d schedule=%s"
+  Printf.sprintf "scenario=%s engine=%s seed=%d schedule=%s"
     (List.nth matrix_scenarios (s_i mod 3)).FScenario.name
-    (e_i mod 3) seed
+    (fst (List.nth Monitor.engines (e_i mod List.length Monitor.engines)))
+    seed
     (FS.schedule_to_string (List.map clamp_entry schedule))
 
 let backend_matrix_equivalence =
@@ -484,7 +463,9 @@ let backend_matrix_equivalence =
            (small_list (pair small_nat small_nat))))
     (fun ((s_i, e_i, seed), schedule) ->
       let scenario = List.nth matrix_scenarios (s_i mod 3) in
-      let engine = List.nth matrix_engines (e_i mod 3) in
+      let engine =
+        List.nth matrix_engines (e_i mod List.length matrix_engines)
+      in
       let scenario = FScenario.with_engine engine scenario in
       (* clamp the raw schedule onto the shared runtime sites *)
       let schedule = List.map clamp_entry schedule in

@@ -202,12 +202,10 @@ let test_adapt_rejects_inadmissible_update () =
 
 (* --- bound domination: static bound >= every measured call attempt --- *)
 
-let engines = [ Monitor.Interpreted; Monitor.Compiled; Monitor.Table ]
+let engines = List.map snd Monitor.engines
 
-let engine_name = function
-  | Monitor.Interpreted -> "interpreted"
-  | Monitor.Compiled -> "compiled"
-  | Monitor.Table -> "table"
+let engine_name e =
+  fst (List.find (fun (_, e') -> e' = e) Monitor.engines)
 
 (* The static bound for everything a run could ever execute: the deployed
    suite plus every scheduled OTA payload.  Summing over the superset

@@ -15,7 +15,7 @@ let test_spec_parse () =
       {|{"name": "smoke", "scenarios": ["quickstart", "health"],
          "seeds": {"first": 5, "count": 3},
          "harvesters": ["default", "fixed:30s", "duty:200uw", "constant:65uw"],
-         "engines": ["compiled", "table"],
+         "engines": ["interpreted", "table"],
          "backends": ["immortal", "alpaca"]}|}
   in
   Alcotest.(check string) "name" "smoke" spec.Fleet.fleet_name;
@@ -114,7 +114,7 @@ let fleet_jobs_invariant =
           (Printf.sprintf
              {|{"scenarios": ["%s"], "seeds": {"first": %d, "count": %d},
                 "harvesters": ["default", "fixed:5s"],
-                "engines": ["compiled", "table"],
+                "engines": ["interpreted", "table"],
                 "backends": ["immortal", "alpaca"]}|}
              scenario first count)
       in
@@ -207,7 +207,7 @@ let test_rollups () =
   let spec =
     parse_ok
       {|{"scenarios": ["quickstart"], "seeds": {"count": 2},
-         "engines": ["compiled", "table"],
+         "engines": ["interpreted", "table"],
          "backends": ["immortal", "alpaca"]}|}
   in
   let report = Fleet.run spec in

@@ -194,10 +194,49 @@ let test_engines_agree_over_nvm () =
     (Monitor.current_state m, Monitor.read_var m "x", Monitor.read_var m "keep")
   in
   let si, xi, ki = step_with Monitor.Interpreted in
-  let sc, xc, kc = step_with Monitor.Compiled in
-  Alcotest.(check string) "same state" si sc;
-  Alcotest.check Helpers.value "same x" xi xc;
-  Alcotest.check Helpers.value "same keep" ki kc
+  let st, xt, kt = step_with Monitor.Table in
+  Alcotest.(check string) "same state" si st;
+  Alcotest.check Helpers.value "same x" xi xt;
+  Alcotest.check Helpers.value "same keep" ki kt
+
+(* --- Deploy-time compilation --- *)
+
+(* [Monitor.create] lowers the machine once, with [Table.compile], and
+   under either engine the monitor's FRAM cells, control-state ids and
+   watched tasks all come from that one table's interning. *)
+let test_deploy_interning () =
+  List.iter
+    (fun (engine_name, engine) ->
+      let label what = engine_name ^ ": " ^ what in
+      let nvm = Nvm.create () in
+      let machine = Fsm.Parser.parse_machine_exn machine_text in
+      let m = Monitor.create ~engine ~cell_prefix:"g1/m" nvm machine in
+      let t = Monitor.table m in
+      Alcotest.(check bool) (label "lowers the deployed machine") true
+        (Monitor.machine m == machine);
+      Alcotest.(check (list string))
+        (label "cells: state, then vars in slot order")
+        (("g1/m.state"
+         :: List.init (Fsm.Table.var_count t) (fun slot ->
+                "g1/m." ^ Fsm.Table.var_name t slot))
+        @ [ "g1/m.property_t" ])
+        (Nvm.cell_names nvm ~region:Nvm.Monitor);
+      Alcotest.(check string) (label "initial state id")
+        (Fsm.Table.state_name t (Fsm.Table.initial_state t))
+        (Monitor.current_state m);
+      ignore (Monitor.step m (Helpers.event ~task:"t" ()));
+      Alcotest.(check string) (label "stepped state") "B" (Monitor.current_state m);
+      Alcotest.check Helpers.value (label "slot 0 written") (F.Vint 1)
+        (Monitor.read_var m (Fsm.Table.var_name t 0));
+      List.iter
+        (fun task ->
+          Alcotest.(check bool) (label ("watches " ^ task))
+            (Fsm.Table.mentions_task t task) (Monitor.watches_task m task))
+        [ "t"; "u" ])
+    Monitor.engines
+
+let compile_suite =
+  [ Alcotest.test_case "interning tables" `Quick test_deploy_interning ]
 
 let suite =
   [

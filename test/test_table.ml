@@ -1,13 +1,14 @@
 (* Unit tests for the flat-table bytecode engine (Fsm.Table): interning,
-   CSR dispatch lookup, bytecode edge cases (division by zero, NaN), the
-   packed suite buffer, the zero-allocation steady-state contract, and a
-   faultsim depth-1 campaign under the Table engine.  Randomized
-   three-way equivalence lives in test_differential.ml. *)
+   CSR dispatch lookup in declaration order, equivalence with the
+   interpreter on handcrafted machines, bytecode edge cases (division by
+   zero, NaN, missing payloads), the packed suite buffer, the
+   zero-allocation steady-state contract and a faultsim depth-1 campaign
+   with Table pinned.  Randomized equivalence lives in
+   test_differential.ml. *)
 
 open Artemis
 module F = Fsm.Ast
 module Interp = Fsm.Interp
-module Compile = Fsm.Compile
 module Table = Fsm.Table
 
 let parse = Fsm.Parser.parse_machine_exn
@@ -38,7 +39,6 @@ machine m {
 let test_interning () =
   let m = parse machine_text in
   let t = Table.compile m in
-  let c = Compile.compile m in
   Alcotest.(check int) "state count" 2 (Table.state_count t);
   Alcotest.(check string) "state 0" "A" (Table.state_name t 0);
   Alcotest.(check string) "state 1" "B" (Table.state_name t 1);
@@ -47,13 +47,11 @@ let test_interning () =
   Alcotest.(check int) "var count" 2 (Table.var_count t);
   Alcotest.(check string) "slot 0" "x" (Table.var_name t 0);
   Alcotest.(check int) "slot of keep" 1 (Table.var_id t "keep");
-  (* slot numbering is shared with the compiled engine, so NVM cell
-     layouts are interchangeable between engines *)
-  List.iter
-    (fun (v : F.var_decl) ->
-      Alcotest.(check int)
-        ("slot of " ^ v.F.var_name)
-        (Compile.var_id c v.F.var_name)
+  (* slots are declaration order, so a monitor's FRAM cell layout is the
+     same whichever engine runs it *)
+  List.iteri
+    (fun slot (v : F.var_decl) ->
+      Alcotest.(check int) ("slot of " ^ v.F.var_name) slot
         (Table.var_id t v.F.var_name))
     m.F.vars;
   (match Table.state_id t "nope" with
@@ -102,6 +100,131 @@ let test_csr_dispatch () =
   Alcotest.(check (list failure)) "fallback fails"
     [ { Interp.failed_machine = "m"; action = F.Restart_task; target_path = None } ]
     failures
+
+let test_instance_initials () =
+  let t = Table.compile (parse machine_text) in
+  let inst = Table.instance t in
+  Alcotest.(check int) "starts in initial" 0 (Table.current_state inst);
+  Alcotest.check Helpers.value "x init" (F.Vint 0) (Table.read_var t inst 0);
+  Alcotest.check Helpers.value "keep init" (F.Vint 7) (Table.read_var t inst 1)
+
+let test_step_matches_interpreter () =
+  let m = parse machine_text in
+  let t = Table.compile m in
+  let istore = Interp.memory_store m and inst = Table.instance t in
+  let feed ev =
+    let fi = Interp.step m istore ev and ft = Table.step t inst ev in
+    Alcotest.(check (list failure)) "same failures" fi ft;
+    Alcotest.(check string) "same state"
+      (istore.Interp.get_state ())
+      (Table.state_name t (Table.current_state inst))
+  in
+  (* drives both the quickened guard and the fail fallback *)
+  List.iter feed
+    [
+      Helpers.event ~task:"t" ();
+      Helpers.event ~kind:Interp.End ~task:"t" ();
+      Helpers.event ~task:"t" ();
+      Helpers.event ~kind:Interp.End ~task:"t" ();
+      Helpers.event ~task:"t" ();  (* x = 2: guard fails, second fires *)
+      Helpers.event ~task:"other" ();  (* implicit self-transition *)
+    ];
+  Alcotest.check Helpers.value "x saturated" (F.Vint 2) (Table.read_var t inst 0)
+
+let test_declaration_order_dispatch () =
+  (* anyEvent declared before the task-specific transition must win when
+     both can fire - the dispatch row preserves declaration order. *)
+  let t =
+    Table.compile
+      (parse
+         {|
+machine order {
+  var hit : int = 0;
+  initial state A {
+    on anyEvent { hit := 1; } -> A;
+    on startTask(t) { hit := 2; } -> A;
+  }
+}
+|})
+  in
+  let inst = Table.instance t in
+  ignore (Table.step t inst (Helpers.event ~task:"t" ()));
+  Alcotest.check Helpers.value "anyEvent fired first" (F.Vint 1)
+    (Table.read_var t inst 0)
+
+let test_unknown_task_falls_back_to_any () =
+  let t =
+    Table.compile
+      (parse
+         {|
+machine fb {
+  var n : int = 0;
+  initial state A {
+    on startTask(t) { n := 100; } -> A;
+    on anyEvent { n := n + 1; } -> A;
+  }
+}
+|})
+  in
+  let inst = Table.instance t in
+  ignore (Table.step t inst (Helpers.event ~task:"unknown" ()));
+  ignore (Table.step t inst (Helpers.event ~kind:Interp.End ~task:"zz" ()));
+  Alcotest.check Helpers.value "anyEvent handled both" (F.Vint 2)
+    (Table.read_var t inst 0)
+
+let test_dynamic_errors_match () =
+  let m =
+    parse
+      {|
+machine err {
+  var f : float = 0.0;
+  initial state A {
+    on endTask(t) { f := data(missing); } -> A;
+  }
+}
+|}
+  in
+  let t = Table.compile m in
+  let istore = Interp.memory_store m and inst = Table.instance t in
+  let ev = Helpers.event ~kind:Interp.End ~task:"t" () in
+  let msg run =
+    match run () with
+    | _ -> Alcotest.fail "expected Runtime_error"
+    | exception Interp.Runtime_error e -> e
+  in
+  Alcotest.(check string) "same error message"
+    (msg (fun () -> Interp.step m istore ev))
+    (msg (fun () -> Table.step t inst ev))
+
+let test_mentions_task_on_any () =
+  (* regression: machines whose only triggers are anyEvent watch every
+     task (once reported false, so path restarts never re-initialized
+     them) *)
+  let m = parse "machine anyonly { initial state A { on anyEvent -> A; } }" in
+  Alcotest.(check bool) "Interp.mentions_task" true
+    (Interp.mentions_task m "whatever");
+  let t = Table.compile m in
+  Alcotest.(check bool) "Table.mentions_task" true
+    (Table.mentions_task t "whatever");
+  Alcotest.(check bool) "watches_any_event" true (Table.watches_any_event t);
+  (* and a machine without anyEvent still discriminates *)
+  let m2 = parse "machine plain { initial state A { on startTask(t) -> A; } }" in
+  let t2 = Table.compile m2 in
+  Alcotest.(check bool) "named task" true (Table.mentions_task t2 "t");
+  Alcotest.(check bool) "other task" false (Table.mentions_task t2 "u");
+  Alcotest.(check bool) "Interp agrees" false (Interp.mentions_task m2 "u")
+
+let test_ill_typed_rejected () =
+  let bad =
+    parse "machine bad { initial state A { on startTask(t) when (zz > 1); } }"
+  in
+  match Table.compile bad with
+  | exception Failure msg ->
+      (* the typechecker's message, not a lowering error *)
+      Alcotest.(check string) "typecheck message"
+        "machine \"bad\": state \"A\", transition: undeclared variable \"zz\""
+        msg
+  | _ -> Alcotest.fail "ill-typed machine accepted"
 
 let test_division_by_zero () =
   let m =
@@ -244,8 +367,9 @@ machine other {
         packed.Table.p_ints.(0)
   | _ -> Alcotest.fail "two instances expected")
 
-(* the crash-recovery contract under the table engine: depth-1 exhaustive
-   fault injection on quickstart, all four oracles green *)
+(* the crash-recovery contract on the engine the energy bound analyses:
+   depth-1 exhaustive fault injection on quickstart with Table pinned by
+   [with_engine], so it holds whichever engine deployments default to *)
 let test_faultsim_depth1_table () =
   let scenario =
     Artemis_faultsim.Scenario.with_engine Monitor.Table
@@ -258,6 +382,17 @@ let test_faultsim_depth1_table () =
 let suite =
   [
     Alcotest.test_case "interning tables" `Quick test_interning;
+    Alcotest.test_case "instance initials" `Quick test_instance_initials;
+    Alcotest.test_case "table = interpreted (handcrafted)" `Quick
+      test_step_matches_interpreter;
+    Alcotest.test_case "declaration order preserved by index" `Quick
+      test_declaration_order_dispatch;
+    Alcotest.test_case "unknown task falls back to anyEvent" `Quick
+      test_unknown_task_falls_back_to_any;
+    Alcotest.test_case "dynamic errors identical" `Quick test_dynamic_errors_match;
+    Alcotest.test_case "mentions_task: anyEvent watches all (regression)" `Quick
+      test_mentions_task_on_any;
+    Alcotest.test_case "ill-typed machines rejected" `Quick test_ill_typed_rejected;
     Alcotest.test_case "flat-buffer footprint" `Quick test_footprint;
     Alcotest.test_case "CSR dispatch lookup" `Quick test_csr_dispatch;
     Alcotest.test_case "division by zero" `Quick test_division_by_zero;
