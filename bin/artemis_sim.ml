@@ -60,15 +60,11 @@ let load_adapt_script = function
    (immortal, checkpoint, ink, mayfly, alpaca) with the same monitors
    and compare the verdict streams; exit 1 on divergence. *)
 let run_matrix name json seed =
-  match Artemis_faultsim.Scenario.find name with
-  | None ->
-      Printf.eprintf "artemis_sim: unknown scenario %S (%s)\n" name
-        (String.concat "|"
-           (List.map
-              (fun s -> s.Artemis_faultsim.Scenario.name)
-              Artemis_faultsim.Scenario.all));
+  match Artemis_faultsim.Scenario.lookup name with
+  | Error msg ->
+      Printf.eprintf "artemis_sim: %s\n" msg;
       2
-  | Some scenario ->
+  | Ok scenario ->
       let report = Artemis_faultsim.Matrix.run scenario ~seed in
       print_string
         (if json then Artemis_faultsim.Matrix.to_json report

@@ -62,17 +62,14 @@ let read_file path =
    recorded, so the pass's committed-write side effects are harmless. *)
 let check_scenarios names allow_hazard =
   let module Scenario = Artemis_faultsim.Scenario in
-  let known () =
-    String.concat "|" (List.map (fun (s : Scenario.t) -> s.name) Scenario.all)
-  in
   let rec go worst = function
     | [] -> worst
     | name :: rest -> (
-        match Scenario.find name with
-        | None ->
-            Printf.eprintf "unknown scenario %S (%s)\n" name (known ());
+        match Scenario.lookup name with
+        | Error msg ->
+            Printf.eprintf "%s\n" msg;
             1
-        | Some sc ->
+        | Ok sc ->
             let b = sc.Scenario.build ~engine:None ~seed:42 in
             let report =
               Artemis.Consistency.War.analyze_app
@@ -98,9 +95,6 @@ let check_scenarios names allow_hazard =
 let energy_report names as_json =
   let module Scenario = Artemis_faultsim.Scenario in
   let module Ea = Artemis.Energy_analysis in
-  let known () =
-    String.concat "|" (List.map (fun (s : Scenario.t) -> s.name) Scenario.all)
-  in
   let payload_machines (u : Artemis.Adapt.update) =
     match u.Artemis.Adapt.payload with
     | None -> Ok []
@@ -113,11 +107,11 @@ let energy_report names as_json =
   let rec go worst = function
     | [] -> worst
     | name :: rest -> (
-        match Scenario.find name with
-        | None ->
-            Printf.eprintf "unknown scenario %S (%s)\n" name (known ());
+        match Scenario.lookup name with
+        | Error msg ->
+            Printf.eprintf "%s\n" msg;
             1
-        | Some sc -> (
+        | Ok sc -> (
             let b = sc.Scenario.build ~engine:None ~seed:42 in
             let model = b.Scenario.config.Artemis.Runtime.cost_model in
             let deployment = b.Scenario.config.Artemis.Runtime.deployment in

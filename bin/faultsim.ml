@@ -82,13 +82,7 @@ let campaign ~jobs scenario engine depth random max_depth seed replay json
       then 0
       else 1
 
-let find_scenario name =
-  match Scenario.find name with
-  | Some s -> Ok (Some s)
-  | None ->
-      Error
-        (Printf.sprintf "unknown scenario %S (%s)" name
-           (String.concat "|" (List.map (fun s -> s.Scenario.name) Scenario.all)))
+let find_scenario name = Result.map Option.some (Scenario.lookup name)
 
 let run scenario_name engine list depth random max_depth seed replay json
     skip_verify trace_out jobs =

@@ -1,4 +1,3 @@
-open Artemis_util
 module Nvm = Artemis_nvm.Nvm
 module Device = Artemis_device.Device
 module Event = Artemis_trace.Event
@@ -21,24 +20,12 @@ module Chaos = struct
   let reset () = torn_commit_log := false
 end
 
-type config = {
-  log_base_cycles : int;
-  log_cycles_per_cell : int;
-  swap_base_cycles : int;
-  swap_cycles_per_cell : int;
-  mcu_power : Energy.power;
-  mcu_frequency_hz : int;
-}
-
-let default_config =
-  {
-    log_base_cycles = 60;
-    log_cycles_per_cell = 40;
-    swap_base_cycles = 40;
-    swap_cycles_per_cell = 30;
-    mcu_power = Energy.mw 1.2;
-    mcu_frequency_hz = 1_000_000;
-  }
+(* Two-phase commit costs in MCU cycles: cheaper than a TICS-style
+   checkpoint, and paid only on successful completion. *)
+let log_base_cycles = 60
+let log_cycles_per_cell = 40
+let swap_base_cycles = 40
+let swap_cycles_per_cell = 30
 
 (* The sealed commit log: [Some (task, cells)] from the instant the
    write set is durably promised until the swap publishes it.  Plain
@@ -57,7 +44,7 @@ let drop_newest_application entries =
   in
   List.rev (go (List.rev entries))
 
-let setup ?(config = default_config) ~probe device _app =
+let setup ~model ~probe device _app =
   let nvm = Device.nvm device in
   let log : log Nvm.cell =
     Nvm.cell nvm ~region:Runtime ~name:"alpaca.log" ~bytes:16 None
@@ -67,13 +54,7 @@ let setup ?(config = default_config) ~probe device _app =
      power failures; the durable [log] cell is what decides whether
      they are authoritative. *)
   let redo = ref [] in
-  let cycles_to_time cycles =
-    Time.of_us (cycles * 1_000_000 / config.mcu_frequency_hz)
-  in
-  let consume_cycles ~during cycles =
-    Device.consume device Device.Runtime_work ~during ~power:config.mcu_power
-      ~duration:(cycles_to_time cycles) ()
-  in
+  let consume_cycles = Backend.consume_cycles model device in
   (* Phase two: publish a sealed log onto committed state and clear the
      seal.  Idempotent - the redo thunks carry frozen values - so every
      reboot inside the window simply re-runs it.  [recovery] marks calls
@@ -86,8 +67,7 @@ let setup ?(config = default_config) ~probe device _app =
         probe "alpaca.swap.before";
         match
           consume_cycles ~during:"alpaca.swap"
-            (config.swap_base_cycles
-            + (config.swap_cycles_per_cell * List.length names))
+            (swap_base_cycles + (swap_cycles_per_cell * List.length names))
         with
         | Device.Starved -> false
         | Device.Interrupted ->
@@ -132,8 +112,7 @@ let setup ?(config = default_config) ~probe device _app =
             let entries = Nvm.capture_tx nvm in
             match
               consume_cycles ~during:"alpaca.log"
-                (config.log_base_cycles
-                + (config.log_cycles_per_cell * List.length entries))
+                (log_base_cycles + (log_cycles_per_cell * List.length entries))
             with
             | Device.Interrupted | Device.Starved ->
                 (* the power failure aborted the open transaction; the
@@ -153,15 +132,12 @@ let setup ?(config = default_config) ~probe device _app =
     fram_bytes = (fun () -> 16);
   }
 
-module B : Backend.S = struct
-  let name = "alpaca"
-
-  let description =
-    "checkpoint-free task privatization with two-phase (log-then-swap) commit"
-
-  let injection_sites = injection_sites
-  let bodies = Task.bodies
-  let setup ~probe device app = setup ~probe device app
-end
-
-let backend : Backend.b = (module B)
+let backend =
+  {
+    Backend.name = "alpaca";
+    description =
+      "checkpoint-free task privatization with two-phase (log-then-swap) \
+       commit";
+    injection_sites;
+    setup;
+  }

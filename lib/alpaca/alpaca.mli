@@ -22,7 +22,6 @@
     ([alpaca.log.before/after], [alpaca.swap.before/after]) so the
     fault-injection campaign can crash inside both phases. *)
 
-open Artemis_util
 module Backend = Artemis_backend.Backend
 
 val injection_sites : string list
@@ -30,32 +29,12 @@ val injection_sites : string list
     fault-injection engine appends them after the NVM and runtime
     sites). *)
 
-type config = {
-  log_base_cycles : int;  (** fixed cost of sealing the commit log *)
-  log_cycles_per_cell : int;  (** per logged cell *)
-  swap_base_cycles : int;  (** fixed cost of the publish pass *)
-  swap_cycles_per_cell : int;  (** per published cell *)
-  mcu_power : Energy.power;
-  mcu_frequency_hz : int;
-}
-
-val default_config : config
-(** 1.2 mW at 1 MHz (MSP430FR-class magnitudes); log 60+40/cell cycles,
-    swap 40+30/cell cycles - cheaper than a TICS-style checkpoint, paid
-    only on successful completion. *)
-
-val setup :
-  ?config:config ->
-  probe:(string -> unit) ->
-  Artemis_device.Device.t ->
-  Artemis_task.Task.app ->
-  Backend.instance
-(** Allocate the 16-byte [alpaca.log] cell (Runtime region) and return
-    the protocol hooks.  [recover] finishes a sealed commit; [execute]
-    runs one privatized attempt. *)
-
 val backend : Backend.b
-(** The registered backend ([name = "alpaca"]), at {!default_config}. *)
+(** The registered backend ([name = "alpaca"]).  Its [setup] allocates
+    the 16-byte [alpaca.log] cell (Runtime region); [recover] finishes a
+    sealed commit and [execute] runs one privatized attempt.  The log
+    costs 60 + 40 cycles per logged cell and the swap 40 + 30 cycles
+    per published cell, priced by the run's cost model. *)
 
 (** Test-only chaos hook for the oracle-sensitivity (mutation) suite. *)
 module Chaos : sig

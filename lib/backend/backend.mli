@@ -3,17 +3,19 @@
     The ARTEMIS runtime ({!Artemis_runtime.Runtime}) owns the scheduler
     loop, the monitor-call machinery and verdict application; what
     varies between intermittent-system families is {e how a task's
-    effects become durable} and what that protocol costs.  A [Backend]
-    abstracts exactly that seam:
+    effects become durable} and what that protocol costs.  A backend
+    is one plain record {!b} describing exactly that seam:
 
     - {b execute}: run one task attempt and commit its effects together
       with the runtime's cursor advance (passed in as [commit]);
     - {b recover}: reboot-time repair, called at every scheduler loop
       entry (must be a cheap no-op when there is nothing to repair);
-    - {b bodies}: the backend's unit-of-re-execution surface for the
-      static WAR-hazard pass ({!Artemis_consistency.War});
     - {b setup}: the backend's own persistent NVM cells, allocated once
-      so the stable-footprint oracle holds across crashes.
+      so the stable-footprint oracle holds across crashes, and its
+      protocol costs, priced by the run's {!Cost_model}.
+
+    Every backend re-executes whole task bodies, so the WAR-analysis
+    surface of a backend-hosted app is {!Task.bodies}.
 
     Because every backend runs the same monitors through the same
     runtime, monitor verdicts must agree across backends on a given
@@ -23,6 +25,7 @@
 
 module Nvm = Artemis_nvm.Nvm
 module Device = Artemis_device.Device
+module Cost_model = Artemis_device.Cost_model
 module Task = Artemis_task.Task
 
 type outcome =
@@ -52,32 +55,30 @@ type instance = {
           backend's own footprint, excluded from the shared runtime's). *)
 }
 
-module type S = sig
-  val name : string
-  val description : string
+type b = {
+  name : string;
+  description : string;
+  injection_sites : string list;
+      (** Extra crash windows this backend's commit protocol exposes, in
+          numbering order (appended after the NVM and runtime sites by
+          the fault-injection engine).  Empty for backends whose commit
+          point is the single NVM transaction commit. *)
+  setup :
+    model:Cost_model.t ->
+    probe:(string -> unit) ->
+    Device.t ->
+    Task.app ->
+    instance;
+      (** Allocate the backend's persistent cells on [device] and return
+          the per-run protocol hooks, their cycle costs priced by the
+          run's cost [model].  Called once per run; [probe] is the
+          fault-injection hook for the backend's own [injection_sites]. *)
+}
 
-  val injection_sites : string list
-  (** Extra crash windows this backend's commit protocol exposes, in
-      numbering order (appended after the NVM and runtime sites by the
-      fault-injection engine).  Empty for backends whose commit point is
-      the single NVM transaction commit. *)
-
-  val bodies : Task.app -> (string * (Task.context -> unit)) list
-  (** The WAR-analysis surface: every distinct unit of re-execution,
-      named, in first-appearance order. *)
-
-  val setup : probe:(string -> unit) -> Device.t -> Task.app -> instance
-  (** Allocate the backend's persistent cells on [device] and return the
-      per-run protocol hooks.  Called once per run. *)
-end
-
-type b = (module S)
-
-val name : b -> string
-val description : b -> string
-val injection_sites : b -> string list
-val bodies : b -> Task.app -> (string * (Task.context -> unit)) list
-val setup : b -> probe:(string -> unit) -> Device.t -> Task.app -> instance
+val consume_cycles :
+  Cost_model.t -> Device.t -> ?during:string -> int -> Device.consume_result
+(** Run [cycles] MCU cycles of protocol work as [Runtime_work] at the
+    model's overhead power, converted by {!Cost_model.cycles_to_time}. *)
 
 val immortal : b
 (** The reference backend: the paper's ARTEMIS task-transaction

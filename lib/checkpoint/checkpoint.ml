@@ -4,7 +4,9 @@ module Device = Artemis_device.Device
 module Report = Artemis_device.Report
 module Event = Artemis_trace.Event
 module Stats = Artemis_trace.Stats
+module Cost_model = Artemis_device.Cost_model
 module Task = Artemis_task.Task
+module Backend = Artemis_backend.Backend
 
 type expiration_action = Restart_from of string | Skip_segment
 
@@ -104,29 +106,13 @@ let validate p =
     (Ok ())
     (List.mapi (fun i s -> (i, s)) p.segments)
 
-type config = {
-  checkpoint_cycles : int;
-  restore_cycles : int;
-  mcu_power : Energy.power;
-  mcu_frequency_hz : int;
-  max_loop_iterations : int;
-  seed : int;
-}
-
-let default_config =
-  {
-    checkpoint_cycles = 900;
-    restore_cycles = 600;
-    mcu_power = Energy.mw 1.2;
-    mcu_frequency_hz = 1_000_000;
-    max_loop_iterations = 200_000;
-    seed = 42;
-  }
+(* TICS-style protocol costs in MCU cycles, priced by the cost model *)
+let checkpoint_cycles = 900
+let restore_cycles = 600
 
 type state = {
   device : Device.t;
   segments : segment array;
-  config : config;
   (* persistent: index of the next segment to run = the checkpoint *)
   position : int Nvm.cell;
   (* persistent completion timestamps, one per producing segment *)
@@ -138,15 +124,11 @@ type state = {
   mutable iterations : int;
 }
 
-let cycles_to_time st cycles =
-  Time.of_us (cycles * 1_000_000 / st.config.mcu_frequency_hz)
+(* the standalone loop is priced by the default calibration *)
+let consume_runtime st cycles =
+  Backend.consume_cycles Cost_model.default st.device cycles
 
-let consume_runtime st ~cycles =
-  Device.consume st.device Device.Runtime_work ~power:st.config.mcu_power
-    ~duration:(cycles_to_time st cycles)
-    ()
-
-let make_state ~config device p =
+let make_state device p =
   (match validate p with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Checkpoint.run: invalid program: " ^ msg));
@@ -172,11 +154,10 @@ let make_state ~config device p =
   {
     device;
     segments;
-    config;
     position;
     completed_at;
     live;
-    prng = Prng.create ~seed:config.seed;
+    prng = Prng.create ~seed:42;
     iterations = 0;
   }
 
@@ -191,95 +172,87 @@ let expired st (s : segment) =
             Some annotation
           else None)
 
-let run ?(config = default_config) device p =
-  let st = make_state ~config device p in
+let run device p =
+  let st = make_state device p in
   Device.record device Event.Boot;
   let rec loop () =
     st.iterations <- st.iterations + 1;
-    if st.iterations > config.max_loop_iterations then begin
-      let reason = "iteration limit (no progress)" in
-      Device.record device (Event.Horizon_reached { reason });
-      Report.stats device ~outcome:(Stats.Did_not_finish reason)
-    end
-    else if Device.horizon_exceeded device then begin
-      let reason = "simulation time horizon" in
-      Device.record device (Event.Horizon_reached { reason });
-      Report.stats device ~outcome:(Stats.Did_not_finish reason)
-    end
-    else begin
-      let i = Nvm.read st.position in
-      if i >= Array.length st.segments then begin
-        Device.record device Event.App_completed;
-        Report.stats device ~outcome:Stats.Completed
-      end
-      else begin
-        let s = st.segments.(i) in
-        (* a cold entry (after boot or failure) pays the restore cost *)
-        (if not (Nvm.read st.live) then
-           match consume_runtime st ~cycles:config.restore_cycles with
-           | Device.Completed -> Nvm.write st.live true
-           | Device.Interrupted | Device.Starved -> ());
-        if not (Nvm.read st.live) then loop ()
-        else begin
-          match expired st s with
-          | Some { on_expire; data_from; _ } -> (
-              Device.record device
-                (Event.Runtime_action
-                   {
-                     action =
-                       (match on_expire with
-                       | Restart_from target -> "restartFrom " ^ target
-                       | Skip_segment -> "skipSegment");
-                     task = s.name;
-                   });
-              match on_expire with
-              | Restart_from target ->
-                  let j = Option.get (index_of p.segments target) in
-                  Device.record device
-                    (Event.Path_restarted
-                       { path = 1; reason = "stale data from " ^ data_from });
-                  Nvm.write st.position j;
-                  loop ()
-              | Skip_segment ->
-                  Nvm.write st.position (i + 1);
-                  loop ())
-          | None -> (
-              Device.record device
-                (Event.Task_started { task = s.name; attempt = 1 });
-              let nvm = Device.nvm device in
-              Nvm.begin_tx nvm;
-              match
-                Device.consume device Device.App ~during:s.name ~power:s.power
-                  ~duration:s.duration ()
-              with
-              | Device.Interrupted | Device.Starved ->
-                  (* rolled back to the checkpoint; [live] was reset *)
-                  loop ()
-              | Device.Completed -> (
-                  s.body { Task.nvm; now = Device.now device; prng = st.prng };
-                  Nvm.tx_write
-                    (List.assoc s.name st.completed_at)
-                    (Some (Device.now device));
-                  (* the segment's data and its checkpoint commit
-                     atomically (double-buffered snapshot): a failure
-                     during the checkpoint discards the data too, so
-                     re-execution cannot duplicate effects *)
-                  match consume_runtime st ~cycles:config.checkpoint_cycles with
-                  | Device.Completed ->
-                      Nvm.tx_write st.position (i + 1);
-                      Nvm.commit_tx nvm;
-                      Device.record device (Event.Task_completed { task = s.name });
-                      loop ()
-                  | Device.Interrupted | Device.Starved -> loop ()))
+    match
+      Report.guard device ~iterations:st.iterations
+        ~limit:Report.max_loop_iterations
+    with
+    | Some outcome -> Report.stats device ~outcome
+    | None -> (
+        let i = Nvm.read st.position in
+        if i >= Array.length st.segments then begin
+          Device.record device Event.App_completed;
+          Report.stats device ~outcome:Stats.Completed
         end
-      end
-    end
+        else begin
+          let s = st.segments.(i) in
+          (* a cold entry (after boot or failure) pays the restore cost *)
+          (if not (Nvm.read st.live) then
+             match consume_runtime st restore_cycles with
+             | Device.Completed -> Nvm.write st.live true
+             | Device.Interrupted | Device.Starved -> ());
+          if not (Nvm.read st.live) then loop ()
+          else begin
+            match expired st s with
+            | Some { on_expire; data_from; _ } -> (
+                Device.record device
+                  (Event.Runtime_action
+                     {
+                       action =
+                         (match on_expire with
+                         | Restart_from target -> "restartFrom " ^ target
+                         | Skip_segment -> "skipSegment");
+                       task = s.name;
+                     });
+                match on_expire with
+                | Restart_from target ->
+                    let j = Option.get (index_of p.segments target) in
+                    Device.record device
+                      (Event.Path_restarted
+                         { path = 1; reason = "stale data from " ^ data_from });
+                    Nvm.write st.position j;
+                    loop ()
+                | Skip_segment ->
+                    Nvm.write st.position (i + 1);
+                    loop ())
+            | None -> (
+                Device.record device
+                  (Event.Task_started { task = s.name; attempt = 1 });
+                let nvm = Device.nvm device in
+                Nvm.begin_tx nvm;
+                match
+                  Device.consume device Device.App ~during:s.name ~power:s.power
+                    ~duration:s.duration ()
+                with
+                | Device.Interrupted | Device.Starved ->
+                    (* rolled back to the checkpoint; [live] was reset *)
+                    loop ()
+                | Device.Completed -> (
+                    s.body
+                      { Task.nvm; now = Device.now device; prng = st.prng };
+                    Nvm.tx_write
+                      (List.assoc s.name st.completed_at)
+                      (Some (Device.now device));
+                    (* the segment's data and its checkpoint commit
+                       atomically (double-buffered snapshot): a failure
+                       during the checkpoint discards the data too, so
+                       re-execution cannot duplicate effects *)
+                    match consume_runtime st checkpoint_cycles with
+                    | Device.Completed ->
+                        Nvm.tx_write st.position (i + 1);
+                        Nvm.commit_tx nvm;
+                        Device.record device
+                          (Event.Task_completed { task = s.name });
+                        loop ()
+                    | Device.Interrupted | Device.Starved -> loop ()))
+          end
+        end)
   in
   loop ()
-
-let runtime_fram_bytes device =
-  Nvm.footprint (Device.nvm device) ~kind:Artemis_nvm.Nvm.Fram
-    ~region:Artemis_nvm.Nvm.Runtime
 
 (* --- the unified-backend adapter (PR 10) ---
 
@@ -288,64 +261,57 @@ let runtime_fram_bytes device =
    failure) pays the restore before any task work, and every commit
    pays the double-buffered snapshot cost inside the task transaction,
    so the data and its checkpoint become durable atomically. *)
-module Backend_impl : Artemis_backend.Backend.S = struct
-  module Backend = Artemis_backend.Backend
-
-  let name = "checkpoint"
-
-  let description =
-    "TICS-style checkpointing (restore on cold entry, snapshot on commit)"
-
-  let injection_sites = []
-  let bodies = Task.bodies
-
-  let setup ~probe device _app =
-    ignore probe;
-    let config = default_config in
-    let nvm = Device.nvm device in
-    let live =
-      Nvm.cell nvm ~region:Runtime ~kind:Artemis_nvm.Nvm.Ram ~name:"cpb.live"
-        ~bytes:1 false
-    in
-    (* the double-buffered snapshot area (fixed: the shared runtime's
-       cursor+event state, not per-segment payloads) *)
-    let snapshot_bytes = 128 in
-    ignore (Nvm.cell nvm ~region:Runtime ~name:"cpb.snapshot" ~bytes:snapshot_bytes ());
-    let consume_cycles cycles =
-      Device.consume device Device.Runtime_work ~power:config.mcu_power
-        ~duration:(Time.of_us (cycles * 1_000_000 / config.mcu_frequency_hz))
-        ()
-    in
-    {
-      Backend.recover = (fun () -> ());
-      execute =
-        (fun ~task ~context ~commit ->
-          (* a cold entry (after boot or failure) pays the restore cost *)
-          (if not (Nvm.read live) then
-             match consume_cycles config.restore_cycles with
-             | Device.Completed -> Nvm.write live true
-             | Device.Interrupted | Device.Starved -> ());
-          if not (Nvm.read live) then Backend.Interrupted
-          else begin
-            Nvm.begin_tx nvm;
-            match
-              Device.consume device Device.App ~during:task.Task.name
-                ~power:task.Task.power ~duration:task.Task.duration ()
-            with
-            | Device.Interrupted | Device.Starved -> Backend.Interrupted
-            | Device.Completed -> (
-                task.Task.body (context ());
-                commit ();
-                (* the task's data and its checkpoint commit atomically:
-                   a failure during the snapshot discards the data too *)
-                match consume_cycles config.checkpoint_cycles with
-                | Device.Completed ->
-                    Nvm.commit_tx nvm;
-                    Backend.Committed
-                | Device.Interrupted | Device.Starved -> Backend.Interrupted)
-          end);
-      fram_bytes = (fun () -> snapshot_bytes);
-    }
-end
-
-let backend : Artemis_backend.Backend.b = (module Backend_impl)
+let backend =
+  {
+    Backend.name = "checkpoint";
+    description =
+      "TICS-style checkpointing (restore on cold entry, snapshot on commit)";
+    injection_sites = [];
+    setup =
+      (fun ~model ~probe:_ device _app ->
+        let nvm = Device.nvm device in
+        let live =
+          Nvm.cell nvm ~region:Runtime ~kind:Artemis_nvm.Nvm.Ram
+            ~name:"cpb.live" ~bytes:1 false
+        in
+        (* the double-buffered snapshot area (fixed: the shared runtime's
+           cursor+event state, not per-segment payloads) *)
+        let snapshot_bytes = 128 in
+        ignore
+          (Nvm.cell nvm ~region:Runtime ~name:"cpb.snapshot"
+             ~bytes:snapshot_bytes ());
+        let consume_cycles = Backend.consume_cycles model device in
+        {
+          Backend.recover = (fun () -> ());
+          execute =
+            (fun ~task ~context ~commit ->
+              (* a cold entry (after boot or failure) pays the restore
+                 cost *)
+              (if not (Nvm.read live) then
+                 match consume_cycles restore_cycles with
+                 | Device.Completed -> Nvm.write live true
+                 | Device.Interrupted | Device.Starved -> ());
+              if not (Nvm.read live) then Backend.Interrupted
+              else begin
+                Nvm.begin_tx nvm;
+                match
+                  Device.consume device Device.App ~during:task.Task.name
+                    ~power:task.Task.power ~duration:task.Task.duration ()
+                with
+                | Device.Interrupted | Device.Starved -> Backend.Interrupted
+                | Device.Completed -> (
+                    task.Task.body (context ());
+                    commit ();
+                    (* the task's data and its checkpoint commit
+                       atomically: a failure during the snapshot discards
+                       the data too *)
+                    match consume_cycles checkpoint_cycles with
+                    | Device.Completed ->
+                        Nvm.commit_tx nvm;
+                        Backend.Committed
+                    | Device.Interrupted | Device.Starved ->
+                        Backend.Interrupted)
+              end);
+          fram_bytes = (fun () -> snapshot_bytes);
+        });
+  }

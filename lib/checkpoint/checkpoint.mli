@@ -9,7 +9,7 @@
 
     The simulated model: a {e program} is a sequence of {e segments}
     (code between checkpoints).  Completing a segment takes a checkpoint
-    (with a configurable cycle cost and a declared snapshot size); a power
+    (with a fixed cycle cost and a declared snapshot size); a power
     failure rolls execution back to the last checkpoint.  A segment may
     carry a {e freshness annotation}: when it is about to (re-)execute and
     the data produced by an earlier segment is older than the window, the
@@ -74,31 +74,18 @@ val bodies : program -> (string * (Task.context -> unit)) list
     ({!Artemis_consistency.War.analyze_bodies}) - a segment is the
     checkpoint runtime's unit of re-execution. *)
 
-type config = {
-  checkpoint_cycles : int;  (** cost of taking one checkpoint *)
-  restore_cycles : int;  (** cost of restoring after a reboot *)
-  mcu_power : Energy.power;
-  mcu_frequency_hz : int;
-  max_loop_iterations : int;
-  seed : int;
-}
-
-val default_config : config
-
-val run : ?config:config -> Device.t -> program -> Artemis_trace.Stats.t
-(** One program execution.  Checkpoint/restore work is accounted as
-    [Runtime_work]; segment bodies as [App].  Events are logged into the
-    device trace using the task-event vocabulary (a segment is logged as
-    a task; a rollback shows as a repeated start).
+val run : Device.t -> program -> Artemis_trace.Stats.t
+(** One program execution.  Checkpoint (900 cycles) and restore (600
+    cycles) work is accounted as [Runtime_work], priced by
+    {!Cost_model.default}; segment bodies as [App].  Events are logged
+    into the device trace using the task-event vocabulary (a segment is
+    logged as a task; a rollback shows as a repeated start).
     @raise Invalid_argument if {!validate} rejects the program. *)
-
-val runtime_fram_bytes : Device.t -> int
-(** FRAM occupied by the checkpointing runtime: bookkeeping plus the
-    largest snapshot (double-buffered). *)
 
 val backend : Artemis_backend.Backend.b
 (** The unified-backend adapter (PR 10, [name = "checkpoint"]): runs
     ARTEMIS task apps under the TICS/checkpoint commit protocol inside
     the shared runtime - restore cost on every cold entry, snapshot cost
-    inside every task commit.  Allocates [cpb.live] (RAM) and the
-    double-buffered [cpb.snapshot] cell. *)
+    inside every task commit, both priced by the run's cost model.
+    Allocates [cpb.live] (RAM) and the double-buffered [cpb.snapshot]
+    cell. *)

@@ -95,10 +95,10 @@ module Backends = struct
       Alpaca.backend;
     ]
 
-  let names = List.map Backend.name all
+  let names = List.map (fun b -> b.Backend.name) all
 
   let find name =
-    List.find_opt (fun b -> String.equal (Backend.name b) name) all
+    List.find_opt (fun b -> String.equal b.Backend.name name) all
 end
 
 (** Compile a property specification (concrete syntax) into intermediate-

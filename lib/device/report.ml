@@ -24,3 +24,14 @@ let stats d ~outcome =
     path_restarts = count (function Event.Path_restarted _ -> true | _ -> false);
     path_skips = count (function Event.Path_skipped _ -> true | _ -> false);
   }
+
+let max_loop_iterations = 200_000
+
+let guard d ~iterations ~limit =
+  let stop reason =
+    Device.record d (Event.Horizon_reached { reason });
+    Some (Stats.Did_not_finish reason)
+  in
+  if iterations > limit then stop "iteration limit (no progress)"
+  else if Device.horizon_exceeded d then stop "simulation time horizon"
+  else None

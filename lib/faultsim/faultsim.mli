@@ -149,9 +149,8 @@ val output_campaign_json : out_channel -> campaign -> unit
     {!campaign_to_json}. *)
 
 val json_string : string -> string
-(** One JSON string literal (escaped, quoted) in the house rendering -
-    shared with the fleet report writer so the two reports escape
-    identically. *)
+(** One JSON string literal: {!Artemis.Json.quote}, the house escaper
+    every report writer shares. *)
 
 val campaign_summary : campaign -> string
 (** Short human-readable summary (used by the CLI and the cram test). *)

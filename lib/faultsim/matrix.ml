@@ -62,8 +62,8 @@ let run_backend (scenario : Scenario.t) ~seed bk =
   in
   let verdicts = verdict_stream (Device.log b.Scenario.device) in
   {
-    backend = Backend.name bk;
-    description = Backend.description bk;
+    backend = bk.Backend.name;
+    description = bk.Backend.description;
     outcome = outcome_string stats;
     power_failures = stats.Stats.power_failures;
     reboots = stats.Stats.reboots;
@@ -94,7 +94,7 @@ let run ?(backends = Backends.all) (scenario : Scenario.t) ~seed =
       {
         scenario = scenario.Scenario.name;
         seed;
-        reference = Backend.name reference_bk;
+        reference = reference_bk.Backend.name;
         rows;
         agreement = List.for_all (fun r -> r.agrees) rows;
       }

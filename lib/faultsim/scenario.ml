@@ -347,3 +347,11 @@ let all =
     stale_read; war_buggy; livelock_prop; quickstart_alpaca ]
 
 let find name = List.find_opt (fun s -> s.name = name) all
+
+let lookup name =
+  match find name with
+  | Some s -> Ok s
+  | None ->
+      Error
+        (Printf.sprintf "unknown scenario %S (%s)" name
+           (String.concat "|" (List.map (fun s -> s.name) all)))

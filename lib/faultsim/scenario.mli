@@ -112,3 +112,7 @@ val quickstart_alpaca : t
 
 val all : t list
 val find : string -> t option
+
+val lookup : string -> (t, string) result
+(** {!find}, or the one rejection message every front end reports:
+    [unknown scenario "NAME" (quickstart|health|...)], listing {!all}. *)

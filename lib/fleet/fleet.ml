@@ -168,13 +168,7 @@ let validate_spec spec =
     List.fold_left
       (fun acc name ->
         let* () = acc in
-        match Scenario.find name with
-        | Some _ -> Ok ()
-        | None ->
-            Error
-              (Printf.sprintf "unknown scenario %S (%s)" name
-                 (String.concat "|"
-                    (List.map (fun s -> s.Scenario.name) Scenario.all))))
+        Result.map ignore (Scenario.lookup name))
       (Ok ()) spec.scenarios
   in
   let* () =
@@ -291,7 +285,7 @@ type coord = {
   c_seed : int;
   c_profile : profile;
   c_engine : string;
-  c_backend : string * Backend.b;
+  c_backend : Backend.b;
 }
 
 (* Scenario-major decomposition of the flat device index; seeds vary
@@ -301,9 +295,9 @@ let expand spec =
   let scenarios =
     List.map
       (fun name ->
-        match Scenario.find name with
-        | Some s -> s
-        | None -> failwith (Printf.sprintf "Fleet.run: unknown scenario %S" name))
+        match Scenario.lookup name with
+        | Ok s -> s
+        | Error msg -> failwith ("Fleet.run: " ^ msg))
       spec.scenarios
   in
   let scenarios = Array.of_list scenarios in
@@ -322,7 +316,7 @@ let expand spec =
       (List.map
          (fun name ->
            match backend_of_string name with
-           | Ok b -> (name, b)
+           | Ok b -> b
            | Error msg -> failwith ("Fleet.run: " ^ msg))
          spec.backends)
   in
@@ -369,7 +363,7 @@ let run_device ~index coord =
   (match policy_of_profile coord.c_profile with
   | None -> ()
   | Some policy -> Device.set_policy built.Scenario.device policy);
-  let backend_name, backend = coord.c_backend in
+  let backend = coord.c_backend in
   let stats =
     Runtime.run ~config:built.Scenario.config
       ~adaptations:built.Scenario.adaptations ~backend built.Scenario.device
@@ -386,7 +380,7 @@ let run_device ~index coord =
     seed = coord.c_seed;
     profile = profile_label coord.c_profile;
     engine = coord.c_engine;
-    backend = backend_name;
+    backend = backend.Backend.name;
     outcome =
       (match stats.Stats.outcome with
       | Stats.Completed -> "completed"

@@ -81,7 +81,7 @@ type device_result = {
   seed : int;
   profile : string;  (** {!profile_label} *)
   engine : string;
-  backend : string;  (** {!Artemis.Backend.name} of the task backend *)
+  backend : string;  (** the task backend's [name] ({!Artemis.Backend.b}) *)
   outcome : string;  (** ["completed"] or ["dnf:<reason>"] *)
   power_failures : int;
   reboots : int;

@@ -4,7 +4,9 @@ module Device = Artemis_device.Device
 module Report = Artemis_device.Report
 module Event = Artemis_trace.Event
 module Stats = Artemis_trace.Stats
+module Cost_model = Artemis_device.Cost_model
 module Task = Artemis_task.Task
+module Backend = Artemis_backend.Backend
 
 type thread = {
   thread_name : string;
@@ -47,22 +49,8 @@ let bodies armed_list =
            Some (t.Task.name, t.Task.body)
          end)
 
-type config = {
-  kernel_cycles_per_event : int;
-  mcu_power : Energy.power;
-  mcu_frequency_hz : int;
-  max_loop_iterations : int;
-  seed : int;
-}
-
-let default_config =
-  {
-    kernel_cycles_per_event = 320;
-    mcu_power = Energy.mw 1.2;
-    mcu_frequency_hz = 1_000_000;
-    max_loop_iterations = 200_000;
-    seed = 42;
-  }
+(* InK kernel bookkeeping per task event, in MCU cycles *)
+let kernel_cycles_per_event = 320
 
 type thread_state = Alive | Finished | Evicted
 
@@ -79,13 +67,12 @@ type state = {
   device : Device.t;
   armed : armed array;
   cells : progress Nvm.cell array;
-  config : config;
   prng : Prng.t;
   mutable completion_order : string list;  (* reverse order *)
   mutable iterations : int;
 }
 
-let make_state ~config device armed_list =
+let make_state device armed_list =
   (match validate armed_list with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Ink.run: invalid threads: " ^ msg));
@@ -104,19 +91,14 @@ let make_state ~config device armed_list =
     device;
     armed;
     cells;
-    config;
-    prng = Prng.create ~seed:config.seed;
+    prng = Prng.create ~seed:42;
     completion_order = [];
     iterations = 0;
   }
 
-let cycles_to_time st cycles =
-  Time.of_us (cycles * 1_000_000 / st.config.mcu_frequency_hz)
-
+(* the standalone loop is priced by the default calibration *)
 let consume_kernel st =
-  Device.consume st.device Device.Runtime_work ~power:st.config.mcu_power
-    ~duration:(cycles_to_time st st.config.kernel_cycles_per_event)
-    ()
+  Backend.consume_cycles Cost_model.default st.device kernel_cycles_per_event
 
 (* Highest priority among alive threads whose event has arrived; FIFO by
    arrival, then index, among equals. *)
@@ -219,85 +201,71 @@ let finish st ~outcome =
    inside the shared runtime: every task dispatch pays the reactive
    kernel's event-handling cost before the task transaction opens, and
    the kernel's scheduling progress commits atomically with the task. *)
-module Backend_impl : Artemis_backend.Backend.S = struct
-  module Backend = Artemis_backend.Backend
-
-  let name = "ink"
-  let description = "InK-style reactive kernel (event dispatch per task)"
-  let injection_sites = []
-  let bodies = Task.bodies
-
-  let setup ~probe device _app =
-    ignore probe;
-    let config = default_config in
-    let nvm = Device.nvm device in
-    let sched = Nvm.cell nvm ~region:Runtime ~name:"inkb.sched" ~bytes:3 0 in
-    let consume_kernel () =
-      Device.consume device Device.Runtime_work ~power:config.mcu_power
-        ~duration:
-          (Time.of_us
-             (config.kernel_cycles_per_event * 1_000_000
-             / config.mcu_frequency_hz))
-        ()
-    in
-    {
-      Backend.recover = (fun () -> ());
-      execute =
-        (fun ~task ~context ~commit ->
-          match consume_kernel () with
-          | Device.Interrupted | Device.Starved -> Backend.Interrupted
-          | Device.Completed -> (
-              Nvm.begin_tx nvm;
+let backend =
+  {
+    Backend.name = "ink";
+    description = "InK-style reactive kernel (event dispatch per task)";
+    injection_sites = [];
+    setup =
+      (fun ~model ~probe:_ device _app ->
+        let nvm = Device.nvm device in
+        let sched =
+          Nvm.cell nvm ~region:Runtime ~name:"inkb.sched" ~bytes:3 0
+        in
+        {
+          Backend.recover = (fun () -> ());
+          execute =
+            (fun ~task ~context ~commit ->
               match
-                Device.consume device Device.App ~during:task.Task.name
-                  ~power:task.Task.power ~duration:task.Task.duration ()
+                Backend.consume_cycles model device kernel_cycles_per_event
               with
               | Device.Interrupted | Device.Starved -> Backend.Interrupted
-              | Device.Completed ->
-                  task.Task.body (context ());
-                  (* kernel progress joins the task transaction: a crash
-                     re-dispatches the same event, never skips one *)
-                  Nvm.tx_write sched (Nvm.read sched + 1);
-                  commit ();
-                  Nvm.commit_tx nvm;
-                  Backend.Committed));
-      fram_bytes = (fun () -> 3);
-    }
-end
+              | Device.Completed -> (
+                  Nvm.begin_tx nvm;
+                  match
+                    Device.consume device Device.App ~during:task.Task.name
+                      ~power:task.Task.power ~duration:task.Task.duration ()
+                  with
+                  | Device.Interrupted | Device.Starved -> Backend.Interrupted
+                  | Device.Completed ->
+                      task.Task.body (context ());
+                      (* kernel progress joins the task transaction: a
+                         crash re-dispatches the same event, never skips
+                         one *)
+                      Nvm.tx_write sched (Nvm.read sched + 1);
+                      commit ();
+                      Nvm.commit_tx nvm;
+                      Backend.Committed));
+          fram_bytes = (fun () -> 3);
+        });
+  }
 
-let backend : Artemis_backend.Backend.b = (module Backend_impl)
-
-let run ?(config = default_config) device armed_list =
-  let st = make_state ~config device armed_list in
+let run device armed_list =
+  let st = make_state device armed_list in
   Device.record device Event.Boot;
   let rec loop () =
     st.iterations <- st.iterations + 1;
-    if st.iterations > config.max_loop_iterations then begin
-      let reason = "iteration limit (no progress)" in
-      Device.record device (Event.Horizon_reached { reason });
-      finish st ~outcome:(Stats.Did_not_finish reason)
-    end
-    else if Device.horizon_exceeded device then begin
-      let reason = "simulation time horizon" in
-      Device.record device (Event.Horizon_reached { reason });
-      finish st ~outcome:(Stats.Did_not_finish reason)
-    end
-    else
-      match pick st with
-      | Some i ->
-          run_thread_step st i;
-          loop ()
-      | None -> (
-          match earliest_pending st with
-          | Some arrival ->
-              (* idle (deep sleep) until the next event arrives *)
-              let wait = Time.sub arrival (Device.now st.device) in
-              ignore
-                (Device.consume st.device Device.Runtime_work
-                   ~power:(Energy.uw 0.) ~duration:wait ());
-              loop ()
-          | None ->
-              Device.record device Event.App_completed;
-              finish st ~outcome:Stats.Completed)
+    match
+      Report.guard device ~iterations:st.iterations
+        ~limit:Report.max_loop_iterations
+    with
+    | Some outcome -> finish st ~outcome
+    | None -> (
+        match pick st with
+        | Some i ->
+            run_thread_step st i;
+            loop ()
+        | None -> (
+            match earliest_pending st with
+            | Some arrival ->
+                (* idle (deep sleep) until the next event arrives *)
+                let wait = Time.sub arrival (Device.now st.device) in
+                ignore
+                  (Device.consume st.device Device.Runtime_work
+                     ~power:(Energy.uw 0.) ~duration:wait ());
+                loop ()
+            | None ->
+                Device.record device Event.App_completed;
+                finish st ~outcome:Stats.Completed))
   in
   loop ()

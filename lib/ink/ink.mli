@@ -41,29 +41,21 @@ val bodies : armed list -> (string * (Task.context -> unit)) list
     first-appearance order: the access-recording surface for the static
     WAR-hazard analysis ({!Artemis_consistency.War.analyze_bodies}). *)
 
-type config = {
-  kernel_cycles_per_event : int;  (** scheduler bookkeeping per task event *)
-  mcu_power : Energy.power;
-  mcu_frequency_hz : int;
-  max_loop_iterations : int;
-  seed : int;
-}
-
-val default_config : config
-
 type outcome = {
   stats : Artemis_trace.Stats.t;
   completed_threads : string list;  (** in completion order *)
   evicted_threads : string list;
 }
 
-val run : ?config:config -> Device.t -> armed list -> outcome
-(** Process every armed event to completion or eviction.
+val run : Device.t -> armed list -> outcome
+(** Process every armed event to completion or eviction.  Each task
+    event pays 320 cycles of kernel bookkeeping as [Runtime_work],
+    priced by {!Cost_model.default}.
     @raise Invalid_argument if {!validate} rejects the input. *)
 
 val backend : Artemis_backend.Backend.b
 (** The unified-backend adapter (PR 10, [name = "ink"]): runs ARTEMIS
     task apps under the InK execution discipline inside the shared
-    runtime - kernel event-dispatch cost before each task transaction,
-    scheduling progress ([inkb.sched]) committed atomically with the
-    task. *)
+    runtime - kernel event-dispatch cost (priced by the run's cost
+    model) before each task transaction, scheduling progress
+    ([inkb.sched]) committed atomically with the task. *)

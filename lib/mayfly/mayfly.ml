@@ -6,6 +6,7 @@ module Report = Artemis_device.Report
 module Event = Artemis_trace.Event
 module Stats = Artemis_trace.Stats
 module Task = Artemis_task.Task
+module Backend = Artemis_backend.Backend
 module S = Artemis_spec.Ast
 
 type annotation =
@@ -30,15 +31,6 @@ let annotations_of_spec spec =
       if annotations = [] then None else Some (task, annotations))
     spec
 
-(* Mayfly executes the same Task.app surface as the ARTEMIS runtime, so
-   its WAR-analysis surface is the app's distinct task bodies. *)
-let bodies = Task.bodies
-
-type config = { cost_model : Cost_model.t; max_loop_iterations : int; seed : int }
-
-let default_config =
-  { cost_model = Cost_model.default; max_loop_iterations = 200_000; seed = 42 }
-
 type cursor = {
   path : int;
   index : int;
@@ -51,7 +43,6 @@ type state = {
   device : Device.t;
   paths : Task.t array array;
   annotations : (string * annotation list) list;
-  config : config;
   cursor : cursor Nvm.cell;
   (* fused bookkeeping, all in the Runtime region (Table 2) *)
   producer_end : (string * Time.t option Nvm.cell) list;
@@ -71,7 +62,7 @@ let producers annotations =
   in
   List.sort_uniq String.compare names
 
-let make_state ~config device app annotations =
+let make_state device app annotations =
   (match Task.validate app with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Mayfly.run: invalid application: " ^ msg));
@@ -115,11 +106,10 @@ let make_state ~config device app annotations =
     device;
     paths;
     annotations;
-    config;
     cursor;
     producer_end;
     producer_count;
-    prng = Prng.create ~seed:config.seed;
+    prng = Prng.create ~seed:42;
     iterations = 0;
   }
 
@@ -137,18 +127,20 @@ let task_annotations st ~task ~path =
           | Expires { path = None; _ } | Requires { path = None; _ } -> true)
         anns
 
-let overhead_power st = Cost_model.overhead_power st.config.cost_model
-
+(* The standalone loop is priced by the default calibration. *)
 let consume_runtime st =
-  Device.consume st.device Device.Runtime_work ~power:(overhead_power st)
-    ~duration:(Cost_model.mayfly_runtime_overhead st.config.cost_model)
+  let model = Cost_model.default in
+  Device.consume st.device Device.Runtime_work
+    ~power:(Cost_model.overhead_power model)
+    ~duration:(Cost_model.mayfly_runtime_overhead model)
     ()
 
-let consume_checks st ~properties =
-  (* fused in-loop property checks are charged to the runtime, not to a
-     monitor: Mayfly has no separate monitor component *)
-  Device.consume st.device Device.Runtime_work ~power:(overhead_power st)
-    ~duration:(Cost_model.mayfly_check_overhead st.config.cost_model ~properties)
+(* fused in-loop property checks are charged to the runtime, not to a
+   monitor: Mayfly has no separate monitor component *)
+let consume_checks model device ~properties =
+  Device.consume device Device.Runtime_work
+    ~power:(Cost_model.overhead_power model)
+    ~duration:(Cost_model.mayfly_check_overhead model ~properties)
     ()
 
 (* --- cursor movements --- *)
@@ -229,7 +221,10 @@ let start_phase st =
   | Device.Interrupted | Device.Starved -> ()
   | Device.Completed -> (
       let anns = task_annotations st ~task:task.Task.name ~path:c.path in
-      match consume_checks st ~properties:(List.length anns) with
+      match
+        consume_checks Cost_model.default st.device
+          ~properties:(List.length anns)
+      with
       | Device.Interrupted | Device.Starved -> ()
       | Device.Completed ->
           let now = Device.now st.device in
@@ -242,38 +237,28 @@ let end_phase st =
   | Device.Interrupted | Device.Starved -> ()
   | Device.Completed -> advance st
 
-let run ?(config = default_config) device app annotations =
-  let st = make_state ~config device app annotations in
+let run device app annotations =
+  let st = make_state device app annotations in
   Device.record device Event.Boot;
   let rec loop () =
     st.iterations <- st.iterations + 1;
-    if st.iterations > config.max_loop_iterations then begin
-      let reason = "iteration limit (no progress)" in
-      Device.record device (Event.Horizon_reached { reason });
-      Report.stats device ~outcome:(Stats.Did_not_finish reason)
-    end
-    else if Device.horizon_exceeded device then begin
-      let reason = "simulation time horizon" in
-      Device.record device (Event.Horizon_reached { reason });
-      Report.stats device ~outcome:(Stats.Did_not_finish reason)
-    end
-    else begin
-      let c = Nvm.read st.cursor in
-      if c.path > Array.length st.paths then begin
-        Device.record device Event.App_completed;
-        Report.stats device ~outcome:Stats.Completed
-      end
-      else begin
-        if c.finished then end_phase st else start_phase st;
-        loop ()
-      end
-    end
+    match
+      Report.guard device ~iterations:st.iterations
+        ~limit:Report.max_loop_iterations
+    with
+    | Some outcome -> Report.stats device ~outcome
+    | None ->
+        let c = Nvm.read st.cursor in
+        if c.path > Array.length st.paths then begin
+          Device.record device Event.App_completed;
+          Report.stats device ~outcome:Stats.Completed
+        end
+        else begin
+          if c.finished then end_phase st else start_phase st;
+          loop ()
+        end
   in
   loop ()
-
-let runtime_fram_bytes device =
-  Nvm.footprint (Device.nvm device) ~kind:Artemis_nvm.Nvm.Fram
-    ~region:Artemis_nvm.Nvm.Runtime
 
 (* --- the unified-backend adapter (PR 10) ---
 
@@ -282,61 +267,49 @@ let runtime_fram_bytes device =
    completion timestamp for {e every} task (annotated or not - the
    design Table 2 charges for), updated atomically with the task, and
    each commit pays the fused in-loop property check. *)
-module Backend_impl : Artemis_backend.Backend.S = struct
-  module Backend = Artemis_backend.Backend
-
-  let name = "mayfly"
-
-  let description =
-    "Mayfly-style fused runtime (per-task expiration table, in-loop checks)"
-
-  let injection_sites = []
-  let bodies = Task.bodies
-
-  let setup ~probe device app =
-    ignore probe;
-    let config = default_config in
-    let nvm = Device.nvm device in
-    let stamps =
-      List.map
-        (fun task_name ->
-          ( task_name,
-            Nvm.cell nvm ~region:Runtime ~name:("mfb.end." ^ task_name)
-              ~bytes:9 (None : Time.t option) ))
-        (Task.task_names app)
-    in
-    let consume_check () =
-      Device.consume device Device.Runtime_work
-        ~power:(Cost_model.overhead_power config.cost_model)
-        ~duration:(Cost_model.mayfly_check_overhead config.cost_model ~properties:1)
-        ()
-    in
-    {
-      Backend.recover = (fun () -> ());
-      execute =
-        (fun ~task ~context ~commit ->
-          Nvm.begin_tx nvm;
-          match
-            Device.consume device Device.App ~during:task.Task.name
-              ~power:task.Task.power ~duration:task.Task.duration ()
-          with
-          | Device.Interrupted | Device.Starved -> Backend.Interrupted
-          | Device.Completed -> (
-              task.Task.body (context ());
-              (* expiration-table bookkeeping joins the task transaction *)
-              Nvm.tx_write
-                (List.assoc task.Task.name stamps)
-                (Some (Device.now device));
-              commit ();
-              (* the fused in-loop check runs before the commit becomes
-                 durable: an interruption rolls the whole attempt back *)
-              match consume_check () with
+let backend =
+  {
+    Backend.name = "mayfly";
+    description =
+      "Mayfly-style fused runtime (per-task expiration table, in-loop checks)";
+    injection_sites = [];
+    setup =
+      (fun ~model ~probe:_ device app ->
+        let nvm = Device.nvm device in
+        let stamps =
+          List.map
+            (fun task_name ->
+              ( task_name,
+                Nvm.cell nvm ~region:Runtime ~name:("mfb.end." ^ task_name)
+                  ~bytes:9 (None : Time.t option) ))
+            (Task.task_names app)
+        in
+        {
+          Backend.recover = (fun () -> ());
+          execute =
+            (fun ~task ~context ~commit ->
+              Nvm.begin_tx nvm;
+              match
+                Device.consume device Device.App ~during:task.Task.name
+                  ~power:task.Task.power ~duration:task.Task.duration ()
+              with
               | Device.Interrupted | Device.Starved -> Backend.Interrupted
-              | Device.Completed ->
-                  Nvm.commit_tx nvm;
-                  Backend.Committed));
-      fram_bytes = (fun () -> 9 * List.length stamps);
-    }
-end
-
-let backend : Artemis_backend.Backend.b = (module Backend_impl)
+              | Device.Completed -> (
+                  task.Task.body (context ());
+                  (* expiration-table bookkeeping joins the task
+                     transaction *)
+                  Nvm.tx_write
+                    (List.assoc task.Task.name stamps)
+                    (Some (Device.now device));
+                  commit ();
+                  (* the fused in-loop check runs before the commit
+                     becomes durable: an interruption rolls the whole
+                     attempt back *)
+                  match consume_checks model device ~properties:1 with
+                  | Device.Interrupted | Device.Starved -> Backend.Interrupted
+                  | Device.Completed ->
+                      Nvm.commit_tx nvm;
+                      Backend.Committed));
+          fram_bytes = (fun () -> 9 * List.length stamps);
+        });
+  }

@@ -29,30 +29,19 @@ val annotations_of_spec : Artemis_spec.Ast.t -> (string * annotation list) list
     subset Mayfly supports, Section 5.1.1) and drop the rest - including
     any [maxAttempt] guards. *)
 
-val bodies : Task.app -> (string * (Task.context -> unit)) list
-(** The access-recording surface for the static WAR-hazard analysis:
-    Mayfly executes the same {!Task.app} task bodies (transactionally)
-    as the ARTEMIS runtime, so the surface is {!Task.bodies}. *)
-
-type config = { cost_model : Cost_model.t; max_loop_iterations : int; seed : int }
-
-val default_config : config
-
 val run :
-  ?config:config ->
   Device.t ->
   Task.app ->
   (string * annotation list) list ->
   Artemis_trace.Stats.t
-(** Execute one application run under Mayfly semantics.
+(** Execute one application run under Mayfly semantics, its loop and
+    check overheads priced by {!Cost_model.default}.
     @raise Invalid_argument if {!Task.validate} rejects the app. *)
-
-val runtime_fram_bytes : Device.t -> int
-(** FRAM bytes of Mayfly's fused runtime cells (Table 2). *)
 
 val backend : Artemis_backend.Backend.b
 (** The unified-backend adapter (PR 10, [name = "mayfly"]): runs ARTEMIS
     task apps under the Mayfly discipline inside the shared runtime -
     a fused per-task expiration table ([mfb.end.<task>], one 9-byte cell
     per task whether annotated or not) committed atomically with each
-    task, plus the fused in-loop check cost on every commit. *)
+    task, plus the fused in-loop check cost (priced by the run's cost
+    model) on every commit. *)

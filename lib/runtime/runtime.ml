@@ -2,6 +2,7 @@ open Artemis_util
 module Nvm = Artemis_nvm.Nvm
 module Device = Artemis_device.Device
 module Cost_model = Artemis_device.Cost_model
+module Report = Artemis_device.Report
 module Capacitor = Artemis_energy.Capacitor
 module Event = Artemis_trace.Event
 module Log = Artemis_trace.Log
@@ -86,7 +87,7 @@ type config = {
 let default_config =
   {
     cost_model = Cost_model.default;
-    max_loop_iterations = 200_000;
+    max_loop_iterations = Report.max_loop_iterations;
     seed = 42;
     deployment = Separate_module;
     rounds = 1;
@@ -310,7 +311,9 @@ let make_state ?(probe = fun _ -> ()) ?(journaling = false) ?(adaptations = [])
   (* Backend cells are allocated last, after the shared runtime's and the
      adaptation manager's, so every backend sees the same cell prefix and
      the footprint fingerprints stay deterministic per backend. *)
-  let binst = Backend.setup backend ~probe device app in
+  let binst =
+    backend.Backend.setup ~model:config.cost_model ~probe device app
+  in
   {
     device;
     app;
@@ -808,7 +811,7 @@ let end_phase st =
 
 (* --- main loop and reporting --- *)
 
-let finish st outcome = Artemis_device.Report.stats st.device ~outcome
+let finish st outcome = Report.stats st.device ~outcome
 
 let run_internal ?probe ?journaling ?adaptations ?backend ~config device app
     suite =
@@ -823,54 +826,49 @@ let run_internal ?probe ?journaling ?adaptations ?backend ~config device app
   Nvm.set_probe (Device.nvm device) probe;
   let rec loop () =
     st.iterations <- st.iterations + 1;
-    if st.iterations > config.max_loop_iterations then begin
-      Device.record device
-        (Event.Horizon_reached { reason = "iteration limit (no progress)" });
-      finish st (Stats.Did_not_finish "iteration limit (no progress)")
-    end
-    else if Device.horizon_exceeded device then begin
-      let reason = "simulation time horizon" in
-      Device.record device (Event.Horizon_reached { reason });
-      finish st (Stats.Did_not_finish reason)
-    end
-    else begin
-      (* Reboot-time repair first (PR 10): a backend whose commit was
-         interrupted mid-protocol (e.g. an Alpaca swap with a sealed
-         log) finishes it before the scheduler reads the cursor - the
-         redo may be exactly what advances it.  One cell read when
-         there is nothing to repair. *)
-      st.binst.Backend.recover ();
-      let c = Nvm.read st.cursor in
-      if c.path > path_count st then begin
-        let completed_round = Nvm.read st.round in
-        if completed_round < config.rounds then begin
-          (* reactive execution: start the next pass; monitor state
-             persists across rounds (periodicity spans them) *)
-          Device.record device (Event.Round_completed { round = completed_round });
-          Nvm.write st.round (completed_round + 1);
-          Nvm.write st.cursor (move_to_path st 1);
+    match
+      Report.guard device ~iterations:st.iterations
+        ~limit:config.max_loop_iterations
+    with
+    | Some outcome -> finish st outcome
+    | None -> (
+        (* Reboot-time repair first: a backend whose commit was
+           interrupted mid-protocol (e.g. an Alpaca swap with a sealed
+           log) finishes it before the scheduler reads the cursor - the
+           redo may be exactly what advances it.  One cell read when
+           there is nothing to repair. *)
+        st.binst.Backend.recover ();
+        let c = Nvm.read st.cursor in
+        if c.path > path_count st then begin
+          let completed_round = Nvm.read st.round in
+          if completed_round < config.rounds then begin
+            (* reactive execution: start the next pass; monitor state
+               persists across rounds (periodicity spans them) *)
+            Device.record device
+              (Event.Round_completed { round = completed_round });
+            Nvm.write st.round (completed_round + 1);
+            Nvm.write st.cursor (move_to_path st 1);
+            loop ()
+          end
+          else begin
+            Device.record device Event.App_completed;
+            finish st Stats.Completed
+          end
+        end
+        else if (Nvm.read st.mcall).active then begin
+          (* monitorFinalize: progress the interrupted monitor call *)
+          (match resume_monitor_call st with
+          | Pending -> ()
+          | Verdict failures -> apply_verdict st failures);
           loop ()
         end
         else begin
-          Device.record device Event.App_completed;
-          finish st Stats.Completed
-        end
-      end
-      else if (Nvm.read st.mcall).active then begin
-        (* monitorFinalize: progress the interrupted monitor call *)
-        (match resume_monitor_call st with
-        | Pending -> ()
-        | Verdict failures -> apply_verdict st failures);
-        loop ()
-      end
-      else begin
-        (* Between monitor calls: finish or stage live property updates
-           (no-op without scheduled adaptations or a staged update). *)
-        update_window st;
-        if c.finished then end_phase st else start_phase st;
-        loop ()
-      end
-    end
+          (* Between monitor calls: finish or stage live property updates
+             (no-op without scheduled adaptations or a staged update). *)
+          update_window st;
+          if c.finished then end_phase st else start_phase st;
+          loop ()
+        end)
   in
   (* An injected fault behaves exactly like a capacitor brown-out at the
      probed instruction: the device aborts volatile/transactional state,

@@ -26,7 +26,7 @@ module Battery (B : sig
   val b : Backend.b
 end) =
 struct
-  let name = Backend.name B.b
+  let name = B.b.Backend.name
 
   let scenario =
     Scenario.with_backend B.b
@@ -49,7 +49,7 @@ struct
           ("protocol site covered: " ^ site)
           true
           (List.mem (F.site_id site) c.F.covered))
-      (Backend.injection_sites B.b)
+      B.b.Backend.injection_sites
 
   (* the semantic stream must equal the immortal reference's, on a
      scenario that completes and on one that ends in a freshness DNF *)
@@ -64,8 +64,9 @@ struct
           true report.Matrix.agreement)
       [ Scenario.quickstart; Scenario.stale_read ]
 
-  (* the backend's re-execution units must be WAR-clean on the shipped
-     apps: re-executing after a crash can never observe its own write *)
+  (* the backend's re-execution units (every backend re-executes whole
+     task bodies, [Task.bodies]) must be WAR-clean on the shipped apps:
+     re-executing after a crash can never observe its own write *)
   let test_war_clean () =
     List.iter
       (fun base ->
@@ -73,7 +74,7 @@ struct
         let report =
           War.analyze_bodies
             (Device.nvm built.Scenario.device)
-            (Backend.bodies B.b built.Scenario.app)
+            (Task.bodies built.Scenario.app)
         in
         Alcotest.(check (list string))
           (base.Scenario.name ^ ": no WAR hazards")
@@ -88,8 +89,8 @@ struct
     let nvm = Device.nvm built.Scenario.device in
     let before = Nvm.footprint nvm ~kind:Nvm.Fram ~region:Nvm.Runtime in
     let instance =
-      Backend.setup B.b ~probe:ignore built.Scenario.device
-        built.Scenario.app
+      B.b.Backend.setup ~model:built.Scenario.config.Runtime.cost_model
+        ~probe:ignore built.Scenario.device built.Scenario.app
     in
     let after = Nvm.footprint nvm ~kind:Nvm.Fram ~region:Nvm.Runtime in
     Alcotest.(check int)
@@ -119,6 +120,44 @@ struct
     ]
 end
 
+(* Protocol cycles are priced by the run's cost model: at 8 MHz a
+   900-cycle snapshot is 112.5 us, which [Cost_model.cycles_to_time]
+   rounds up to 113 us.  A backend pricing its cycles at a private
+   1 MHz would charge 900 us instead. *)
+let model_8mhz = { Cost_model.default with mcu_frequency_hz = 8_000_000 }
+let cycles_us n = Time.to_us (Cost_model.cycles_to_time model_8mhz n)
+
+(* Runtime_work of an unmonitored two-task run on continuous power *)
+let runtime_work_us backend =
+  let device = Helpers.powered_device () in
+  let app =
+    Helpers.one_path_app
+      [ Helpers.simple_task ~name:"a" (); Helpers.simple_task ~name:"b" () ]
+  in
+  let config = { Runtime.default_config with cost_model = model_8mhz } in
+  let stats =
+    Runtime.run ~config ~backend device app
+      (Suite.create (Device.nvm device) [])
+  in
+  Alcotest.(check bool) "completed" true (Helpers.completed stats);
+  Time.to_us stats.Stats.runtime_overhead
+
+let protocol_work_us backend =
+  runtime_work_us backend - runtime_work_us Backend.immortal
+
+let test_checkpoint_priced_by_run_model () =
+  Alcotest.(check int) "900 cycles at 8 MHz" 113 (cycles_us 900);
+  (* one restore on the cold boot entry, one snapshot per commit *)
+  Alcotest.(check int) "restore + 2 snapshots"
+    (cycles_us 600 + (2 * cycles_us 900))
+    (protocol_work_us Checkpoint.backend)
+
+let test_alpaca_priced_by_run_model () =
+  (* each commit logs, then swaps, one cell: the runtime's cursor *)
+  Alcotest.(check int) "2 x (log + swap)"
+    (2 * (cycles_us (60 + 40) + cycles_us (40 + 30)))
+    (protocol_work_us Alpaca.backend)
+
 (* every backend the registry knows answers the same battery; if a PR
    registers a sixth backend it is conformance-tested automatically *)
 let suite =
@@ -129,6 +168,12 @@ let suite =
       end) in
       M.tests)
     Backends.all
+  @ [
+      ("checkpoint: priced by the run's cost model", `Quick,
+       test_checkpoint_priced_by_run_model);
+      ("alpaca: priced by the run's cost model", `Quick,
+       test_alpaca_priced_by_run_model);
+    ]
 
 let () =
   assert (List.length Backends.all = 5)

@@ -179,7 +179,7 @@ let test_snapshot_accounting () =
   ignore (Cp.run device p);
   (* double-buffered largest snapshot (2 x 200) dominates the footprint *)
   Alcotest.(check bool) "snapshot area accounted" true
-    (Cp.runtime_fram_bytes device >= 400)
+    (Runtime.runtime_fram_bytes device >= 400)
 
 let exactly_once_commits_qcheck =
   QCheck.Test.make ~name:"channel items match completed segments under failures"
