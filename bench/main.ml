@@ -338,8 +338,8 @@ let print_par_campaign (depth, nruns, rows) =
 
 (* --- fleet runner (PR 8): wall-clock of a quickstart device fleet at
    jobs 1 vs auto, byte-identity asserted like the campaign kernel.
-   Chunking is automatic, so this also exercises the coarse-claim
-   scheduling path the campaign kernel (explicit runs) shares. *)
+   Devices fan out through the same [Obs.par_map] as the campaign
+   kernel's runs. *)
 
 type fleet_row = { fjobs : int; fwall_s : float; fidentical : bool }
 

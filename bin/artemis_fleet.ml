@@ -50,7 +50,7 @@ let progress_printer total =
     flush stderr
 
 let run spec_path name scenarios seeds seed_first harvesters engines backends
-    jobs chunk json devices out progress =
+    jobs json devices out progress =
   match Artemis.Par.jobs_of_flag ~prog:"artemis_fleet" jobs with
   | Error msg ->
       prerr_endline msg;
@@ -68,7 +68,7 @@ let run spec_path name scenarios seeds seed_first harvesters engines backends
             if progress then Some (progress_printer (Fleet.spec_size spec))
             else None
           in
-          let report = Fleet.run ~jobs ?chunk ?on_progress spec in
+          let report = Fleet.run ~jobs ?on_progress spec in
           let emit oc =
             if json then Fleet.output_report_json ~devices oc report
             else output_string oc (Fleet.report_summary report)
@@ -152,15 +152,6 @@ let jobs_arg =
           "Shard devices over $(docv) domains (default 0 = auto: one worker \
            per core).  The report is byte-identical for every $(docv).")
 
-let chunk_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "chunk" ] ~docv:"K"
-        ~doc:
-          "Devices claimed per scheduling step (default: automatic).  \
-           Affects throughput only, never the report.")
-
 let json_arg =
   Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON.")
 
@@ -190,6 +181,6 @@ let cmd =
     Term.(
       const run $ spec_arg $ name_arg $ scenario_arg $ seeds_arg
       $ seed_first_arg $ harvester_arg $ engine_arg $ backend_arg $ jobs_arg
-      $ chunk_arg $ json_arg $ devices_arg $ out_arg $ progress_arg)
+      $ json_arg $ devices_arg $ out_arg $ progress_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -23,11 +23,11 @@ let replicated_machines k =
         base)
     (List.init k Fun.id)
 
-let run_with_copies ?engine copies =
+let run_with_copies copies =
   let device = Config.device Config.Continuous in
   let app, _ = Health_app.make (Device.nvm device) in
   let machines = replicated_machines copies in
-  let suite = deploy ?engine device machines in
+  let suite = deploy device machines in
   let stats = Runtime.run device app suite in
   {
     copies;
@@ -37,8 +37,8 @@ let run_with_copies ?engine copies =
     monitor_fram = Nvm.footprint (Device.nvm device) ~kind:Nvm.Fram ~region:Nvm.Monitor;
   }
 
-let run ?engine ?(factors = [ 1; 2; 4; 8 ]) ?(jobs = 1) () =
-  Par.map_list ~jobs (run_with_copies ?engine) factors
+let run ?(factors = [ 1; 2; 4; 8 ]) ?(jobs = 1) () =
+  Par.map_list ~jobs run_with_copies factors
 
 let render rows =
   let table =
@@ -96,13 +96,13 @@ type non_watching_row = {
   nw_monitor_fram : int;
 }
 
-let run_with_extras ?engine extra =
+let run_with_extras extra =
   let device = Config.device Config.Continuous in
   let app, _ = Health_app.make (Device.nvm device) in
   let machines =
     replicated_machines 1 @ List.init extra non_watching_machine
   in
-  let suite = deploy ?engine device machines in
+  let suite = deploy device machines in
   let stats = Runtime.run device app suite in
   {
     extra;
@@ -112,8 +112,8 @@ let run_with_extras ?engine extra =
       Nvm.footprint (Device.nvm device) ~kind:Nvm.Fram ~region:Nvm.Monitor;
   }
 
-let run_non_watching ?engine ?(extras = [ 0; 8; 32; 128 ]) ?(jobs = 1) () =
-  Par.map_list ~jobs (run_with_extras ?engine) extras
+let run_non_watching ?(extras = [ 0; 8; 32; 128 ]) ?(jobs = 1) () =
+  Par.map_list ~jobs run_with_extras extras
 
 let render_non_watching rows =
   let table =

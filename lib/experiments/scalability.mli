@@ -27,17 +27,10 @@ type row = {
   monitor_fram : int;
 }
 
-val run :
-  ?engine:Artemis.Monitor.engine ->
-  ?factors:int list ->
-  ?jobs:int ->
-  unit ->
-  row list
-(** Default factors: 1, 2, 4, 8.  [engine] selects the monitor execution
-    backend ([Table] by default), letting the bench compare the two.
-    [jobs] (default 1) distributes the factor sweep over that many
-    domains; each row builds its own device, so rows are independent and
-    the result order is fixed. *)
+val run : ?factors:int list -> ?jobs:int -> unit -> row list
+(** Default factors: 1, 2, 4, 8.  [jobs] (default 1) distributes the
+    factor sweep over that many domains; each row builds its own device,
+    so rows are independent and the result order is fixed. *)
 
 val render : row list -> string
 
@@ -49,11 +42,7 @@ type non_watching_row = {
 }
 
 val run_non_watching :
-  ?engine:Artemis.Monitor.engine ->
-  ?extras:int list ->
-  ?jobs:int ->
-  unit ->
-  non_watching_row list
+  ?extras:int list -> ?jobs:int -> unit -> non_watching_row list
 (** Default extras: 0, 8, 32, 128 non-watching properties on top of the
     base benchmark set. *)
 

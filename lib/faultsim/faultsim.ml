@@ -1,5 +1,4 @@
 open Artemis
-module Par = Artemis_util.Par
 
 (* --- injection sites (Nvm numbering first, then Runtime, then the
    Alpaca two-phase-commit windows appended by PR 10 so the historic
@@ -82,11 +81,6 @@ type run_result = {
   footprint : string;
   violations : violation list;
 }
-
-let outcome_string (s : Stats.t) =
-  match s.Stats.outcome with
-  | Stats.Completed -> "completed"
-  | Stats.Did_not_finish reason -> "dnf:" ^ reason
 
 let fingerprint nvm =
   [ ("runtime", Nvm.Runtime); ("monitor", Nvm.Monitor);
@@ -376,7 +370,7 @@ let run_schedule (scenario : Scenario.t) ~seed schedule =
       ~args:
         [ ("seed", Obs.I seed);
           ("schedule", Obs.S (schedule_to_string schedule));
-          ("outcome", Obs.S (outcome_string result.Runtime.stats)) ]
+          ("outcome", Obs.S (Stats.outcome_string result.Runtime.stats)) ]
       ~begin_us:span_begin ~end_us scenario.Scenario.name;
     List.iter
       (fun v ->
@@ -393,7 +387,7 @@ let run_schedule (scenario : Scenario.t) ~seed schedule =
     schedule;
     fired = List.rev !fired;
     hits;
-    outcome = outcome_string result.Runtime.stats;
+    outcome = Stats.outcome_string result.Runtime.stats;
     power_failures = result.Runtime.stats.Stats.power_failures;
     digest = Export.log_digest (Device.log b.Scenario.device);
     footprint = fingerprint nvm;
@@ -482,46 +476,17 @@ let shrink_first_violation scenario baseline runs =
       let minimal = if still bad.schedule then shrink still bad.schedule else bad.schedule in
       Some (replay_line ~seed:bad.seed minimal)
 
-(* --- parallel fan-out (PR 5, scaling fixed PR 8) ---
-
-   When the campaign context is recording (metrics or tracing on), each
-   run executes against its own fresh [Obs] context (so worker domains
-   never share a trace buffer or metric slots), and the per-run contexts
-   are absorbed into the campaign's context in run-id order.
-   [Ctx.absorb] reproduces exactly what sequential execution would have
-   recorded - counters sum, each run's events land after the previous
-   run's one-second gap - so the merged report and trace are
-   byte-identical for every [jobs] value.
-
-   When nothing is recording (the common campaign configuration), a
-   per-run context is pure allocation: every guarded [Obs] call is a
-   no-op either way.  Runs then share their worker domain's own context
-   - one per worker, not one per run - and the merge step disappears. *)
-
-let run_isolated parent scenario ~seed schedule =
-  let ctx = Obs.Ctx.create ~like:parent () in
-  let r = Obs.with_ctx ctx (fun () -> run_schedule scenario ~seed schedule) in
-  (r, ctx)
+(* Runs fan out through [Obs.par_map], which absorbs a recording
+   campaign's per-run contexts in run-id order: with the one-second gap
+   [run_schedule] leaves after each traced run, the merged trace is
+   byte-identical for every [jobs] value. *)
 
 let run_schedules ~jobs scenario ~baseline ~n plan =
-  let parent = Obs.current () in
-  let observed =
-    Obs.Ctx.metrics_enabled parent || Obs.Ctx.tracing_enabled parent
-  in
-  let results =
-    Par.map ~jobs n (fun i ->
-        let seed, schedule = plan i in
-        if observed then
-          let r, ctx = run_isolated parent scenario ~seed schedule in
-          (r, Some ctx)
-        else (run_schedule scenario ~seed schedule, None))
-  in
-  Array.to_list results
-  |> List.map (fun (r, ctx) ->
-         (match ctx with
-         | Some ctx -> Obs.Ctx.absorb ~into:parent ctx
-         | None -> ());
-         check_footprint baseline r)
+  Obs.par_map ~jobs n (fun i ->
+      let seed, schedule = plan i in
+      run_schedule scenario ~seed schedule)
+  |> Array.to_list
+  |> List.map (check_footprint baseline)
 
 let exhaustive ?(jobs = 1) scenario ~seed ~depth =
   if depth < 1 then invalid_arg "Faultsim.exhaustive: depth must be positive";

@@ -114,9 +114,9 @@ val exhaustive : ?jobs:int -> Scenario.t -> seed:int -> depth:int -> campaign
     each level-1 instant ([site_count] more runs per schedule per
     level).
 
-    [jobs] (default 1) fans the runs out over that many domains with a
-    work-stealing queue; every run executes against its own fresh
-    [Obs] context and device, and the per-run contexts are merged back
+    [jobs] (default 1) fans the runs out over that many domains through
+    {!Artemis.Obs.par_map}: every run builds its own device, a recording
+    campaign gives every run its own [Obs] context and absorbs them back
     in run-id order, so the campaign record, JSON report and exported
     trace are byte-identical for every [jobs] value. *)
 

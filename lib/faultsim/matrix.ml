@@ -32,11 +32,6 @@ type report = {
   agreement : bool;
 }
 
-let outcome_string (s : Stats.t) =
-  match s.Stats.outcome with
-  | Stats.Completed -> "completed"
-  | Stats.Did_not_finish reason -> "dnf:" ^ reason
-
 (* The semantic stream: monitor verdicts and the corrective actions they
    trigger, rendered without timestamps (backends shift time, never
    meaning). *)
@@ -64,7 +59,7 @@ let run_backend (scenario : Scenario.t) ~seed bk =
   {
     backend = bk.Backend.name;
     description = bk.Backend.description;
-    outcome = outcome_string stats;
+    outcome = Stats.outcome_string stats;
     power_failures = stats.Stats.power_failures;
     reboots = stats.Stats.reboots;
     task_executions = stats.Stats.task_executions;
@@ -73,9 +68,7 @@ let run_backend (scenario : Scenario.t) ~seed bk =
     energy_app = stats.Stats.energy_app;
     energy_runtime = stats.Stats.energy_runtime;
     energy_monitor = stats.Stats.energy_monitor;
-    runtime_fram_bytes =
-      Nvm.footprint (Device.nvm b.Scenario.device) ~kind:Nvm.Fram
-        ~region:Nvm.Runtime;
+    runtime_fram_bytes = Runtime.runtime_fram_bytes b.Scenario.device;
     verdicts;
     agrees = true;
   }

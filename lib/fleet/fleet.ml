@@ -2,12 +2,10 @@
 
    A fleet run is an embarrassingly parallel map over the device matrix
    followed by a deterministic fold.  All the parallel machinery is
-   Par.map (which writes each device's record at its input index) plus
-   the faultsim Obs-context discipline: when the caller is recording,
-   each device runs in a context of its own, absorbed back in index
-   order; when not, devices share their worker domain's quiet context
-   and every Obs call is a guarded no-op.  Either way the report is a
-   pure function of the spec. *)
+   Obs.par_map, the faultsim campaign's fan-out: each device's record
+   lands at its input index and, when the caller is recording, each
+   device runs in a context of its own, absorbed back in index order.
+   Either way the report is a pure function of the spec. *)
 
 open Artemis
 module Scenario = Artemis_faultsim.Scenario
@@ -290,7 +288,7 @@ type coord = {
 
 (* Scenario-major decomposition of the flat device index; seeds vary
    fastest so consecutive devices share a freshly-warmed scenario
-   closure within a chunk. *)
+   closure. *)
 let expand spec =
   let scenarios =
     List.map
@@ -381,10 +379,7 @@ let run_device ~index coord =
     profile = profile_label coord.c_profile;
     engine = coord.c_engine;
     backend = backend.Backend.name;
-    outcome =
-      (match stats.Stats.outcome with
-      | Stats.Completed -> "completed"
-      | Stats.Did_not_finish reason -> "dnf:" ^ reason);
+    outcome = Stats.outcome_string stats;
     power_failures = stats.Stats.power_failures;
     reboots = stats.Stats.reboots;
     energy_uj = Energy.to_uj stats.Stats.energy_total;
@@ -529,15 +524,11 @@ let rollup spec devices =
 (* ------------------------------------------------------------------ *)
 (* The fleet runner *)
 
-let run ?(jobs = 1) ?chunk ?on_progress spec =
+let run ?(jobs = 1) ?on_progress spec =
   let n = spec_size spec in
   if n = 0 then invalid_arg "Fleet.run: empty device matrix";
   if jobs < 1 then invalid_arg "Fleet.run: jobs must be >= 1";
   let coord = expand spec in
-  let parent = Obs.current () in
-  let observed =
-    Obs.Ctx.metrics_enabled parent || Obs.Ctx.tracing_enabled parent
-  in
   let progress_lock = Mutex.create () in
   let completed = ref 0 in
   let tick () =
@@ -548,27 +539,11 @@ let run ?(jobs = 1) ?chunk ?on_progress spec =
             incr completed;
             f ~completed:!completed ~total:n)
   in
-  let results =
-    Par.map ~jobs ?chunk n (fun i ->
-        let c = coord i in
-        let out =
-          if observed then (
-            let ctx = Obs.Ctx.create ~like:parent () in
-            let r = Obs.with_ctx ctx (fun () -> run_device ~index:i c) in
-            (r, Some ctx))
-          else (run_device ~index:i c, None)
-        in
-        tick ();
-        out)
-  in
   let devices =
-    Array.map
-      (fun (r, ctx) ->
-        (match ctx with
-        | Some ctx -> Obs.Ctx.absorb ~into:parent ctx
-        | None -> ());
+    Obs.par_map ~jobs n (fun i ->
+        let r = run_device ~index:i (coord i) in
+        tick ();
         r)
-      results
   in
   rollup spec devices
 

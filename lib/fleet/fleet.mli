@@ -5,7 +5,7 @@
     harvester profile x monitor engine x task backend - and {!run}
     expands them into a
     device matrix, runs every device as an independent simulation
-    sharded over domains with {!Artemis.Par.map}, and folds the
+    sharded over domains with {!Artemis.Obs.par_map}, and folds the
     per-device records into one deterministically-merged {!report}:
     outcome and verdict histograms, energy percentiles, per-group
     roll-ups and the worst-case devices.
@@ -15,8 +15,7 @@
     are merged in device-index order, and when the caller's
     {!Artemis.Obs} context is recording each device runs in its own
     context absorbed back in index order - so the report and any
-    exported trace are byte-identical for every [jobs] and [chunk]
-    value. *)
+    exported trace are byte-identical for every [jobs] value. *)
 
 open Artemis
 
@@ -135,16 +134,15 @@ val percentile : float array -> float -> float
 
 val run :
   ?jobs:int ->
-  ?chunk:int ->
   ?on_progress:(completed:int -> total:int -> unit) ->
   spec ->
   report
 (** Expand the matrix and run every device.  [jobs] (default 1) shards
-    devices over domains; [chunk] overrides the auto chunk size (the
-    report is byte-identical either way).  [on_progress] is invoked
-    under a lock after each device completes, from whichever domain
-    finished it - completion order is nondeterministic, so drive
-    progress/ETA output from it but never report content.
+    devices over domains (the report is byte-identical for every
+    value).  [on_progress] is invoked under a lock after each device
+    completes, from whichever domain finished it - completion order is
+    nondeterministic, so drive progress/ETA output from it but never
+    report content.
 
     @raise Invalid_argument if the spec is empty or [jobs < 1], and
     [Failure] if a scenario/engine/backend name does not resolve

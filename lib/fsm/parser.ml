@@ -1,23 +1,6 @@
 open Artemis_util
+open Scanner
 open Ast
-
-exception Error of string * int * int
-
-type stream = { mutable tokens : Scanner.located list }
-
-let peek s = match s.tokens with [] -> assert false | t :: _ -> t
-
-let advance s =
-  match s.tokens with [] -> assert false | _ :: rest -> s.tokens <- rest
-
-let fail_at (loc : Scanner.located) fmt =
-  Format.kasprintf (fun msg -> raise (Error (msg, loc.line, loc.col))) fmt
-
-let expect_punct s p =
-  let t = peek s in
-  match t.token with
-  | Scanner.Punct q when String.equal p q -> advance s
-  | other -> fail_at t "expected %S but found %a" p Scanner.pp_token other
 
 let accept_punct s p =
   let t = peek s in
@@ -26,14 +9,6 @@ let accept_punct s p =
       advance s;
       true
   | _ -> false
-
-let expect_ident s =
-  let t = peek s in
-  match t.token with
-  | Scanner.Ident name ->
-      advance s;
-      name
-  | other -> fail_at t "expected an identifier but found %a" Scanner.pp_token other
 
 let expect_keyword s kw =
   let t = peek s in
@@ -48,14 +23,6 @@ let accept_keyword s kw =
       advance s;
       true
   | _ -> false
-
-let expect_int s =
-  let t = peek s in
-  match t.token with
-  | Scanner.Int n ->
-      advance s;
-      n
-  | other -> fail_at t "expected an integer but found %a" Scanner.pp_token other
 
 (* --- expressions (precedence climbing) --- *)
 
@@ -356,14 +323,14 @@ let puncts =
 
 let wrap f =
   try f () with
-  | Error (msg, line, col) ->
+  | Parse_error (msg, line, col) ->
       failwith (Printf.sprintf "fsm parse error at %d:%d: %s" line col msg)
   | Scanner.Lex_error (msg, line, col) ->
       failwith (Printf.sprintf "fsm lex error at %d:%d: %s" line col msg)
 
 let parse_exn src =
   wrap (fun () ->
-      let s = { tokens = Scanner.tokenize ~puncts src } in
+      let s = stream (Scanner.tokenize ~puncts src) in
       let rec machines acc =
         match (peek s).token with
         | Scanner.Eof -> List.rev acc
@@ -383,7 +350,7 @@ let parse_machine_exn src =
 
 let parse_expr_exn src =
   wrap (fun () ->
-      let s = { tokens = Scanner.tokenize ~puncts src } in
+      let s = stream (Scanner.tokenize ~puncts src) in
       let e = parse_or s in
       match (peek s).token with
       | Scanner.Eof -> e

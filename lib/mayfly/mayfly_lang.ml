@@ -1,4 +1,5 @@
 open Artemis_util
+open Scanner
 module S = Artemis_spec.Ast
 
 type constraint_ = Expires of Time.t | Collects of int
@@ -10,33 +11,9 @@ type edge = {
   path : int option;
 }
 
-exception Error of string * int * int
-
 let puncts = [ "->"; ";" ]
 
-type stream = { mutable tokens : Scanner.located list }
-
-let peek s = match s.tokens with [] -> assert false | t :: _ -> t
-
-let advance s =
-  match s.tokens with [] -> assert false | _ :: rest -> s.tokens <- rest
-
-let fail_at (loc : Scanner.located) fmt =
-  Format.kasprintf (fun msg -> raise (Error (msg, loc.line, loc.col))) fmt
-
-let expect_ident s =
-  let t = peek s in
-  match t.token with
-  | Scanner.Ident name ->
-      advance s;
-      name
-  | other -> fail_at t "expected a task name but found %a" Scanner.pp_token other
-
-let expect_punct s p =
-  let t = peek s in
-  match t.token with
-  | Scanner.Punct q when String.equal p q -> advance s
-  | other -> fail_at t "expected %S but found %a" p Scanner.pp_token other
+let expect_ident s = expect_ident ~what:"a task name" s
 
 let parse_edge s =
   let producer = expect_ident s in
@@ -82,13 +59,13 @@ let parse_edge s =
 let parse_exn src =
   let wrap f =
     try f () with
-    | Error (msg, line, col) ->
+    | Parse_error (msg, line, col) ->
         failwith (Printf.sprintf "mayfly-lang parse error at %d:%d: %s" line col msg)
     | Scanner.Lex_error (msg, line, col) ->
         failwith (Printf.sprintf "mayfly-lang lex error at %d:%d: %s" line col msg)
   in
   wrap (fun () ->
-      let s = { tokens = Scanner.tokenize ~puncts src } in
+      let s = stream (Scanner.tokenize ~puncts src) in
       let rec edges acc =
         match (peek s).token with
         | Scanner.Eof -> List.rev acc

@@ -7,8 +7,8 @@ module Json = Artemis_util.Json
    record of per-id value arrays, a trace-event buffer and a simulated
    clock.  Contexts are single-owner (one domain at a time, never two
    concurrently); cross-domain aggregation goes through [Ctx.absorb],
-   which the parallel campaign runner uses to stitch per-run contexts
-   back into one deterministic timeline. *)
+   which [par_map] uses to stitch per-item contexts back into one
+   deterministic timeline. *)
 
 type arg = S of string | I of int | F of float
 
@@ -426,8 +426,7 @@ end
 
    The initial domain owns the default context; a freshly spawned domain
    gets its own private quiet context, so two domains never share one by
-   accident.  Parallel drivers install a per-task context with
-   [with_ctx]. *)
+   accident.  [par_map] installs a per-item context with [with_ctx]. *)
 
 let default = Ctx.create ()
 
@@ -442,6 +441,28 @@ let with_ctx c f =
   let prev = current () in
   set_current c;
   Fun.protect ~finally:(fun () -> set_current prev) f
+
+(* --- the recording-safe fan-out ---
+
+   When the caller records, each item runs in a fresh context of its own
+   (so worker domains never share a trace buffer or metric slots) and
+   the item contexts are absorbed back in index order: [Ctx.absorb]
+   reproduces exactly what sequential execution would have recorded.
+   When nothing records, a per-item context is pure allocation - every
+   guarded call is a no-op either way - so items share their worker
+   domain's own context and the merge step disappears. *)
+
+let par_map ~jobs n f =
+  let parent = current () in
+  if not (Ctx.metrics_enabled parent || Ctx.tracing_enabled parent) then
+    Artemis_util.Par.map ~jobs n f
+  else
+    Artemis_util.Par.map ~jobs n (fun i ->
+        let ctx = Ctx.create ~like:parent () in
+        (with_ctx ctx (fun () -> f i), ctx))
+    |> Array.map (fun (r, ctx) ->
+           Ctx.absorb ~into:parent ctx;
+           r)
 
 (* --- compatibility layer: the historic API acts on the current ctx --- *)
 

@@ -29,9 +29,9 @@
       share across domains;
     - metric {e values}, trace events and the simulated clock live in a
       {!ctx}.  A context is single-owner - it must never be mutated by
-      two domains concurrently - and the domain-parallel campaign runner
-      gives every worker run its own context, merging them
-      deterministically with {!Ctx.absorb}.
+      two domains concurrently - and {!par_map}, the fan-out of the
+      campaign and fleet runners, gives every item its own context,
+      merging them deterministically with {!Ctx.absorb}.
 
     The historic process-global API is kept as a thin wrapper over the
     domain-local {e current} context ({!current}/{!set_current}/
@@ -76,7 +76,8 @@ module Ctx : sig
   val create : ?like:t -> unit -> t
   (** A fresh quiet context (clock [fun () -> 0], zero metrics, empty
       trace).  [?like] copies the metrics/tracing on-off switches, which
-      is how per-run worker contexts inherit the campaign's settings. *)
+      is how {!par_map}'s per-item contexts inherit the caller's
+      settings. *)
 
   val set_metrics : t -> bool -> unit
   val metrics_enabled : t -> bool
@@ -138,6 +139,15 @@ val set_current : ctx -> unit
 val with_ctx : ctx -> (unit -> 'a) -> 'a
 (** Run a thunk with [ctx] installed as this domain's current context,
     restoring the previous one afterwards (exception-safe). *)
+
+val par_map : jobs:int -> int -> (int -> 'a) -> 'a array
+(** [par_map ~jobs n f] is {!Artemis_util.Par.map}[ ~jobs n f] made safe
+    for code that records.  When the calling domain's current context
+    records metrics or tracing, item [i] runs under {!with_ctx} in a
+    fresh context created [~like] it, and the item contexts are absorbed
+    into the caller's context in index order, so the merged metrics and
+    trace are byte-identical for every [jobs].  Otherwise it is plain
+    [Par.map]: items run in their worker domain's quiet context. *)
 
 (** {1 Process-global compatibility API}
 

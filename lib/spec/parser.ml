@@ -1,55 +1,5 @@
 open Artemis_util
-
-exception Error of string * int * int
-
-type stream = {
-  mutable tokens : Scanner.located list;
-  (* location of the most recently consumed token, so running off the end
-     of a truncated token list still reports a position *)
-  mutable last_line : int;
-  mutable last_col : int;
-}
-
-(* [Scanner.tokenize] always terminates the list with [Eof], so a
-   well-formed stream never runs dry; but a truncated or empty list must
-   surface as a located parse error, never as an [Assert_failure]. *)
-let truncated s =
-  raise (Error ("unexpected end of input", s.last_line, s.last_col))
-
-let peek s = match s.tokens with [] -> truncated s | t :: _ -> t
-
-let advance s =
-  match s.tokens with
-  | [] -> truncated s
-  | t :: rest ->
-      s.last_line <- t.Scanner.line;
-      s.last_col <- t.Scanner.col;
-      s.tokens <- rest
-
-let fail_at (loc : Scanner.located) fmt =
-  Format.kasprintf (fun msg -> raise (Error (msg, loc.line, loc.col))) fmt
-
-let expect_punct s p =
-  let t = peek s in
-  match t.token with
-  | Scanner.Punct q when String.equal p q -> advance s
-  | other -> fail_at t "expected %S but found %a" p Scanner.pp_token other
-
-let expect_ident s =
-  let t = peek s in
-  match t.token with
-  | Scanner.Ident name ->
-      advance s;
-      name
-  | other -> fail_at t "expected an identifier but found %a" Scanner.pp_token other
-
-let expect_int s =
-  let t = peek s in
-  match t.token with
-  | Scanner.Int n ->
-      advance s;
-      n
-  | other -> fail_at t "expected an integer but found %a" Scanner.pp_token other
+open Scanner
 
 let expect_energy s =
   let t = peek s in
@@ -310,15 +260,13 @@ let puncts = [ "{"; "}"; ":"; ";"; "["; "]"; ","; "-" ]
 let parse_exn src =
   let convert f =
     try f () with
-    | Error (msg, line, col) ->
+    | Parse_error (msg, line, col) ->
         failwith (Printf.sprintf "spec parse error at %d:%d: %s" line col msg)
     | Scanner.Lex_error (msg, line, col) ->
         failwith (Printf.sprintf "spec lex error at %d:%d: %s" line col msg)
   in
   convert (fun () ->
-      let s =
-        { tokens = Scanner.tokenize ~puncts src; last_line = 1; last_col = 1 }
-      in
+      let s = stream (Scanner.tokenize ~puncts src) in
       let rec blocks acc =
         let t = peek s in
         match t.token with

@@ -52,11 +52,6 @@ let log_to_csv log =
 
 let log_digest log = Digest.to_hex (Digest.string (Log.render_timeline log))
 
-let outcome_string (s : Stats.t) =
-  match s.Stats.outcome with
-  | Stats.Completed -> "completed"
-  | Stats.Did_not_finish reason -> "dnf:" ^ reason
-
 (* The single source of truth for the stats schema: the JSON keys, the
    CSV header and the CSV row order all derive from this one list, so
    they cannot desync (the header used to rebuild a dummy record by
@@ -64,7 +59,7 @@ let outcome_string (s : Stats.t) =
 let stats_field_specs :
     (string * (Stats.t -> [ `S of string | `I of int | `F of float ])) list =
   [
-    ("outcome", fun s -> `S (outcome_string s));
+    ("outcome", fun s -> `S (Stats.outcome_string s));
     ("total_time_us", fun s -> `I (Time.to_us s.Stats.total_time));
     ("off_time_us", fun s -> `I (Time.to_us s.Stats.off_time));
     ("app_time_us", fun s -> `I (Time.to_us s.Stats.app_time));

@@ -22,6 +22,11 @@ type t = {
 }
 
 let completed t = t.outcome = Completed
+
+let outcome_string t =
+  match t.outcome with
+  | Completed -> "completed"
+  | Did_not_finish reason -> "dnf:" ^ reason
 let active_time t = Time.sub t.total_time t.off_time
 let overhead_time t = Time.add t.runtime_overhead t.monitor_overhead
 

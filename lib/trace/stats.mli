@@ -29,6 +29,11 @@ type t = {
 }
 
 val completed : t -> bool
+
+val outcome_string : t -> string
+(** ["completed"] or ["dnf:<reason>"]: the outcome label of the stats
+    JSON/CSV, faultsim runs, the runtime matrix and fleet devices. *)
+
 val active_time : t -> Time.t
 (** [total_time - off_time]. *)
 

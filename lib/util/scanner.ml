@@ -128,3 +128,58 @@ let tokenize ~puncts src =
   done;
   emit Eof !line !col;
   List.rev !out
+
+(* --- the parsers' token cursor --- *)
+
+exception Parse_error of string * int * int
+
+type stream = {
+  mutable tokens : located list;
+  (* location of the most recently consumed token, so running off the end
+     of a truncated token list still reports a position *)
+  mutable last_line : int;
+  mutable last_col : int;
+}
+
+let stream tokens = { tokens; last_line = 1; last_col = 1 }
+
+(* [tokenize] always terminates the list with [Eof], so a well-formed
+   stream never runs dry; but a truncated or empty list must surface as
+   a located parse error, never as an [Assert_failure]. *)
+let truncated s =
+  raise (Parse_error ("unexpected end of input", s.last_line, s.last_col))
+
+let peek s = match s.tokens with [] -> truncated s | t :: _ -> t
+
+let advance s =
+  match s.tokens with
+  | [] -> truncated s
+  | t :: rest ->
+      s.last_line <- t.line;
+      s.last_col <- t.col;
+      s.tokens <- rest
+
+let fail_at loc fmt =
+  Format.kasprintf (fun msg -> raise (Parse_error (msg, loc.line, loc.col))) fmt
+
+let expect_punct s p =
+  let t = peek s in
+  match t.token with
+  | Punct q when String.equal p q -> advance s
+  | other -> fail_at t "expected %S but found %a" p pp_token other
+
+let expect_ident ?(what = "an identifier") s =
+  let t = peek s in
+  match t.token with
+  | Ident name ->
+      advance s;
+      name
+  | other -> fail_at t "expected %s but found %a" what pp_token other
+
+let expect_int s =
+  let t = peek s in
+  match t.token with
+  | Int n ->
+      advance s;
+      n
+  | other -> fail_at t "expected an integer but found %a" pp_token other

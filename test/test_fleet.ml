@@ -1,6 +1,8 @@
-(* The fleet runner (PR 8): spec parsing, the jobs/chunk byte-identity
-   contract on whole reports, and the roll-up arithmetic (worst-device
-   ranking, percentiles) on hand-built fixtures. *)
+(* The fleet runner: spec parsing, the jobs byte-identity contract on
+   whole reports and recorded traces, and the roll-up arithmetic
+   (worst-device ranking, percentiles) on hand-built fixtures. *)
+
+module Obs = Artemis.Obs
 
 (* --- spec parsing --- *)
 
@@ -85,7 +87,7 @@ let test_profile_round_trip () =
     [ "default"; "fixed:30s"; "fixed:500ms"; "fixed:2min"; "duty:200uw";
       "constant:65uw" ]
 
-(* --- report determinism: jobs and chunk must never change a byte --- *)
+(* --- report determinism: jobs must never change a byte --- *)
 
 let report_bytes ?(devices = true) report =
   let path = Filename.temp_file "fleet" ".json" in
@@ -107,7 +109,7 @@ let fleet_spec_gen =
       return (scenario, count, first))
 
 let fleet_jobs_invariant =
-  QCheck.Test.make ~name:"fleet report is jobs/chunk-invariant" ~count:4
+  QCheck.Test.make ~name:"fleet report is jobs-invariant" ~count:4
     fleet_spec_gen (fun (scenario, count, first) ->
       let spec =
         parse_ok
@@ -120,9 +122,33 @@ let fleet_jobs_invariant =
       in
       let baseline = report_bytes (Fleet.run ~jobs:1 spec) in
       List.for_all
-        (fun (jobs, chunk) ->
-          String.equal baseline (report_bytes (Fleet.run ~jobs ?chunk spec)))
-        [ (2, None); (8, None); (2, Some 1); (8, Some 3) ])
+        (fun jobs -> String.equal baseline (report_bytes (Fleet.run ~jobs spec)))
+        [ 2; 8 ])
+
+(* a recording caller: every device runs in a context of its own,
+   absorbed back in index order, so the merged trace and metrics are as
+   jobs-invariant as the report *)
+let test_recording_jobs_invariant () =
+  let spec =
+    parse_ok
+      {|{"scenarios": ["quickstart", "health-adapt"], "seeds": {"count": 3},
+         "harvesters": ["default", "fixed:5s"],
+         "backends": ["immortal", "alpaca"]}|}
+  in
+  let run jobs =
+    let ctx = Obs.Ctx.create () in
+    Obs.Ctx.set_tracing ctx true;
+    Obs.Ctx.set_metrics ctx true;
+    let report = Obs.with_ctx ctx (fun () -> Fleet.run ~jobs spec) in
+    (report_bytes report, Obs.Ctx.trace_json ctx, Obs.Ctx.metrics_json ctx,
+     Obs.Ctx.event_count ctx)
+  in
+  let report1, trace1, metrics1, events1 = run 1 in
+  let report2, trace2, metrics2, _ = run 2 in
+  Alcotest.(check bool) "devices recorded events" true (events1 > 0);
+  Alcotest.(check string) "report" report1 report2;
+  Alcotest.(check string) "trace" trace1 trace2;
+  Alcotest.(check string) "metrics" metrics1 metrics2
 
 let test_run_validates () =
   let spec = parse_ok {|{"scenarios": ["quickstart"], "seeds": {"count": 1}}|} in
@@ -236,6 +262,8 @@ let suite =
     ("profiles: labels round-trip", `Quick, test_profile_round_trip);
     ("run: rejects jobs < 1", `Quick, test_run_validates);
     ("run: progress ticks once per device", `Quick, test_progress_ticks);
+    ("run: recorded trace and metrics are jobs-invariant", `Quick,
+      test_recording_jobs_invariant);
     ("rollup: worst-device ranking is total", `Quick, test_worst_ranking);
     ("rollup: nearest-rank percentiles", `Quick, test_percentile);
     ("rollup: groups and histograms reconcile", `Quick, test_rollups);

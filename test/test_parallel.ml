@@ -1,7 +1,7 @@
-(* The domain-parallel campaign runner (PR 5): the work-stealing map
-   itself, the jobs-count-invariance of campaign reports (QCheck
-   property: --jobs 1 and --jobs 4 produce byte-identical JSON and
-   merged traces), and cross-domain isolation of Obs contexts. *)
+(* The domain-parallel campaign runner: the parallel map itself, the
+   jobs-count-invariance of campaign reports (QCheck property: --jobs 1
+   and --jobs 4 produce byte-identical JSON and merged traces), and
+   cross-domain isolation of Obs contexts. *)
 
 open Artemis
 module F = Artemis_faultsim.Faultsim
@@ -23,10 +23,6 @@ let test_par_map_order () =
         [ 0; 1; 2; 7; 64 ])
     [ 1; 2; 4; 9 ]
 
-let test_par_map_chunked () =
-  let got = Par.map ~jobs:3 ~chunk:5 41 (fun i -> i + 1) in
-  Alcotest.(check (array int)) "chunk=5" (Array.init 41 (fun i -> i + 1)) got
-
 let test_par_map_list () =
   let xs = [ "a"; "b"; "c"; "d"; "e" ] in
   Alcotest.(check (list string))
@@ -36,10 +32,7 @@ let test_par_map_list () =
 
 let test_par_map_validates () =
   Alcotest.check_raises "jobs=0" (Invalid_argument "Par.map: jobs must be >= 1")
-    (fun () -> ignore (Par.map ~jobs:0 3 Fun.id));
-  Alcotest.check_raises "chunk=0"
-    (Invalid_argument "Par.map: chunk must be >= 1") (fun () ->
-      ignore (Par.map ~jobs:2 ~chunk:0 3 Fun.id))
+    (fun () -> ignore (Par.map ~jobs:0 3 Fun.id))
 
 exception Boom of int
 
@@ -76,8 +69,8 @@ let test_par_map_worker_ctx_isolated () =
         (ctx == parent || Obs.Ctx.event_count ctx >= 1))
     ctxs
 
-(* the isolation pattern the campaign and fleet runners actually use:
-   an explicit per-item context under [with_ctx] keeps the parent byte
+(* the isolation pattern [Obs.par_map] uses for recording callers: an
+   explicit per-item context under [with_ctx] keeps the parent byte
    clean for every jobs value, even when the map runs inline *)
 let test_par_map_explicit_isolation () =
   let parent = Obs.current () in
@@ -190,37 +183,25 @@ let random_jobs_invariant =
       in
       String.equal (run 1) (run 4))
 
-(* PR 8: the chunk size is a throughput knob only - results land at
-   their input index whatever granularity workers claim them at. *)
-let chunk_invariant =
-  QCheck.Test.make ~name:"Par.map results are chunk-invariant" ~count:100
+(* results land at their input index whichever worker claims them *)
+let jobs_invariant =
+  QCheck.Test.make ~name:"Par.map = Array.init for any n and jobs" ~count:100
     QCheck.(
       make
-        ~print:(fun (n, jobs, chunk) ->
-          Printf.sprintf "(n=%d, jobs=%d, chunk=%s)" n jobs
-            (match chunk with None -> "auto" | Some c -> string_of_int c))
+        ~print:(fun (n, jobs) -> Printf.sprintf "(n=%d, jobs=%d)" n jobs)
         Gen.(
           let* n = 0 -- 200 in
           let* jobs = 1 -- 9 in
-          let* chunk = opt (1 -- 64) in
-          return (n, jobs, chunk)))
-    (fun (n, jobs, chunk) ->
-      Par.map ~jobs ?chunk n (fun i -> (i * 7) mod 13)
+          return (n, jobs)))
+    (fun (n, jobs) ->
+      Par.map ~jobs n (fun i -> (i * 7) mod 13)
       = Array.init n (fun i -> (i * 7) mod 13))
-
-let test_auto_chunk () =
-  (* ~8 chunks per worker, never zero, and a single worker takes the
-     whole range in one claim-free pass anyway. *)
-  Alcotest.(check int) "n < jobs*8" 1 (Par.auto_chunk ~jobs:4 7);
-  Alcotest.(check int) "10k over 4" 312 (Par.auto_chunk ~jobs:4 10_000);
-  Alcotest.(check int) "empty" 1 (Par.auto_chunk ~jobs:4 0)
 
 let suite =
   [
     ("Par.map: input order, any jobs/n", `Quick, test_par_map_order);
-    ("Par.map: chunked claims", `Quick, test_par_map_chunked);
     ("Par.map_list: order preserved", `Quick, test_par_map_list);
-    ("Par.map: rejects jobs/chunk < 1", `Quick, test_par_map_validates);
+    ("Par.map: rejects jobs < 1", `Quick, test_par_map_validates);
     ("Par.map: first exception propagates", `Quick, test_par_map_propagates_exn);
     ("Par.map: worker Obs contexts are private", `Quick,
       test_par_map_worker_ctx_isolated);
@@ -230,8 +211,7 @@ let suite =
       test_obs_two_domain_isolation);
     ("Obs: absorb stitches the sequential timeline", `Quick,
       test_obs_absorb_stitches);
-    ("Par.auto_chunk: ~8 chunks per worker, min 1", `Quick, test_auto_chunk);
     QCheck_alcotest.to_alcotest exhaustive_jobs_invariant;
     QCheck_alcotest.to_alcotest random_jobs_invariant;
-    QCheck_alcotest.to_alcotest chunk_invariant;
+    QCheck_alcotest.to_alcotest jobs_invariant;
   ]

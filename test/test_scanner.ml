@@ -67,6 +67,21 @@ let test_unknown_unit () =
       Alcotest.failf "wrong position %d:%d" l c
   | _ -> Alcotest.fail "expected a lex error"
 
+(* the parsers' cursor: a token list without its [Eof] runs dry as a
+   parse error located at the last consumed token *)
+let test_cursor_truncated () =
+  let s =
+    Scanner.stream
+      (List.filter
+         (fun (l : Scanner.located) -> l.Scanner.token <> Scanner.Eof)
+         (Scanner.tokenize ~puncts:[] "a\n  b"))
+  in
+  Alcotest.(check string) "first" "a" (Scanner.expect_ident s);
+  Alcotest.(check string) "second" "b" (Scanner.expect_ident s);
+  Alcotest.check_raises "dry"
+    (Scanner.Parse_error ("unexpected end of input", 2, 3))
+    (fun () -> ignore (Scanner.peek s))
+
 let suite =
   [
     Alcotest.test_case "idents and numbers" `Quick test_idents_and_numbers;
@@ -76,4 +91,6 @@ let suite =
     Alcotest.test_case "comments" `Quick test_comments_and_layout;
     Alcotest.test_case "error position" `Quick test_error_position;
     Alcotest.test_case "unknown duration unit" `Quick test_unknown_unit;
+    Alcotest.test_case "cursor: truncated input is located" `Quick
+      test_cursor_truncated;
   ]
