@@ -189,6 +189,43 @@ let test_validation_rejects () =
        "machine m { initial state S { on startTask(zz); } }")
     "unknown task"
 
+(* The exact reasons a health deployment gives for bad machine payloads.
+   Typing is checked before the watched tasks, so an ill-typed machine
+   that also watches an unknown task reports its type error. *)
+let test_machine_payload_reasons () =
+  let reason src =
+    let device = Device.create () in
+    let app, _ = Health_app.make (Device.nvm device) in
+    let suite = compile_and_deploy_exn device app Health_app.spec_text in
+    let mgr = Adapt.create (Device.nvm device) ~app suite in
+    ignore (Adapt.stage mgr (Adapt.machine_update ~id:1 src));
+    match Adapt.apply mgr with
+    | Adapt.Rejected { reason; _ } -> reason
+    | Adapt.Applied _ | Adapt.Idle -> Alcotest.failf "not rejected: %s" src
+  in
+  let ill_typed trigger =
+    Printf.sprintf
+      "machine x { var n : int = 0; initial state A { on %s when (n > 1.5) \
+       -> A; } }"
+      trigger
+  in
+  let type_error =
+    "machine \"x\": state \"A\", transition: comparison expects equal operand \
+     types, got int and float"
+  in
+  List.iter
+    (fun (src, expected) -> Alcotest.(check string) src expected (reason src))
+    [
+      ( "machine x { initial state A { on endTask(nope) -> A; } }",
+        "machine \"x\" watches unknown task \"nope\"" );
+      ( "machine x { initial state A { on endTask(send) -> A; } }\n\
+         machine y { initial state B { on startTask(zzz) -> B; } }",
+        "machine \"y\" watches unknown task \"zzz\"" );
+      (ill_typed "endTask(send)", type_error);
+      (ill_typed "endTask(nope)", type_error);
+      ("", "machines: empty payload");
+    ]
+
 (* Crash-recovery: inject a power failure at every adaptation site in
    turn; after the reboot the recovery rule (finish a pending apply,
    else redeliver if not yet applied) must land on exactly one
@@ -392,6 +429,7 @@ let suite =
     ("apply migrates persistent state", `Quick, test_apply_migrates);
     ("incompatible layout hard-resets", `Quick, test_incompatible_resets);
     ("validation rejects, never half-deploys", `Quick, test_validation_rejects);
+    ("machine payload rejection reasons", `Quick, test_machine_payload_reasons);
     ("per-site crash recovery is exactly-once", `Quick,
       test_per_site_crash_recovery);
     ("run_adaptive swaps the live suite", `Quick, test_run_adaptive);
