@@ -87,23 +87,15 @@ let check_scenarios names allow_hazard =
   in
   go 0 names
 
-(* --energy-report: rebuild a faultsim scenario and run the PR 9 static
-   energy-admissibility analysis over its deployed properties and every
-   scheduled OTA payload.  Exits 1 when anything classifies "may
+(* --energy-report: rebuild a faultsim scenario and run the static
+   energy-admissibility analysis over its deployed suite's own tables and
+   every scheduled OTA payload, decoded and lowered as the device's
+   validate step does it.  Exits 1 when anything classifies "may
    livelock" - the same condition under which the runtime's adaptation
    validate step refuses the update as energy-inadmissible. *)
 let energy_report names as_json =
   let module Scenario = Artemis_faultsim.Scenario in
   let module Ea = Artemis.Energy_analysis in
-  let payload_machines (u : Artemis.Adapt.update) =
-    match u.Artemis.Adapt.payload with
-    | None -> Ok []
-    | Some (Artemis.Adapt.Machine_source src) -> Artemis.Fsm.Parser.parse src
-    | Some (Artemis.Adapt.Spec_source src) -> (
-        match Artemis.Spec.Parser.parse src with
-        | Error e -> Error e
-        | Ok spec -> Ok (Artemis.To_fsm.spec spec))
-  in
   let rec go worst = function
     | [] -> worst
     | name :: rest -> (
@@ -118,23 +110,36 @@ let energy_report names as_json =
             let budget = Ea.budget_of_device b.Scenario.device in
             let deployed =
               Ea.analyze ~deployment ~model ~budget ~origin:"deployed"
-                b.Scenario.machines
+                (List.map Artemis.Monitor.table
+                   (Artemis.Suite.monitors b.Scenario.suite))
             in
+            (* each scheduled update with its payload's tables; a bad
+               payload is reported once and left out *)
             let updates =
-              List.concat_map
-                (fun (_at, u) ->
-                  match payload_machines u with
-                  | Error e ->
-                      Printf.eprintf "scenario %s: bad update payload: %s\n"
-                        name e;
-                      []
-                  | Ok machines ->
-                      Ea.analyze ~deployment ~model ~budget
-                        ~origin:(Printf.sprintf "update #%d" u.Artemis.Adapt.id)
-                        machines)
+              List.filter_map
+                (fun (_at, (u : Artemis.Adapt.update)) ->
+                  match u.Artemis.Adapt.payload with
+                  | None -> Some (u.Artemis.Adapt.id, [])
+                  | Some payload -> (
+                      match
+                        Artemis.Adapt.payload_tables ~app:b.Scenario.app payload
+                      with
+                      | Ok tables -> Some (u.Artemis.Adapt.id, tables)
+                      | Error e ->
+                          Printf.eprintf
+                            "scenario %s: bad update payload: %s\n" name e;
+                          None))
                 b.Scenario.adaptations
             in
-            let entries = deployed @ updates in
+            let entries =
+              deployed
+              @ List.concat_map
+                  (fun (id, tables) ->
+                    Ea.analyze ~deployment ~model ~budget
+                      ~origin:(Printf.sprintf "update #%d" id)
+                      tables)
+                  updates
+            in
             let buf = Buffer.create 1024 in
             if as_json then
               Ea.render_json ~scenario:name ~deployment ~model ~budget entries
@@ -145,23 +150,19 @@ let energy_report names as_json =
               (* surface the adapt-time admission verdict for every
                  scheduled update: exactly what Adapt.validate will say *)
               List.iter
-                (fun (_at, u) ->
-                  match payload_machines u with
-                  | Error _ -> ()
-                  | Ok machines -> (
-                      match Ea.admit ~deployment ~model ~budget machines with
-                      | Ok () ->
-                          Buffer.add_string buf
-                            (Printf.sprintf
-                               "  update #%d: admissible (validate will \
-                                accept)\n"
-                               u.Artemis.Adapt.id)
-                      | Error reason ->
-                          Buffer.add_string buf
-                            (Printf.sprintf
-                               "  update #%d: rejected by validate: %s\n"
-                               u.Artemis.Adapt.id reason)))
-                b.Scenario.adaptations
+                (fun (id, tables) ->
+                  match Ea.admit ~deployment ~model ~budget tables with
+                  | Ok () ->
+                      Buffer.add_string buf
+                        (Printf.sprintf
+                           "  update #%d: admissible (validate will accept)\n"
+                           id)
+                  | Error reason ->
+                      Buffer.add_string buf
+                        (Printf.sprintf
+                           "  update #%d: rejected by validate: %s\n" id
+                           reason))
+                updates
             end;
             print_string (Buffer.contents buf);
             let livelocks =

@@ -224,11 +224,11 @@ type t = {
      which is also what makes the retry safe: building twice would
      re-allocate the generation's cells and trip duplicate detection. *)
   suites : (int, built) Hashtbl.t;
-  (* Extra validate-time gate over the update's parsed machines - the
-     runtime installs the energy-admissibility check here (PR 9), so an
+  (* Extra validate-time gate over the update's lowered machines - the
+     runtime installs the energy-admissibility check here, so an
      over-budget update is refused before it can be staged into a
      generation. *)
-  admission : Ast.machine list -> (unit, string) result;
+  admission : Table.t list -> (unit, string) result;
 }
 
 type applied = { id : int; generation : int; migrations : migration list }
@@ -279,72 +279,66 @@ let stage ?(probe = fun _ -> ()) t update =
 (* --- validation (the device refuses an update rather than deploying a
    broken suite) --- *)
 
-let validate_structure t update =
+(* Every machine is lowered here, once: [Table.compile] typechecks it,
+   and its watched tasks must all exist in the app.  These tables are
+   what the admission gate bounds and what [build] deploys. *)
+let payload_tables ~app = function
+  | Spec_source src -> (
+      match Spec.Parser.parse src with
+      | Error e -> Error ("spec: " ^ e)
+      | Ok spec -> (
+          match Spec.Validate.check app spec with
+          | Error issues -> Error (Spec.Validate.issues_to_string issues)
+          | Ok () -> (
+              match Spec.Consistency.(errors (check app spec)) with
+              | [] -> Ok (List.map Table.compile (To_fsm.spec spec))
+              | errs -> Error (Spec.Consistency.to_string errs))))
+  | Machine_source src -> (
+      match Parser.parse src with
+      | Error e -> Error ("machines: " ^ e)
+      | Ok [] -> Error "machines: empty payload"
+      | Ok machines -> (
+          let tasks = Task.task_names app in
+          let lower m =
+            let table = Table.compile m in
+            match
+              List.find_opt
+                (fun task -> not (List.mem task tasks))
+                (Table.watched_tasks table)
+            with
+            | Some task ->
+                failwith
+                  (Printf.sprintf "machine %S watches unknown task %S"
+                     (Table.name table) task)
+            | None -> table
+          in
+          match List.map lower machines with
+          | tables -> Ok tables
+          | exception Failure msg -> Error msg))
+
+(* Structural validation first, then the installed admission gate (the
+   runtime's energy-admissibility analysis) over the update's lowered
+   machines.  A pure removal validates against the empty table list. *)
+let validate t update =
   let current = active t in
   let missing =
     List.filter (fun name -> Suite.find current name = None) update.remove
   in
-  if missing <> [] then
-    Error
-      (Printf.sprintf "remove: no deployed monitor named %s"
-         (String.concat ", " missing))
-  else if update.remove = [] && update.payload = None then
-    Error "empty update (no removals, no payload)"
-  else
-    match update.payload with
-    | None -> Ok []
-    | Some (Spec_source src) -> (
-        match Spec.Parser.parse src with
-        | Error e -> Error ("spec: " ^ e)
-        | Ok spec -> (
-            match Spec.Validate.check t.app spec with
-            | Error issues -> Error (Spec.Validate.issues_to_string issues)
-            | Ok () -> (
-                match Spec.Consistency.(errors (check t.app spec)) with
-                | [] -> Ok (To_fsm.spec spec)
-                | errs -> Error (Spec.Consistency.to_string errs))))
-    | Some (Machine_source src) -> (
-        match Parser.parse src with
-        | Error e -> Error ("machines: " ^ e)
-        | Ok [] -> Error "machines: empty payload"
-        | Ok machines -> (
-            let tasks = Task.task_names t.app in
-            (* typecheck and scan the triggers; lowering waits for the
-               build, which deploys each machine exactly once *)
-            let check_machine (m : Ast.machine) =
-              Typecheck.check_exn m;
-              let unknown (tr : Ast.transition) =
-                match tr.Ast.trigger with
-                | Ast.On_start task | Ast.On_end task
-                  when not (List.mem task tasks) ->
-                    Some task
-                | Ast.On_start _ | Ast.On_end _ | Ast.On_any -> None
-              in
-              match
-                List.find_map
-                  (fun (s : Ast.state) -> List.find_map unknown s.Ast.transitions)
-                  m.Ast.states
-              with
-              | Some task ->
-                  failwith
-                    (Printf.sprintf "machine %S watches unknown task %S"
-                       m.Ast.machine_name task)
-              | None -> ()
-            in
-            match List.iter check_machine machines with
-            | () -> Ok machines
-            | exception Failure msg -> Error msg))
-
-(* Structural validation first, then the installed admission gate (the
-   runtime's energy-admissibility analysis) over the update's parsed
-   machines.  A pure removal validates against the empty machine list. *)
-let validate t update =
-  match validate_structure t update with
+  let tables =
+    if missing <> [] then
+      Error
+        (Printf.sprintf "remove: no deployed monitor named %s"
+           (String.concat ", " missing))
+    else
+      match update.payload with
+      | None when update.remove = [] ->
+          Error "empty update (no removals, no payload)"
+      | None -> Ok []
+      | Some payload -> payload_tables ~app:t.app payload
+  in
+  match tables with
   | Error _ as e -> e
-  | Ok machines -> (
-      match t.admission machines with
-      | Ok () -> Ok machines
-      | Error reason -> Error reason)
+  | Ok tables -> Result.map (fun () -> tables) (t.admission tables)
 
 (* --- building the next generation --- *)
 
@@ -352,15 +346,15 @@ let validate t update =
    injection-atomic; the only durable effects are fresh cells at their
    initial values, inert until the flip.  Replacement and added monitors
    live under a "g<N>/" prefix so both generations' cells coexist. *)
-let build t ~target update machines =
+let build t ~target update tables =
   match Hashtbl.find_opt t.suites target with
   | Some b -> b
   | None ->
       let current = (Hashtbl.find t.suites (target - 1)).suite in
       let prefix name = Printf.sprintf "g%d/%s" target name in
-      let fresh_monitor (m : Ast.machine) =
-        Monitor.create ~engine:t.engine ~cell_prefix:(prefix m.Ast.machine_name)
-          t.nvm m
+      let fresh_monitor table =
+        Monitor.create ~engine:t.engine ~cell_prefix:(prefix (Table.name table))
+          t.nvm table
       in
       let kept =
         List.filter
@@ -373,13 +367,12 @@ let build t ~target update machines =
           (fun m ->
             match
               List.find_opt
-                (fun (mach : Ast.machine) ->
-                  String.equal mach.Ast.machine_name (Monitor.name m))
-                machines
+                (fun table -> String.equal (Table.name table) (Monitor.name m))
+                tables
             with
             | None -> m
-            | Some mach ->
-                let fresh = fresh_monitor mach in
+            | Some table ->
+                let fresh = fresh_monitor table in
                 replaced := (m, fresh) :: !replaced;
                 fresh)
           kept
@@ -387,17 +380,17 @@ let build t ~target update machines =
       let added = ref [] in
       let additions =
         List.filter_map
-          (fun (mach : Ast.machine) ->
+          (fun table ->
             if
               List.exists
-                (fun m -> String.equal (Monitor.name m) mach.Ast.machine_name)
+                (fun m -> String.equal (Monitor.name m) (Table.name table))
                 kept
             then None
             else begin
-              added := mach.Ast.machine_name :: !added;
-              Some (fresh_monitor mach)
+              added := Table.name table :: !added;
+              Some (fresh_monitor table)
             end)
-          machines
+          tables
       in
       let b =
         {
@@ -436,9 +429,9 @@ let apply ?(probe = fun _ -> ()) ?(commit_extra = fun (_ : applied) -> ()) t =
               | Error reason ->
                   probe "rt.adapt.validate.after";
                   reject t c id reason
-              | Ok machines ->
+              | Ok tables ->
                   probe "rt.adapt.validate.after";
-                  let b = build t ~target update machines in
+                  let b = build t ~target update tables in
                   (* Migration writes only touch the replacement's cells
                      (the retiring monitor is read-only here), so re-running
                      it after a mid-migration crash is idempotent. *)

@@ -10,15 +10,14 @@
       buffer, then a pending marker (update id, target generation) arms
       the apply path — two single-cell writes whose partial states are
       all recoverable;
-    + {b validate}: the staged bytes are decoded and checked against the
-      running application (spec parse + {!Artemis_spec.Validate} +
-      {!Artemis_spec.Consistency} errors, or IL parse + typecheck +
-      watched-task check).  A failing update is {e rejected}, never
-      half-deployed;
-    + {b build}: replacement and added monitors are lowered once through
-      {!Artemis_monitor.Monitor.create} and allocated under a
-      ["g<N>/"] cell prefix, so both generations' cells coexist; cell
-      allocation fires no injection probe, making the build
+    + {b validate}: the staged bytes are decoded, and {!payload_tables}
+      checks the payload against the running application and lowers
+      each machine once; the admission gate then bounds those tables.
+      A failing update is {e rejected}, never half-deployed;
+    + {b build}: replacement and added monitors are deployed from the
+      validated tables through {!Artemis_monitor.Monitor.create} and
+      allocated under a ["g<N>/"] cell prefix, so both generations' cells
+      coexist; cell allocation fires no injection probe, making the build
       injection-atomic, and the built suite is cached per generation so a
       crashed apply retries against the same cells;
     + {b migrate}: for each replaced monitor with a compatible layout,
@@ -66,6 +65,16 @@ val serialize : update -> string
 val deserialize : string -> (update, string) result
 val wire_bytes : update -> int
 
+val payload_tables :
+  app:Task.app -> payload -> (Artemis_fsm.Table.t list, string) result
+(** The one payload decoder, shared by the apply path and the static
+    energy report.  A spec block is parsed, validated against [app]
+    ({!Artemis_spec.Validate}), linted ({!Artemis_spec.Consistency}
+    errors) and transformed; raw machines are parsed.  Each machine is
+    then lowered once with {!Artemis_fsm.Table.compile}, which
+    typechecks it, and a machine payload whose tables watch a task the
+    app lacks is refused.  [Error] carries the rejection reason. *)
+
 val parse_script : string -> ((int * update) list, string) result
 (** Parse an adaptation script (the [artemis_sim --adapt] input): a JSON
     array of [{"at": K, "id": N?, "remove": [..]?, "spec": "..."? |
@@ -94,7 +103,7 @@ type outcome =
 
 val create :
   ?engine:Monitor.engine ->
-  ?admission:(Artemis_fsm.Ast.machine list -> (unit, string) result) ->
+  ?admission:(Artemis_fsm.Table.t list -> (unit, string) result) ->
   Nvm.t ->
   app:Task.app ->
   Suite.t ->
@@ -102,10 +111,11 @@ val create :
 (** [create nvm ~app suite] installs [suite] as generation 0 and
     allocates the staging cells.  [engine] (default [Table]) is used
     for monitors built by future updates.  [admission] (default: accept
-    everything) runs at the end of {!validate} over the update's parsed
-    machines; the runtime installs the PR 9 energy-admissibility check
-    here, so an over-budget update is rejected with its
-    ["energy-inadmissible: ..."] reason on the normal rejection path. *)
+    everything) runs at the end of validation over the update's lowered
+    machines, the same tables the build then deploys; the runtime
+    installs the energy-admissibility check here, so an over-budget
+    update is rejected with its ["energy-inadmissible: ..."] reason on
+    the normal rejection path. *)
 
 val generation : t -> int
 val active : t -> Suite.t

@@ -3,7 +3,6 @@ module Cost_model = Artemis_device.Cost_model
 module Device = Artemis_device.Device
 module Capacitor = Artemis_energy.Capacitor
 module Charging_policy = Artemis_energy.Charging_policy
-module Ast = Artemis_fsm.Ast
 module Table = Artemis_fsm.Table
 
 (* ------------------------------------------------------------------ *)
@@ -86,8 +85,7 @@ let worst_structure model table =
     (Table.step_costs table);
   snd !best
 
-let property_bound ?(deployment = Separate_module) ~model machine =
-  let table = Table.compile machine in
+let property_bound ?(deployment = Separate_module) ~model table =
   let guard_cy, body_cy, write_cy, state, kind = worst_structure model table in
   let off_device = match deployment with External_wireless _ -> true | _ -> false in
   let flat_cycles =
@@ -112,7 +110,7 @@ let property_bound ?(deployment = Separate_module) ~model machine =
     Energy.consumed dispatch_power dispatch_time
   in
   {
-    b_property = machine.Ast.machine_name;
+    b_property = Table.name table;
     b_worst_state = state;
     b_worst_kind = kind;
     b_step_cycles = flat_cycles;
@@ -187,11 +185,11 @@ let classification_label = function
 
 let uj e = Energy.to_uj e
 
-let admit ?(deployment = Separate_module) ~model ~budget:b machines =
+let admit ?(deployment = Separate_module) ~model ~budget:b tables =
   let rec check = function
     | [] -> Ok ()
-    | m :: rest -> (
-        let bound = property_bound ~deployment ~model m in
+    | table :: rest -> (
+        let bound = property_bound ~deployment ~model table in
         match classify b bound with
         | May_livelock ->
             Error
@@ -202,7 +200,7 @@ let admit ?(deployment = Separate_module) ~model ~budget:b machines =
                  bound.b_property (uj bound.b_call_energy) (uj b.usable))
         | Progresses | Marginal -> check rest)
   in
-  check machines
+  check tables
 
 (* ------------------------------------------------------------------ *)
 (* Report rendering *)
@@ -213,12 +211,12 @@ type entry = {
   e_class : classification;
 }
 
-let analyze ?(deployment = Separate_module) ~model ~budget:b ~origin machines =
+let analyze ?(deployment = Separate_module) ~model ~budget:b ~origin tables =
   List.map
-    (fun m ->
-      let bound = property_bound ~deployment ~model m in
+    (fun table ->
+      let bound = property_bound ~deployment ~model table in
       { e_origin = origin; e_bound = bound; e_class = classify b bound })
-    machines
+    tables
 
 let render_human ~scenario ~deployment ~model ~budget:b entries buf =
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in

@@ -28,7 +28,7 @@ module Cost_model = Artemis_device.Cost_model
 module Device = Artemis_device.Device
 module Capacitor = Artemis_energy.Capacitor
 module Charging_policy = Artemis_energy.Charging_policy
-module Ast = Artemis_fsm.Ast
+module Table = Artemis_fsm.Table
 
 (** {2 Deployment alternatives}
 
@@ -67,9 +67,10 @@ type bound = {
 }
 
 val property_bound :
-  ?deployment:deployment -> model:Cost_model.t -> Ast.machine -> bound
-(** Lower [machine] with {!Artemis_fsm.Table.compile} and bound one
-    call.  @raise Failure on an ill-typed machine. *)
+  ?deployment:deployment -> model:Cost_model.t -> Table.t -> bound
+(** Bound one call of the lowered machine: the same [Table.t] the
+    monitor runs ({!Artemis_monitor.Monitor.table}), or the one an OTA
+    payload is deployed from. *)
 
 val suite_call_bound :
   ?deployment:deployment -> model:Cost_model.t -> bound list -> Energy.energy
@@ -99,10 +100,10 @@ val admit :
   ?deployment:deployment ->
   model:Cost_model.t ->
   budget:budget ->
-  Ast.machine list ->
+  Table.t list ->
   (unit, string) result
-(** [Error reason] (prefixed ["energy-inadmissible: "]) if any machine
-    classifies as {!May_livelock}.  [Runtime] installs this as the
+(** [Error reason] (prefixed ["energy-inadmissible: "]) if any lowered
+    machine classifies as {!May_livelock}.  [Runtime] installs this as the
     adaptation validate step's admission check, so over-budget OTA
     updates are rejected on the wire-protocol path. *)
 
@@ -119,7 +120,7 @@ val analyze :
   model:Cost_model.t ->
   budget:budget ->
   origin:string ->
-  Ast.machine list ->
+  Table.t list ->
   entry list
 
 val render_human :

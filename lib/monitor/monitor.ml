@@ -40,12 +40,11 @@ type t = {
   bytes : int;
 }
 
-let create ?(engine = Table) ?cell_prefix nvm (machine : Ast.machine) =
-  let table = Table.compile machine (* typechecks *) in
+let create ?(engine = Table) ?cell_prefix nvm table =
   let prefix =
     match cell_prefix with
     | Some p -> p
-    | None -> machine.Ast.machine_name
+    | None -> Table.name table
   in
   let state_cell =
     Nvm.cell nvm ~region:Monitor ~name:(prefix ^ ".state") ~bytes:2
@@ -69,7 +68,9 @@ let create ?(engine = Table) ?cell_prefix nvm (machine : Ast.machine) =
        ~bytes:property_table_bytes ());
   let bytes =
     2 + property_table_bytes
-    + List.fold_left (fun acc v -> acc + ty_bytes v.Ast.ty) 0 machine.Ast.vars
+    + Array.fold_left
+        (fun acc (v : Ast.var_decl) -> acc + ty_bytes v.Ast.ty)
+        0 (Table.var_decls table)
   in
   let exec =
     match engine with

@@ -3,12 +3,14 @@
     ImmortalThreads-generated C monitors of Section 4.2.3 - it survives
     power failures without losing track of the properties it checks.
 
-    The machine is lowered once at deploy time ({!Table.compile}):
-    variables live in a slot-indexed array of FRAM cells, the control
-    state is an interned id, and event dispatch is a dense table lookup -
-    the per-event path does no list scans or string comparisons.  The same
-    lowering supplies the interning tables and watched-task index for
-    either engine, so a deployment lowers each machine exactly once. *)
+    A monitor is deployed from a machine already lowered by
+    {!Table.compile}: variables live in a slot-indexed array of FRAM
+    cells, the control state is an interned id, and event dispatch is a
+    dense table lookup - the per-event path does no list scans or string
+    comparisons.  The same lowering supplies the interning tables and
+    watched-task index for either engine, and it is the value the
+    energy-admissibility analysis bounds, so each property is lowered
+    exactly once. *)
 
 open Artemis_nvm
 open Artemis_fsm
@@ -34,24 +36,24 @@ val engines : (string * engine) list
     declaration order.  The binaries' [--engine] options and the fleet
     runner's ["engines"] axis are all built from this one table. *)
 
-val create : ?engine:engine -> ?cell_prefix:string -> Nvm.t -> Ast.machine -> t
-(** Typechecks and lowers the machine, then allocates one FRAM cell per
-    variable plus a state cell, all in the [Monitor] region (their bytes
-    are what Table 2 reports as monitor FRAM).  [engine] defaults to
-    [Table]; both engines operate on the same FRAM cells and are
-    observationally equivalent.  [cell_prefix] overrides the machine name
-    as the cell-name prefix — the live-adaptation protocol deploys
-    replacement generations under ["g<N>/<machine>"] so both generations'
-    cells coexist until the generation flip commits.
-    @raise Failure if the machine is ill-typed. *)
+val create : ?engine:engine -> ?cell_prefix:string -> Nvm.t -> Table.t -> t
+(** Deploys the lowered machine: allocates one FRAM cell per variable
+    plus a state cell, all in the [Monitor] region (their bytes are what
+    Table 2 reports as monitor FRAM), and keeps [table] itself as
+    {!table}.  [engine] defaults to [Table]; both engines operate on the
+    same FRAM cells and are observationally equivalent.  [cell_prefix]
+    overrides the machine name as the cell-name prefix — the
+    live-adaptation protocol deploys replacement generations under
+    ["g<N>/<machine>"] so both generations' cells coexist until the
+    generation flip commits. *)
 
 val name : t -> string
 val machine : t -> Ast.machine
 val engine : t -> engine
 
 val table : t -> Table.t
-(** The deploy-time lowering (interning tables, static trigger
-    information; the executed code under the [Table] engine). *)
+(** The table the monitor was created from (interning tables, static
+    trigger information; the executed code under the [Table] engine). *)
 
 val hard_reset : t -> unit
 (** First-boot initialisation ([resetMonitor], Figure 8 line 14). *)

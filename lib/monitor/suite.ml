@@ -29,7 +29,8 @@ let of_monitors monitors =
   { monitors; dispatch; any_watchers }
 
 let create ?engine nvm machines =
-  of_monitors (List.map (Monitor.create ?engine nvm) machines)
+  of_monitors
+    (List.map (fun m -> Monitor.create ?engine nvm (Table.compile m)) machines)
 
 (* The mutation API is functional: each operation rebuilds the dispatch
    index over the new monitor list, so a suite value is immutable and the

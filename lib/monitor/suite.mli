@@ -13,7 +13,10 @@ open Artemis_fsm
 type t
 
 val create : ?engine:Monitor.engine -> Nvm.t -> Ast.machine list -> t
-(** [engine] defaults to [Table] (see {!Monitor.create}). *)
+(** Lowers each machine with {!Table.compile} and deploys it: the one
+    place a deployed specification is lowered.  [engine] defaults to
+    [Table] (see {!Monitor.create}).
+    @raise Failure if a machine is ill-typed. *)
 
 val of_monitors : Monitor.t list -> t
 (** Build a suite (and its dispatch index) over already-created monitors.

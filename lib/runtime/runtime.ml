@@ -285,11 +285,11 @@ let make_state ?(probe = fun _ -> ()) ?(journaling = false) ?(adaptations = [])
      charge is refused as energy-inadmissible before it can be staged
      into the suite.  The budget is read per call so a policy swapped
      mid-run is honoured. *)
-  let admission machines =
+  let admission tables =
     Energy_analysis.admit ~deployment:config.deployment
       ~model:config.cost_model
       ~budget:(Energy_analysis.budget_of_device device)
-      machines
+      tables
   in
   let adapt = Adapt.create ~engine ~admission nvm ~app suite in
   let deliveries =

@@ -226,6 +226,33 @@ let test_machine_payload_reasons () =
       ("", "machines: empty payload");
     ]
 
+(* A payload is lowered once: the admission gate bounds the very table
+   the added monitor then runs. *)
+let test_admitted_table_is_deployed () =
+  let nvm = Nvm.create () in
+  let suite = Suite.create nvm [ Fsm.Parser.parse_machine_exn counter_src ] in
+  let admitted = ref [] in
+  let admission tables =
+    admitted := tables;
+    Ok ()
+  in
+  let mgr = Adapt.create ~admission nvm ~app:(small_app ()) suite in
+  ignore
+    (Adapt.stage mgr
+       (Adapt.machine_update ~id:1
+          "machine added { initial state S { on endTask(a) -> S; } }"));
+  (match Adapt.apply mgr with
+  | Adapt.Applied _ -> ()
+  | Adapt.Rejected { reason; _ } -> Alcotest.fail reason
+  | Adapt.Idle -> Alcotest.fail "nothing staged");
+  match (Suite.find (Adapt.active mgr) "added", !admitted) with
+  | Some m, [ table ] ->
+      Alcotest.(check bool) "deployed table == admitted table" true
+        (Monitor.table m == table)
+  | None, _ -> Alcotest.fail "added monitor not deployed"
+  | Some _, tables ->
+      Alcotest.failf "admission saw %d tables" (List.length tables)
+
 (* Crash-recovery: inject a power failure at every adaptation site in
    turn; after the reboot the recovery rule (finish a pending apply,
    else redeliver if not yet applied) must land on exactly one
@@ -315,8 +342,9 @@ let test_engine_defaults () =
   let engines suite = List.map Monitor.engine (Suite.monitors suite) in
   let m =
     Monitor.create (Nvm.create ())
-      (Fsm.Parser.parse_machine_exn
-         "machine m { initial state A { on startTask(t) -> A; } }")
+      (Fsm.Table.compile
+         (Fsm.Parser.parse_machine_exn
+            "machine m { initial state A { on startTask(t) -> A; } }"))
   in
   Alcotest.(check bool) "Monitor.create deploys Table" true
     (Monitor.engine m = Monitor.Table);
@@ -430,6 +458,8 @@ let suite =
     ("incompatible layout hard-resets", `Quick, test_incompatible_resets);
     ("validation rejects, never half-deploys", `Quick, test_validation_rejects);
     ("machine payload rejection reasons", `Quick, test_machine_payload_reasons);
+    ("admitted table is the deployed table", `Quick,
+      test_admitted_table_is_deployed);
     ("per-site crash recovery is exactly-once", `Quick,
       test_per_site_crash_recovery);
     ("run_adaptive swaps the live suite", `Quick, test_run_adaptive);

@@ -248,8 +248,9 @@ let nvm_equivalence =
          triple machine trace (list_size (int_range 5 40) (int_bound 9))))
     (fun (m, evs, noise) ->
       let nvm_i = Nvm.create () and nvm_t = Nvm.create () in
-      let mon_i = Monitor.create ~engine:Monitor.Interpreted nvm_i m in
-      let mon_t = Monitor.create ~engine:Monitor.Table nvm_t m in
+      let table = Table.compile m in
+      let mon_i = Monitor.create ~engine:Monitor.Interpreted nvm_i table in
+      let mon_t = Monitor.create ~engine:Monitor.Table nvm_t table in
       let agree () =
         String.equal (Monitor.current_state mon_i) (Monitor.current_state mon_t)
         && List.for_all

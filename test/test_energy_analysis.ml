@@ -121,17 +121,21 @@ let test_percentile_rejects_non_finite () =
 
 let build_livelock () = Scenario.livelock_prop.Scenario.build ~engine:None ~seed:42
 
-let payload_machines (u : Adapt.update) =
-  match u.Adapt.payload with
-  | None -> []
-  | Some (Adapt.Machine_source src) -> (
-      match Fsm.Parser.parse src with
-      | Ok ms -> ms
-      | Error e -> Alcotest.failf "payload parse: %s" e)
-  | Some (Adapt.Spec_source src) -> (
-      match Spec.Parser.parse src with
-      | Ok spec -> To_fsm.spec spec
-      | Error e -> Alcotest.failf "payload parse: %s" e)
+(* The deployed suite's own tables, and every scheduled payload's tables
+   as the device's validate step lowers them. *)
+let deployed_tables (b : Scenario.built) =
+  List.map Monitor.table (Suite.monitors b.Scenario.suite)
+
+let payload_tables (b : Scenario.built) =
+  List.concat_map
+    (fun (_at, (u : Adapt.update)) ->
+      match u.Adapt.payload with
+      | None -> []
+      | Some payload -> (
+          match Adapt.payload_tables ~app:b.Scenario.app payload with
+          | Ok tables -> tables
+          | Error e -> Alcotest.failf "payload: %s" e))
+    b.Scenario.adaptations
 
 let test_livelock_prop_classification () =
   let b = build_livelock () in
@@ -146,11 +150,9 @@ let test_livelock_prop_classification () =
         true
         (e.Ea.e_class = Ea.Progresses))
     (Ea.analyze ~deployment ~model ~budget ~origin:"deployed"
-       b.Scenario.machines);
+       (deployed_tables b));
   (* the scheduled OTA payload's 20-store body cannot *)
-  let heavy =
-    List.concat_map (fun (_at, u) -> payload_machines u) b.Scenario.adaptations
-  in
+  let heavy = payload_tables b in
   Alcotest.(check bool) "payload present" true (heavy <> []);
   List.iter
     (fun (e : Ea.entry) ->
@@ -214,12 +216,10 @@ let engine_name e =
 let static_bound (b : Scenario.built) =
   let model = b.Scenario.config.Runtime.cost_model in
   let deployment = b.Scenario.config.Runtime.deployment in
-  let machines =
-    b.Scenario.machines
-    @ List.concat_map (fun (_at, u) -> payload_machines u) b.Scenario.adaptations
-  in
   Ea.suite_call_bound ~deployment ~model
-    (List.map (Ea.property_bound ~deployment ~model) machines)
+    (List.map
+       (Ea.property_bound ~deployment ~model)
+       (deployed_tables b @ payload_tables b))
 
 (* The device's energy ledger is float-accumulated: an attempt's
    Monitor_work delta is read off a running multi-mJ total, so it
@@ -345,7 +345,11 @@ let fuzzed_bound_domination =
       let suite = Suite.create ~engine (Device.nvm device) [ m ] in
       let bound =
         Ea.suite_call_bound ~deployment ~model:config.Runtime.cost_model
-          [ Ea.property_bound ~deployment ~model:config.Runtime.cost_model m ]
+          (List.map
+             (fun mon ->
+               Ea.property_bound ~deployment ~model:config.Runtime.cost_model
+                 (Monitor.table mon))
+             (Suite.monitors suite))
       in
       let hits = ref 0 in
       let probe _ =

@@ -18,7 +18,10 @@ machine m {
 
 let make () =
   let nvm = Nvm.create () in
-  let monitor = Monitor.create nvm (Fsm.Parser.parse_machine_exn machine_text) in
+  let monitor =
+    Monitor.create nvm
+      (Fsm.Table.compile (Fsm.Parser.parse_machine_exn machine_text))
+  in
   (nvm, monitor)
 
 let test_state_survives_power_failure () =
@@ -50,7 +53,7 @@ let test_ill_typed_rejected () =
     Fsm.Parser.parse_machine_exn
       "machine bad { initial state A { on startTask(t) when (zz > 1); } }"
   in
-  match Monitor.create nvm bad with
+  match Suite.create nvm [ bad ] with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "ill-typed machine accepted"
 
@@ -185,7 +188,8 @@ let test_engines_agree_over_nvm () =
   let step_with engine =
     let nvm = Nvm.create () in
     let m =
-      Monitor.create ~engine nvm (Fsm.Parser.parse_machine_exn machine_text)
+      Monitor.create ~engine nvm
+        (Fsm.Table.compile (Fsm.Parser.parse_machine_exn machine_text))
     in
     ignore (Monitor.step m (Helpers.event ~task:"t" ()));
     Nvm.power_failure nvm;
@@ -201,19 +205,19 @@ let test_engines_agree_over_nvm () =
 
 (* --- Deploy-time compilation --- *)
 
-(* [Monitor.create] lowers the machine once, with [Table.compile], and
-   under either engine the monitor's FRAM cells, control-state ids and
-   watched tasks all come from that one table's interning. *)
+(* [Monitor.create] deploys the table it is given, and under either
+   engine the monitor's FRAM cells, control-state ids and watched tasks
+   all come from that one table's interning. *)
 let test_deploy_interning () =
   List.iter
     (fun (engine_name, engine) ->
       let label what = engine_name ^ ": " ^ what in
       let nvm = Nvm.create () in
       let machine = Fsm.Parser.parse_machine_exn machine_text in
-      let m = Monitor.create ~engine ~cell_prefix:"g1/m" nvm machine in
-      let t = Monitor.table m in
-      Alcotest.(check bool) (label "lowers the deployed machine") true
-        (Monitor.machine m == machine);
+      let t = Fsm.Table.compile machine in
+      let m = Monitor.create ~engine ~cell_prefix:"g1/m" nvm t in
+      Alcotest.(check bool) (label "keeps the table it was given") true
+        (Monitor.table m == t && Monitor.machine m == machine);
       Alcotest.(check (list string))
         (label "cells: state, then vars in slot order")
         (("g1/m.state"
