@@ -33,16 +33,7 @@ let duty_on_len period on_fraction =
   Time.of_us
     (int_of_float (Float.round (float_of_int (Time.to_us period) *. on_fraction)))
 
-(* --- Trace lookup ---
-
-   Real harvesting traces (NREL solar, office RF) run to hundreds of
-   thousands of samples, and the charging policy queries them on every
-   recharge, so the old O(n) rewind-and-scan dominated long campaigns.
-   Lookup is now a binary search, fronted by a one-entry monotone cursor:
-   the simulator's queries move forward in time, so the answer is almost
-   always the cached segment or the one right after it.  Both caches key
-   on the array's physical identity, which keeps the public
-   [Trace of array] constructor (and every existing literal) unchanged. *)
+(* --- Trace lookup --- *)
 
 (* Largest [i] with [fst arr.(i) <= at], or [-1] if [at] precedes the
    first sample. *)
@@ -58,62 +49,6 @@ let bsearch arr at =
     !lo
   end
 
-(* Both memo caches are domain-local (PR 5): worker domains of the
-   parallel campaign runner each get their own, so concurrent sweeps
-   never invalidate (or race on) each other's cursor.  Results are
-   bit-identical to the naive scan regardless of cache state, so
-   per-domain caches only affect speed, never values. *)
-let cursor_key :
-    ((Time.t * Energy.power) array ref * int ref) Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> (ref [||], ref (-1)))
-
-let seg_index arr at =
-  let cursor_arr, cursor_idx = Domain.DLS.get cursor_key in
-  let n = Array.length arr in
-  let holds j =
-    j >= -1 && j < n
-    && (j = -1 || Time.(fst arr.(j) <= at))
-    && (j + 1 >= n || Time.(at < fst arr.(j + 1)))
-  in
-  if !cursor_arr != arr then begin
-    cursor_arr := arr;
-    cursor_idx := bsearch arr at
-  end
-  else begin
-    let i = !cursor_idx in
-    if holds i then ()
-    else if holds (i + 1) then cursor_idx := i + 1
-    else if holds (i + 2) then cursor_idx := i + 2
-    else cursor_idx := bsearch arr at
-  end;
-  !cursor_idx
-
-(* Prefix sums: [p.(i)] is the energy harvested from time 0 to the start
-   of segment [i], accumulated left to right exactly as the naive scan
-   did, so [integral] stays bit-identical to the O(n) version the
-   differential test replays. *)
-let prefix_key :
-    ((Time.t * Energy.power) array ref * Energy.energy array ref)
-    Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> (ref [||], ref [||]))
-
-let prefixes arr =
-  let prefix_arr, prefix_sums = Domain.DLS.get prefix_key in
-  if !prefix_arr != arr then begin
-    let n = Array.length arr in
-    let p = Array.make n Energy.zero in
-    let acc = ref Energy.zero in
-    for i = 0 to n - 2 do
-      let seg_start, rate = arr.(i) in
-      let seg_end = fst arr.(i + 1) in
-      acc := Energy.add !acc (Energy.consumed rate (Time.sub seg_end seg_start));
-      p.(i + 1) <- !acc
-    done;
-    prefix_arr := arr;
-    prefix_sums := p
-  end;
-  !prefix_sums
-
 let rate_at t at =
   match t with
   | Constant p -> p
@@ -121,7 +56,7 @@ let rate_at t at =
       let phase = Time.of_us (Time.to_us at mod Time.to_us period) in
       if Time.(phase < duty_on_len period on_fraction) then rate else Energy.uw 0.
   | Trace arr ->
-      let i = seg_index arr at in
+      let i = bsearch arr at in
       if i < 0 then Energy.uw 0. else snd arr.(i)
 
 (* Integral of the incoming power from time 0 to [at]. *)
@@ -136,14 +71,18 @@ let integral t at =
       let partial = Energy.consumed rate (Time.min phase on_len) in
       Energy.add (Energy.scale per_cycle (float_of_int cycles)) partial
   | Trace arr ->
-      let i = seg_index arr at in
-      if i < 0 then Energy.zero
-      else
-        let p = (prefixes arr).(i) in
-        let seg_start, rate = arr.(i) in
-        if Time.(seg_start < at) then
-          Energy.add p (Energy.consumed rate (Time.sub at seg_start))
-        else p
+      (* whole segments before [at], then the partial one, summed left
+         to right *)
+      let i = bsearch arr at in
+      let acc = ref Energy.zero in
+      for k = 0 to i - 1 do
+        let start, rate = arr.(k) in
+        acc := Energy.add !acc (Energy.consumed rate (Time.sub (fst arr.(k + 1)) start))
+      done;
+      if i >= 0 && Time.(fst arr.(i) < at) then
+        let start, rate = arr.(i) in
+        Energy.add !acc (Energy.consumed rate (Time.sub at start))
+      else !acc
 
 let harvested t ~from_ ~until =
   if Time.(until < from_) then invalid_arg "Harvester.harvested: until < from";
@@ -207,4 +146,4 @@ let time_to_harvest t ~now needed =
                 Some (Time.sub (Time.add at (Energy.time_to_consume rate remaining)) now)
               else scan (i + 1) seg_end (Energy.sub_exact remaining seg_energy)
         in
-        scan (Stdlib.max (seg_index arr now) 0) now needed
+        scan (Stdlib.max (bsearch arr now) 0) now needed

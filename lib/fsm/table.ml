@@ -741,10 +741,8 @@ let float_regs t = t.n_fregs
 (* --- instances --- *)
 
 type inst = {
-  ints : int array;
+  ints : int array;  (* register 0 is the control state *)
   floats : float array;
-  ibase : int;
-  fbase : int;
   istack : int array;
   fstack : float array;
   mutable failures : Interp.failure list;  (* reverse emission order *)
@@ -755,36 +753,34 @@ type inst = {
 
 let no_sink (_ : int) = ()
 
-let current_state inst = inst.ints.(inst.ibase)
-let set_state inst s = inst.ints.(inst.ibase) <- s
+let current_state inst = inst.ints.(0)
+let set_state inst s = inst.ints.(0) <- s
 
 let load_var t inst slot v =
   let reg = t.var_reg.(slot) in
   match v with
-  | Vint n -> inst.ints.(inst.ibase + reg) <- n
-  | Vbool b -> inst.ints.(inst.ibase + reg) <- (if b then 1 else 0)
-  | Vtime tt -> inst.ints.(inst.ibase + reg) <- Time.to_us tt
-  | Vfloat x -> inst.floats.(inst.fbase + reg) <- x
+  | Vint n -> inst.ints.(reg) <- n
+  | Vbool b -> inst.ints.(reg) <- (if b then 1 else 0)
+  | Vtime tt -> inst.ints.(reg) <- Time.to_us tt
+  | Vfloat x -> inst.floats.(reg) <- x
 
 let read_var t inst slot =
   let reg = t.var_reg.(slot) in
   match t.var_decl_arr.(slot).ty with
-  | Tint -> Vint inst.ints.(inst.ibase + reg)
-  | Tbool -> Vbool (inst.ints.(inst.ibase + reg) <> 0)
-  | Ttime -> Vtime (Time.of_us inst.ints.(inst.ibase + reg))
-  | Tfloat -> Vfloat inst.floats.(inst.fbase + reg)
+  | Tint -> Vint inst.ints.(reg)
+  | Tbool -> Vbool (inst.ints.(reg) <> 0)
+  | Ttime -> Vtime (Time.of_us inst.ints.(reg))
+  | Tfloat -> Vfloat inst.floats.(reg)
 
 let reset_vars t inst =
   set_state inst t.initial;
   Array.iteri (fun slot v -> load_var t inst slot v.init) t.var_decl_arr
 
-let make_inst t ~ints ~floats ~ibase ~fbase ~var_sink ~state_sink =
+let instance ?(var_sink = no_sink) ?(state_sink = no_sink) t =
   let inst =
     {
-      ints;
-      floats;
-      ibase;
-      fbase;
+      ints = Array.make t.n_iregs 0;
+      floats = Array.make (max 1 t.n_fregs) 0.;
       istack = Array.make (max 1 t.stack_i) 0;
       fstack = Array.make (max 1 t.stack_f) 0.;
       failures = [];
@@ -795,34 +791,6 @@ let make_inst t ~ints ~floats ~ibase ~fbase ~var_sink ~state_sink =
   in
   reset_vars t inst;
   inst
-
-let instance ?(var_sink = no_sink) ?(state_sink = no_sink) t =
-  make_inst t
-    ~ints:(Array.make t.n_iregs 0)
-    ~floats:(Array.make (max 1 t.n_fregs) 0.)
-    ~ibase:0 ~fbase:0 ~var_sink ~state_sink
-
-type packed = { p_ints : int array; p_floats : float array; p_insts : inst list }
-
-let pack ts =
-  let ni = List.fold_left (fun acc t -> acc + t.n_iregs) 0 ts in
-  let nf = List.fold_left (fun acc t -> acc + t.n_fregs) 0 ts in
-  let p_ints = Array.make (max 1 ni) 0 in
-  let p_floats = Array.make (max 1 nf) 0. in
-  let ib = ref 0 and fb = ref 0 in
-  let p_insts =
-    List.map
-      (fun t ->
-        let inst =
-          make_inst t ~ints:p_ints ~floats:p_floats ~ibase:!ib ~fbase:!fb
-            ~var_sink:no_sink ~state_sink:no_sink
-        in
-        ib := !ib + t.n_iregs;
-        fb := !fb + t.n_fregs;
-        inst)
-      ts
-  in
-  { p_ints; p_floats; p_insts }
 
 (* --- execution --- *)
 
@@ -847,7 +815,6 @@ let rec dep_find key = function
 let exec t inst (ev : Interp.event) pc0 =
   let code = t.code in
   let ints = inst.ints and floats = inst.floats in
-  let ib = inst.ibase and fb = inst.fbase in
   let istack = inst.istack and fstack = inst.fstack in
   let pc = ref pc0 and isp = ref 0 and fsp = ref 0 in
   let running = ref true in
@@ -866,25 +833,25 @@ let exec t inst (ev : Interp.event) pc0 =
         pc := !pc + 2
     | 3 (* ILOAD *) ->
         Array.unsafe_set istack !isp
-          (Array.unsafe_get ints (ib + Array.unsafe_get code (!pc + 1)));
+          (Array.unsafe_get ints (Array.unsafe_get code (!pc + 1)));
         isp := !isp + 1;
         pc := !pc + 2
     | 4 (* FLOAD *) ->
         Array.unsafe_set fstack !fsp
-          (Array.unsafe_get floats (fb + Array.unsafe_get code (!pc + 1)));
+          (Array.unsafe_get floats (Array.unsafe_get code (!pc + 1)));
         fsp := !fsp + 1;
         pc := !pc + 2
     | 5 (* ISTORE *) ->
         isp := !isp - 1;
         Array.unsafe_set ints
-          (ib + Array.unsafe_get code (!pc + 1))
+          (Array.unsafe_get code (!pc + 1))
           (Array.unsafe_get istack !isp);
         if inst.sinks then inst.var_sink (Array.unsafe_get code (!pc + 2));
         pc := !pc + 3
     | 6 (* FSTORE *) ->
         fsp := !fsp - 1;
         Array.unsafe_set floats
-          (fb + Array.unsafe_get code (!pc + 1))
+          (Array.unsafe_get code (!pc + 1))
           (Array.unsafe_get fstack !fsp);
         if inst.sinks then inst.var_sink (Array.unsafe_get code (!pc + 2));
         pc := !pc + 3
@@ -1103,8 +1070,7 @@ let step t inst (ev : Interp.event) =
   in
   let seg =
     Array.unsafe_get t.dispatch
-      (((((Array.unsafe_get inst.ints inst.ibase * 2) + kind) lsl t.row_shift)
-       + col))
+      ((((Array.unsafe_get inst.ints 0 * 2) + kind) lsl t.row_shift) + col)
   in
   if seg < 0 then [] (* implicit self-transition *)
   else begin
@@ -1125,8 +1091,7 @@ let step t inst (ev : Interp.event) =
         end
         else begin
           let v0 =
-            Array.unsafe_get inst.ints
-              (inst.ibase + Array.unsafe_get t.tr_qg_reg tr)
+            Array.unsafe_get inst.ints (Array.unsafe_get t.tr_qg_reg tr)
           in
           let v =
             if q >= 8 then Time.to_us ev.Interp.timestamp - v0 else v0
@@ -1156,7 +1121,7 @@ let step t inst (ev : Interp.event) =
         else begin
           (* quick bodies contain no FAIL, so the result is always [] *)
           if qb >= 2 then begin
-            let at = inst.ibase + Array.unsafe_get t.tr_qb_reg tr in
+            let at = Array.unsafe_get t.tr_qb_reg tr in
             let v =
               if qb = 2 then Array.unsafe_get t.tr_qb_k tr
               else if qb = 3 then
@@ -1171,7 +1136,7 @@ let step t inst (ev : Interp.event) =
         end
       in
       let tgt = Array.unsafe_get t.tr_target tr in
-      Array.unsafe_set inst.ints inst.ibase tgt;
+      Array.unsafe_set inst.ints 0 tgt;
       if inst.sinks then inst.state_sink tgt;
       result
     end

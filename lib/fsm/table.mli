@@ -85,12 +85,9 @@ val float_regs : t -> int
 
 (** {2 Instances}
 
-    An instance is a machine's mutable run state: a block of int
-    registers (register 0 is the control state) and a block of float
-    registers, plus reusable operand-stack scratch.  [pack] lays several
-    machines' registers out in one shared pair of arrays, so a whole
-    suite's monitor state is two contiguous buffers - snapshotable with
-    two [Array.copy]. *)
+    An instance is a machine's mutable run state: an array of int
+    registers (register 0 is the control state) and an array of float
+    registers, plus reusable operand-stack scratch. *)
 
 type inst
 
@@ -102,15 +99,6 @@ val instance :
     fired transition updates the control state - the NVM-backed monitor
     uses them to write the same FRAM cells the interpreter writes, in
     the same order.  Both default to no-ops (the memory-backed form). *)
-
-type packed = {
-  p_ints : int array;  (** every instance's int registers, contiguous *)
-  p_floats : float array;
-  p_insts : inst list;  (** same order as the input tables *)
-}
-
-val pack : t list -> packed
-(** One contiguous register buffer for a whole suite of machines. *)
 
 val step : t -> inst -> Interp.event -> Interp.failure list
 (** Process one event; the first trigger-and-guard-matching transition

@@ -173,8 +173,8 @@ let trace_differential_monotone =
              = Energy.to_uj (naive_integral arr q))
         steps)
 
-(* alternating queries across two distinct arrays exercise the cache
-   invalidation path on every call *)
+(* alternating queries across two distinct arrays: a lookup must
+   depend on nothing but its own trace *)
 let trace_differential_interleaved =
   QCheck.Test.make ~name:"interleaved arrays invalidate the cursor cache"
     ~count:100

@@ -1,10 +1,9 @@
 (* Unit tests for the flat-table bytecode engine (Fsm.Table): interning,
    CSR dispatch lookup in declaration order, equivalence with the
    interpreter on handcrafted machines, bytecode edge cases (division by
-   zero, NaN, missing payloads), the packed suite buffer, the
-   zero-allocation steady-state contract and a faultsim depth-1 campaign
-   with Table pinned.  Randomized equivalence lives in
-   test_differential.ml. *)
+   zero, NaN, missing payloads), the zero-allocation steady-state
+   contract and a faultsim depth-1 campaign with Table pinned.
+   Randomized equivalence lives in test_differential.ml. *)
 
 open Artemis
 module F = Fsm.Ast
@@ -337,36 +336,6 @@ machine hot {
   if delta > 256. then
     Alcotest.failf "10k steps allocated %.0f minor words (want ~0)" delta
 
-let test_packed_suite () =
-  let m1 = parse machine_text in
-  let m2 =
-    parse
-      {|
-machine other {
-  var f : float = 2.5;
-  initial state S {
-    on startTask(u) { f := f + 0.5; } -> S;
-  }
-}
-|}
-  in
-  let t1 = Table.compile m1 and t2 = Table.compile m2 in
-  let packed = Table.pack [ t1; t2 ] in
-  Alcotest.(check int) "ints contiguous"
-    (Table.int_regs t1 + Table.int_regs t2)
-    (Array.length packed.Table.p_ints);
-  (match packed.Table.p_insts with
-  | [ i1; i2 ] ->
-      ignore (Table.step t1 i1 (Helpers.event ~task:"t" ()));
-      ignore (Table.step t2 i2 (Helpers.event ~task:"u" ()));
-      Alcotest.(check int) "machine 1 stepped" 1 (Table.current_state i1);
-      Alcotest.check Helpers.value "machine 2 stepped" (F.Vfloat 3.0)
-        (Table.read_var t2 i2 0);
-      (* both live in the one shared register pair *)
-      Alcotest.(check int) "suite state visible in shared buffer" 1
-        packed.Table.p_ints.(0)
-  | _ -> Alcotest.fail "two instances expected")
-
 (* the crash-recovery contract on the engine the energy bound analyses:
    depth-1 exhaustive fault injection on quickstart with Table pinned by
    [with_engine], so it holds whichever engine deployments default to *)
@@ -399,7 +368,6 @@ let suite =
     Alcotest.test_case "missing data() payload" `Quick test_missing_dep_data;
     Alcotest.test_case "NaN semantics" `Quick test_nan_semantics;
     Alcotest.test_case "zero allocation per step" `Quick test_zero_allocation;
-    Alcotest.test_case "packed suite buffer" `Quick test_packed_suite;
     Alcotest.test_case "faultsim depth-1 (table engine)" `Quick
       test_faultsim_depth1_table;
   ]
