@@ -4,13 +4,12 @@
 
 open Cmdliner
 
+let prog = "artemis_fleet"
+
 let load_spec spec_path name scenarios seeds seed_first harvesters engines
     backends =
   match spec_path with
-  | Some path -> (
-      match In_channel.with_open_bin path In_channel.input_all with
-      | exception Sys_error e -> Error e
-      | text -> Fleet.spec_of_json text)
+  | Some path -> Fleet.spec_of_json (Cli.read_file ~prog path)
   | None ->
       (* Inline flags build the same document the spec file would hold. *)
       let arr names =
@@ -51,7 +50,7 @@ let progress_printer total =
 
 let run spec_path name scenarios seeds seed_first harvesters engines backends
     jobs json devices out progress =
-  match Artemis.Par.jobs_of_flag ~prog:"artemis_fleet" jobs with
+  match Artemis.Par.jobs_of_flag ~prog jobs with
   | Error msg ->
       prerr_endline msg;
       2
@@ -76,7 +75,7 @@ let run spec_path name scenarios seeds seed_first harvesters engines backends
           (match out with
           | None -> emit stdout
           | Some path ->
-              Out_channel.with_open_bin path emit;
+              Cli.write_file ~prog path emit;
               Printf.printf "fleet report written to %s\n" path);
           0)
 

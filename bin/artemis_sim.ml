@@ -5,6 +5,8 @@
 open Cmdliner
 open Artemis_experiments
 
+let prog = "artemis_sim"
+
 (* Self-validate an export before reporting success: the trace must be a
    parseable JSON document whose B/E events pair up per track, and the
    metrics counters must reconcile with the log-derived stats.  Failing
@@ -48,13 +50,9 @@ let check_trace_json text =
    running device (see Adapt.parse_script for the schema). *)
 let load_adapt_script = function
   | None -> Ok None
-  | Some path -> (
-      match In_channel.with_open_bin path In_channel.input_all with
-      | exception Sys_error e -> Error e
-      | text -> (
-          match Artemis.Adapt.parse_script text with
-          | Ok updates -> Ok (Some updates)
-          | Error e -> Error e))
+  | Some path ->
+      Result.map Option.some
+        (Artemis.Adapt.parse_script (Cli.read_file ~prog path))
 
 (* --matrix SCENARIO: run the scenario under every registered backend
    (immortal, checkpoint, ink, mayfly, alpaca) with the same monitors
@@ -101,7 +99,7 @@ let run_experiment name jobs =
       2
 
 let run system_name engine delay_min continuous temp_base show_trace trace_limit show_summary csv_path trace_out metrics_out show_metrics adapt_path experiment matrix matrix_json seed jobs =
-  match Artemis.Par.jobs_of_flag ~prog:"artemis_sim" jobs with
+  match Artemis.Par.jobs_of_flag ~prog jobs with
   | Error msg ->
       prerr_endline msg;
       2
@@ -172,7 +170,7 @@ let run system_name engine delay_min continuous temp_base show_trace trace_limit
       (match csv_path with
       | None -> ()
       | Some path ->
-          Out_channel.with_open_bin path (fun oc ->
+          Cli.write_file ~prog path (fun oc ->
               output_string oc (Artemis.Export.log_to_csv (Artemis.Device.log device)));
           Printf.printf "trace CSV written to %s\n" path);
       if show_metrics then begin
@@ -184,7 +182,7 @@ let run system_name engine delay_min continuous temp_base show_trace trace_limit
       | None -> ()
       | Some path -> (
           let text = Artemis.Obs.trace_json () in
-          Out_channel.with_open_bin path (fun oc -> output_string oc text);
+          Cli.write_file ~prog path (fun oc -> output_string oc text);
           match check_trace_json text with
           | Ok () ->
               Printf.printf "trace written to %s (valid JSON, balanced spans)\n"
@@ -196,7 +194,7 @@ let run system_name engine delay_min continuous temp_base show_trace trace_limit
       | None -> ()
       | Some path -> (
           let text = Artemis.Obs.metrics_json () in
-          Out_channel.with_open_bin path (fun oc -> output_string oc text);
+          Cli.write_file ~prog path (fun oc -> output_string oc text);
           match
             ( Artemis.Json.parse text,
               Artemis.Export.reconcile_metrics stats )
@@ -225,12 +223,9 @@ let system_arg =
         ~doc:"Runtime to use: $(b,artemis) (default) or $(b,mayfly).")
 
 let engine_arg =
-  Arg.(
-    value
-    & opt (some (enum Artemis.Monitor.engines)) None
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:"Monitor execution backend (artemis runtime only): $(b,table) \
-              (the default) or $(b,interpreted), the reference semantics.")
+  Cli.engine
+    ~doc:"Monitor execution backend (artemis runtime only): $(b,table) (the \
+          default) or $(b,interpreted), the reference semantics."
 
 let delay_arg =
   Arg.(
@@ -333,11 +328,7 @@ let matrix_json_arg =
     & info [ "matrix-json" ]
         ~doc:"Print the $(b,--matrix) report as JSON instead of a table.")
 
-let seed_arg =
-  Arg.(
-    value & opt int 42
-    & info [ "seed" ] ~docv:"SEED"
-        ~doc:"Scenario seed for $(b,--matrix) runs (default 42).")
+let seed_arg = Cli.seed ~doc:"Scenario seed for $(b,--matrix) runs (default 42)."
 
 let jobs_arg =
   Arg.(

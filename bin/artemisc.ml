@@ -8,6 +8,8 @@
 
 open Cmdliner
 
+let prog = "artemisc"
+
 type emit = Spec | Fsm | C | Lint | Project
 
 (* --engine: report what each property costs under the chosen execution
@@ -49,12 +51,6 @@ let engine_report engine machines =
         machines;
       adds "total: %d words\n" !total);
   Buffer.contents buf
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
 
 (* --check: rebuild a faultsim scenario from the catalogue and run the
    static WAR-hazard pass (Artemis.Consistency.War) over its task
@@ -175,7 +171,10 @@ let energy_report names as_json =
   go 0 names
 
 let run_compile emit engine reset_on_fail input output =
-  let text = if input = "-" then In_channel.input_all stdin else read_file input in
+  let text =
+    if input = "-" then In_channel.input_all stdin
+    else Cli.read_file ~prog input
+  in
   let options = { Artemis.To_fsm.collect_reset_on_fail = reset_on_fail } in
   let result =
     match Artemis.Spec.Parser.parse text with
@@ -252,7 +251,7 @@ let run_compile emit engine reset_on_fail input output =
           print_string out;
           0
       | Some path ->
-          Out_channel.with_open_bin path (fun oc -> output_string oc out);
+          Cli.write_file ~prog path (fun oc -> output_string oc out);
           0)
 
 let run emit engine reset_on_fail check allow_hazard energy energy_json input
@@ -276,15 +275,12 @@ let emit_arg =
               $(b,project) (a complete C project tree, concatenated).")
 
 let engine_arg =
-  Arg.(
-    value
-    & opt (some (enum Artemis.Monitor.engines)) None
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:"Report the per-property cost of running the generated machines \
-              under $(docv): $(b,interpreted) or $(b,table). For \
-              $(b,table) prints each property's flat-buffer footprint \
-              (dispatch table + bytecode, in words) and its register-file \
-              size.  Replaces the normal $(b,--emit) output.")
+  Cli.engine
+    ~doc:"Report the per-property cost of running the generated machines \
+          under $(docv): $(b,interpreted) or $(b,table). For $(b,table) \
+          prints each property's flat-buffer footprint (dispatch table + \
+          bytecode, in words) and its register-file size.  Replaces the \
+          normal $(b,--emit) output."
 
 let reset_arg =
   Arg.(

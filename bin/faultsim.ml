@@ -3,6 +3,8 @@
    replay of any failing schedule. *)
 
 open Cmdliner
+
+let prog = "faultsim"
 module F = Artemis_faultsim.Faultsim
 module Scenario = Artemis_faultsim.Scenario
 
@@ -89,15 +91,19 @@ let run scenario_name engine list depth random max_depth seed replay json
   (* Usage errors exit before the trace writer is installed, so a
      rejected invocation never creates or overwrites --trace-out. *)
   match
-    ( Artemis.Par.jobs_of_flag ~prog:"faultsim" jobs,
+    ( Artemis.Par.jobs_of_flag ~prog jobs,
       if list then Ok None else find_scenario scenario_name )
   with
   | Error msg, _ | _, Error msg ->
       prerr_endline msg;
       2
   | Ok jobs, Ok scenario ->
+      (* opened before the campaign runs, so a bad path fails fast *)
+      let trace =
+        Option.map (fun path -> (path, Cli.open_out ~prog path)) trace_out
+      in
       Artemis.Obs.reset ();
-      Artemis.Obs.set_tracing (trace_out <> None);
+      Artemis.Obs.set_tracing (trace <> None);
       let code =
         match scenario with
         | None -> list_sites ()
@@ -105,10 +111,10 @@ let run scenario_name engine list depth random max_depth seed replay json
             campaign ~jobs scenario engine depth random max_depth seed replay
               json skip_verify
       in
-      (match trace_out with
+      (match trace with
       | None -> ()
-      | Some path ->
-          Out_channel.with_open_bin path (fun oc ->
+      | Some (path, oc) ->
+          Cli.finish_out ~prog path oc (fun oc ->
               output_string oc (Artemis.Obs.trace_json ()));
           Printf.eprintf "trace written to %s\n" path);
       code
@@ -124,13 +130,10 @@ let scenario_arg =
               $(b,stale-read) and $(b,war-buggy).")
 
 let engine_arg =
-  Arg.(
-    value
-    & opt (some (enum Artemis.Monitor.engines)) None
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:"Monitor execution backend for the campaign: $(b,table) (the \
-              default) or $(b,interpreted), the reference semantics. All \
-              oracles must hold under every engine.")
+  Cli.engine
+    ~doc:"Monitor execution backend for the campaign: $(b,table) (the \
+          default) or $(b,interpreted), the reference semantics. All oracles \
+          must hold under every engine."
 
 let list_arg =
   Arg.(
@@ -157,10 +160,7 @@ let max_depth_arg =
     & info [ "max-depth" ] ~docv:"K"
         ~doc:"Maximum failures per random schedule (default 3).")
 
-let seed_arg =
-  Arg.(
-    value & opt int 42
-    & info [ "seed" ] ~docv:"SEED" ~doc:"Campaign seed (default 42).")
+let seed_arg = Cli.seed ~doc:"Campaign seed (default 42)."
 
 let replay_arg =
   Arg.(
