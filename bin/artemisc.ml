@@ -114,17 +114,16 @@ let energy_report names as_json =
             let updates =
               List.filter_map
                 (fun (_at, (u : Artemis.Adapt.update)) ->
-                  match u.Artemis.Adapt.payload with
-                  | None -> Some (u.Artemis.Adapt.id, [])
-                  | Some payload -> (
-                      match
-                        Artemis.Adapt.payload_tables ~app:b.Scenario.app payload
-                      with
-                      | Ok tables -> Some (u.Artemis.Adapt.id, tables)
-                      | Error e ->
-                          Printf.eprintf
-                            "scenario %s: bad update payload: %s\n" name e;
-                          None))
+                  match
+                    Option.fold ~none:(Ok [])
+                      ~some:(Artemis.Adapt.payload_tables ~app:b.Scenario.app)
+                      u.Artemis.Adapt.payload
+                  with
+                  | Ok tables -> Some (u.Artemis.Adapt.id, tables)
+                  | Error e ->
+                      Printf.eprintf "scenario %s: bad update payload: %s\n"
+                        name e;
+                      None)
                 b.Scenario.adaptations
             in
             let entries =
@@ -147,26 +146,16 @@ let energy_report names as_json =
                  scheduled update: exactly what Adapt.validate will say *)
               List.iter
                 (fun (id, tables) ->
-                  match Ea.admit ~deployment ~model ~budget tables with
-                  | Ok () ->
-                      Buffer.add_string buf
-                        (Printf.sprintf
-                           "  update #%d: admissible (validate will accept)\n"
-                           id)
-                  | Error reason ->
-                      Buffer.add_string buf
-                        (Printf.sprintf
-                           "  update #%d: rejected by validate: %s\n" id
-                           reason))
+                  Printf.bprintf buf "  update #%d: %s\n" id
+                    (match Ea.admit ~deployment ~model ~budget tables with
+                    | Ok () -> "admissible (validate will accept)"
+                    | Error reason -> "rejected by validate: " ^ reason))
                 updates
             end;
             print_string (Buffer.contents buf);
-            let livelocks =
-              List.exists (fun e -> e.Ea.e_class = Ea.May_livelock) entries
-            in
-            match livelocks with
-            | true -> go (max worst 1) rest
-            | false -> go worst rest))
+            if List.exists (fun e -> e.Ea.e_class = Ea.May_livelock) entries
+            then go (max worst 1) rest
+            else go worst rest))
   in
   go 0 names
 

@@ -5,17 +5,11 @@
 
 open Cmdliner
 
-(* [Sys_error] messages from [open_*] already start with the path; keep
-   exactly one copy of it. *)
+(* [Sys_error] from opening a file names the path; from writing, not *)
 let fail ~prog path msg =
   let prefix = path ^ ": " in
-  let reason =
-    if String.starts_with ~prefix msg then
-      String.sub msg (String.length prefix)
-        (String.length msg - String.length prefix)
-    else msg
-  in
-  Printf.eprintf "%s: %s: %s\n" prog path reason;
+  Printf.eprintf "%s: %s\n" prog
+    (if String.starts_with ~prefix msg then msg else prefix ^ msg);
   exit 1
 
 let read_file ~prog path =

@@ -351,52 +351,38 @@ let build t ~target update tables =
   | Some b -> b
   | None ->
       let current = (Hashtbl.find t.suites (target - 1)).suite in
-      let prefix name = Printf.sprintf "g%d/%s" target name in
       let fresh_monitor table =
-        Monitor.create ~engine:t.engine ~cell_prefix:(prefix (Table.name table))
+        Monitor.create ~engine:t.engine
+          ~cell_prefix:(Printf.sprintf "g%d/%s" target (Table.name table))
           t.nvm table
       in
+      let named m table = String.equal (Monitor.name m) (Table.name table) in
       let kept =
         List.filter
           (fun m -> not (List.mem (Monitor.name m) update.remove))
           (Suite.monitors current)
       in
-      let replaced = ref [] in
-      let survivors =
-        List.map
+      (* replacements are created first, in deployment order, then the
+         additions: the order their cells are allocated in *)
+      let replaced =
+        List.filter_map
           (fun m ->
-            match
-              List.find_opt
-                (fun table -> String.equal (Table.name table) (Monitor.name m))
-                tables
-            with
-            | None -> m
-            | Some table ->
-                let fresh = fresh_monitor table in
-                replaced := (m, fresh) :: !replaced;
-                fresh)
+            Option.map
+              (fun table -> (m, fresh_monitor table))
+              (List.find_opt (named m) tables))
           kept
       in
-      let added = ref [] in
-      let additions =
-        List.filter_map
-          (fun table ->
-            if
-              List.exists
-                (fun m -> String.equal (Monitor.name m) (Table.name table))
-                kept
-            then None
-            else begin
-              added := Table.name table :: !added;
-              Some (fresh_monitor table)
-            end)
-          tables
+      let survivors =
+        List.map (fun m -> Option.value (List.assq_opt m replaced) ~default:m) kept
+      in
+      let added =
+        List.filter (fun table -> not (List.exists (fun m -> named m table) kept)) tables
       in
       let b =
         {
-          suite = Suite.of_monitors (survivors @ additions);
-          replaced = List.rev !replaced;
-          added = List.rev !added;
+          suite = Suite.of_monitors (survivors @ List.map fresh_monitor added);
+          replaced;
+          added = List.map Table.name added;
           removed = update.remove;
         }
       in
