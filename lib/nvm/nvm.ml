@@ -62,9 +62,6 @@ type access = {
 (* Per-cell hooks let the store manipulate heterogeneous cells uniformly. *)
 type registered = {
   reg_name : string;
-  reg_region : region;
-  reg_kind : kind;
-  reg_bytes : int;
   reset_volatile : unit -> unit;
   digest_committed : unit -> string;
   digest_logical : unit -> string;
@@ -86,7 +83,8 @@ type dirty = {
 
 type t = {
   obs : Obs.ctx;  (* recording surface; per-device since PR 5 *)
-  mutable cells : registered list;  (* reverse allocation order *)
+  regions : registered list array;
+      (* per [region_index], each in reverse allocation order *)
   names : (region * string, unit) Hashtbl.t;  (* duplicate detection *)
   footprints : int array;  (* (kind, region) -> declared bytes *)
   mutable volatiles : registered list;  (* Ram cells only *)
@@ -107,21 +105,43 @@ type 'a cell = {
   region : region;
   kind : kind;
   initial : 'a;
-  mutable committed : 'a;
+  mutable committed : 'a;  (* assigned only by [set_committed] *)
+  mutable version : int;  (* bumped by every [set_committed] *)
   mutable pending : 'a option;
+  mutable digest : string;  (* of [committed] as of [digest_version] *)
+  mutable digest_version : int;
 }
 
+let region_index = function
+  | Runtime -> 0
+  | Monitor -> 1
+  | Application -> 2
+  | Staging -> 3
+
 let footprint_slot kind region =
-  let k = match kind with Fram -> 0 | Ram -> 1 in
-  let r =
-    match region with Runtime -> 0 | Monitor -> 1 | Application -> 2 | Staging -> 3
-  in
-  (k * 4) + r
+  (match kind with Fram -> 0 | Ram -> 4) + region_index region
+
+(* Every assignment to [committed] goes through here, so a cell whose
+   version has not moved still holds the value it was last digested at. *)
+let set_committed c v =
+  c.committed <- v;
+  c.version <- c.version + 1
+
+let digest_value v = Digest.string (Marshal.to_string v [ Marshal.Closures ])
+
+(* Re-marshals only after a [set_committed]: values are replaced, never
+   mutated in place (see the [snapshot_region] contract). *)
+let digest_committed c =
+  if c.digest_version <> c.version then begin
+    c.digest <- digest_value c.committed;
+    c.digest_version <- c.version
+  end;
+  c.digest
 
 let create ?obs () =
   {
     obs = (match obs with Some o -> o | None -> Obs.current ());
-    cells = [];
+    regions = Array.make 4 [];
     names = Hashtbl.create 64;
     footprints = Array.make 8 0;
     volatiles = [];
@@ -158,24 +178,22 @@ let cell t ~region ?(kind = Fram) ~name ~bytes init =
   Hashtbl.replace t.names (region, name) ();
   let c =
     { store = t; name; region; kind; initial = init; committed = init;
-      pending = None }
+      version = 0; pending = None; digest = ""; digest_version = -1 }
   in
   let registered =
     {
       reg_name = name;
-      reg_region = region;
-      reg_kind = kind;
-      reg_bytes = bytes;
-      reset_volatile = (fun () -> if kind = Ram then c.committed <- c.initial);
-      digest_committed =
-        (fun () -> Digest.string (Marshal.to_string c.committed [ Marshal.Closures ]));
+      reset_volatile = (fun () -> if kind = Ram then set_committed c c.initial);
+      digest_committed = (fun () -> digest_committed c);
       digest_logical =
         (fun () ->
-          let v = match c.pending with Some p -> p | None -> c.committed in
-          Digest.string (Marshal.to_string v [ Marshal.Closures ]));
+          match c.pending with
+          | Some p -> digest_value p
+          | None -> digest_committed c);
     }
   in
-  t.cells <- registered :: t.cells;
+  let r = region_index region in
+  t.regions.(r) <- registered :: t.regions.(r);
   t.footprints.(footprint_slot kind region) <-
     t.footprints.(footprint_slot kind region) + bytes;
   if kind = Ram then t.volatiles <- registered :: t.volatiles;
@@ -194,7 +212,7 @@ let write c v =
   record_access c Write_op;
   Obs.Ctx.incr c.store.obs m_writes;
   fire c.store "nvm.write.before";
-  c.committed <- v;
+  set_committed c v;
   fire c.store "nvm.write.after"
 
 let begin_tx t =
@@ -218,18 +236,18 @@ let tx_write c v =
   record_access c Tx_write_op;
   Obs.Ctx.incr c.store.obs m_tx_writes;
   fire c.store "nvm.tx_write.before";
-  (if !Chaos.tx_write_through then c.committed <- v
+  (if !Chaos.tx_write_through then set_committed c v
    else begin
      (match c.pending with
      | None ->
          let commit () =
-           (match c.pending with Some p -> c.committed <- p | None -> ());
+           (match c.pending with Some p -> set_committed c p | None -> ());
            c.pending <- None
          in
          let discard () = c.pending <- None in
          let capture () =
            let v = match c.pending with Some p -> p | None -> c.committed in
-           fun () -> c.committed <- v
+           fun () -> set_committed c v
          in
          c.store.tx_dirty <-
            { d_name = c.name; d_region = c.region; commit; discard; capture }
@@ -303,17 +321,16 @@ let revert_count t = t.reverts
 
 let footprint t ~kind ~region = t.footprints.(footprint_slot kind region)
 
+(* [List.rev_map] over a reverse-allocation-order list: allocation order. *)
 let cell_names t ~region =
-  List.rev t.cells
-  |> List.filter (fun r -> r.reg_region = region)
-  |> List.map (fun r -> r.reg_name)
+  List.rev_map (fun r -> r.reg_name) t.regions.(region_index region)
 
 let snapshot_region t ~region =
-  List.rev t.cells
-  |> List.filter (fun r -> r.reg_region = region)
-  |> List.map (fun r -> (r.reg_name, r.digest_committed ()))
+  List.rev_map
+    (fun r -> (r.reg_name, r.digest_committed ()))
+    t.regions.(region_index region)
 
 let snapshot_region_logical t ~region =
-  List.rev t.cells
-  |> List.filter (fun r -> r.reg_region = region)
-  |> List.map (fun r -> (r.reg_name, r.digest_logical ()))
+  List.rev_map
+    (fun r -> (r.reg_name, r.digest_logical ()))
+    t.regions.(region_index region)

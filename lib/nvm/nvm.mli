@@ -170,20 +170,33 @@ val footprint : t -> kind:kind -> region:region -> int
 (** Total declared bytes of the cells of that kind and region. *)
 
 val cell_names : t -> region:region -> string list
-(** Names of allocated cells, in allocation order (diagnostics). *)
+(** Names of the region's allocated cells, in allocation order
+    (diagnostics).  Walks that region's cells only. *)
 
 val snapshot_region : t -> region:region -> (string * string) list
 (** [(name, digest)] of every cell's {e committed} value in the region,
     in allocation order.  Pending transactional values are excluded, so
     two snapshots are equal iff the durable states are.  Used by the
-    fault-injection oracles (task-transaction atomicity). *)
+    fault-injection oracles (task-transaction atomicity), which take one
+    at every commit.
+
+    Digests are memoized: each cell carries a write version that every
+    assignment to its committed value bumps (a {!write}, a commit, a
+    redo thunk from {!capture_tx}, a volatile reset), and a cell is
+    re-marshalled only when its version has moved since its last
+    digest.  Precondition: a value stored in a cell is never mutated in
+    place - cells are updated by storing a new value.  Rollback already
+    relies on this (a task that mutated a value it read would change
+    committed state no abort can restore), and every Application cell
+    holds an immutable float, int or list. *)
 
 val snapshot_region_logical : t -> region:region -> (string * string) list
 (** Like {!snapshot_region}, but digesting each cell's {e visible} value
     (the pending transactional view when one exists).  At an Alpaca
     commit point this is the post-state the sealed redo log promises;
     the task-atomicity oracle compares the eventual committed state
-    against it (PR 10). *)
+    against it (PR 10).  A cell with no pending value reuses its
+    memoized committed digest. *)
 
 (** Test-only chaos hooks for the oracle-sensitivity (mutation) suite:
     each flag re-introduces a known-bad behaviour so the faultsim

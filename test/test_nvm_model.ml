@@ -52,6 +52,7 @@ type op =
   | Begin_tx
   | Commit_tx
   | Abort_tx
+  | Redo_commit  (* capture_tx, drop_tx, then the redo thunks (Alpaca) *)
   | Power_failure
 
 (* Preconditioned application: ops illegal in the current model state
@@ -62,14 +63,14 @@ let model_legal m = function
   | Write (i, _) -> not (m.tx_open && m.pending.(i) <> None)
   | Tx_write (i, _) -> m.tx_open && (spec i).kind = Nvm.Fram
   | Begin_tx -> not m.tx_open
-  | Commit_tx | Abort_tx -> m.tx_open
+  | Commit_tx | Abort_tx | Redo_commit -> m.tx_open
   | Power_failure -> true
 
 let model_apply m = function
   | Write (i, v) -> m.committed.(i) <- v
   | Tx_write (i, v) -> m.pending.(i) <- Some v
   | Begin_tx -> m.tx_open <- true
-  | Commit_tx ->
+  | Commit_tx | Redo_commit ->
       Array.iteri
         (fun i p -> match p with Some v -> m.committed.(i) <- v | None -> ())
         m.pending;
@@ -91,6 +92,10 @@ let real_apply nvm cells = function
   | Begin_tx -> Nvm.begin_tx nvm
   | Commit_tx -> Nvm.commit_tx nvm
   | Abort_tx -> Nvm.abort_tx nvm
+  | Redo_commit ->
+      let redo = Nvm.capture_tx nvm in
+      Nvm.drop_tx nvm;
+      List.iter (fun (_, _, apply) -> apply ()) redo
   | Power_failure -> Nvm.power_failure nvm
 
 let op_gen =
@@ -104,6 +109,7 @@ let op_gen =
         (3, return Begin_tx);
         (3, return Commit_tx);
         (1, return Abort_tx);
+        (2, return Redo_commit);
         (2, return Power_failure);
       ])
 
@@ -113,6 +119,7 @@ let print_op = function
   | Begin_tx -> "begin_tx"
   | Commit_tx -> "commit_tx"
   | Abort_tx -> "abort_tx"
+  | Redo_commit -> "redo_commit"
   | Power_failure -> "power_failure"
 
 let arb_ops =
@@ -126,17 +133,32 @@ let agrees nvm cells m =
     (List.init n_cells Fun.id)
   && Nvm.in_tx nvm = m.tx_open
 
-let build_store () =
+let build_store ?(init = fun i -> (spec i).init) () =
   let nvm = Nvm.create () in
   let cells =
     Array.of_list
-      (List.map
-         (fun s ->
+      (List.mapi
+         (fun i s ->
            Nvm.cell nvm ~region:s.region ~kind:s.kind ~name:s.name
-             ~bytes:s.bytes s.init)
+             ~bytes:s.bytes (init i))
          specs)
   in
   (nvm, cells)
+
+(* Snapshots memoize each cell's digest until its write version moves.
+   A fresh store started at the model's values has no cached digests,
+   so its snapshots are what the real store's must equal: committed
+   values for [snapshot_region], visible ones for the logical view. *)
+let snapshots_agree nvm m =
+  let fresh init = fst (build_store ~init ()) in
+  let committed = fresh (fun i -> m.committed.(i)) in
+  let visible = fresh (model_read m) in
+  List.for_all
+    (fun region ->
+      Nvm.snapshot_region nvm ~region = Nvm.snapshot_region committed ~region
+      && Nvm.snapshot_region_logical nvm ~region
+         = Nvm.snapshot_region_logical visible ~region)
+    [ Nvm.Runtime; Nvm.Monitor; Nvm.Application; Nvm.Staging ]
 
 let model_equivalence =
   QCheck.Test.make ~name:"nvm = pure model (visibility and rollback)"
@@ -149,7 +171,7 @@ let model_equivalence =
             real_apply nvm cells op;
             model_apply m op
           end;
-          agrees nvm cells m)
+          agrees nvm cells m && snapshots_agree nvm m)
         ops)
 
 (* The footprint is a declaration-time property: no operation sequence
