@@ -12,19 +12,10 @@ let list_sites () =
   Array.iteri (Printf.printf "%2d %s\n") F.sites;
   0
 
-let verify_replays scenario campaign =
-  (* Determinism check: every run's reproducer line must rebuild a
-     byte-identical trace. *)
-  let bad =
-    List.filter
-      (fun (r : F.run_result) ->
-        match
-          F.replay scenario ~line:(F.replay_line ~seed:r.F.seed r.F.schedule)
-        with
-        | Ok (_, true) -> false
-        | Ok (_, false) | Error _ -> true)
-      campaign.F.runs
-  in
+let verify_replays ~jobs scenario campaign =
+  (* Determinism check: every run's reproducer line must rebuild the
+     record the report was built from. *)
+  let bad = F.unreproducible ~jobs scenario campaign in
   List.iter
     (fun (r : F.run_result) ->
       Printf.printf "NOT REPRODUCIBLE: %s\n"
@@ -76,7 +67,11 @@ let campaign ~jobs scenario engine depth random max_depth seed replay json
         print_string (F.campaign_summary campaign);
         print_violations campaign
       end;
-      let reproducible = skip_verify || verify_replays scenario campaign in
+      (* --trace-out records the campaign, not its verification *)
+      Artemis.Obs.set_tracing false;
+      let reproducible =
+        skip_verify || verify_replays ~jobs scenario campaign
+      in
       if
         F.total_violations campaign = 0
         && campaign.F.baseline.F.violations = []
@@ -194,9 +189,10 @@ let jobs_arg =
     value & opt int 1
     & info [ "jobs" ] ~docv:"N"
         ~doc:
-          "Fan campaign runs out over $(docv) domains (default 1); 0 means \
-           auto: one worker per core.  The report and any exported trace \
-           are byte-identical for every $(docv).")
+          "Fan campaign runs, and the replay check's re-runs, out over \
+           $(docv) domains (default 1); 0 means auto: one worker per core. \
+           The report and any exported trace are byte-identical for every \
+           $(docv).")
 
 let cmd =
   let doc =

@@ -574,6 +574,18 @@ let replay scenario ~line =
       let second = run_schedule scenario ~seed schedule in
       Ok (first, first.digest = second.digest)
 
+(* One fresh run per campaign run, footprint-checked against the same
+   baseline, must rebuild exactly the record the report was built from. *)
+let unreproducible ?(jobs = 1) scenario c =
+  if jobs < 1 then invalid_arg "Faultsim.unreproducible: jobs must be positive";
+  let runs = Array.of_list c.runs in
+  let again =
+    run_schedules ~jobs scenario ~baseline:c.baseline ~n:(Array.length runs)
+      (fun i -> (runs.(i).seed, runs.(i).schedule))
+  in
+  List.filter_map Fun.id
+    (List.map2 (fun r fresh -> if fresh = r then None else Some r) c.runs again)
+
 (* --- reports --- *)
 
 let json_string = Json.quote

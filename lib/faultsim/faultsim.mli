@@ -135,8 +135,20 @@ val random_campaign :
 val total_violations : campaign -> int
 
 val replay : Scenario.t -> line:string -> (run_result * bool, string) result
-(** Re-run a reproducer line twice from scratch; the boolean is whether
-    the two trace digests are byte-identical (determinism check). *)
+(** Re-run a reproducer line twice from scratch, after an uninjected
+    baseline run for the footprint oracle; the boolean is whether the
+    two trace digests are byte-identical (determinism check). *)
+
+val unreproducible : ?jobs:int -> Scenario.t -> campaign -> run_result list
+(** The campaign's determinism check: re-run every run of the campaign
+    once from its seed and schedule, apply the footprint oracle against
+    the campaign's own baseline, and return - in campaign order - every
+    recorded run whose fresh {!run_result} differs from it in any field
+    (trace digest, probe hits, outcome, violations, footprint, ...).
+    [[]] means every run reproduced the record its report was built
+    from.  One run per schedule, where {!replay} costs three; [jobs]
+    (default 1) fans the re-runs out as in {!exhaustive}.  The scenario
+    must be the one the campaign ran (engine included). *)
 
 (** {2 Reports} *)
 

@@ -101,6 +101,31 @@ let test_replay_deterministic () =
       | Error msg -> Alcotest.fail msg)
     c.F.runs
 
+let test_unreproducible () =
+  (* the campaign's own check re-runs each run once against its recorded
+     result: a clean campaign reproduces, and a tampered record is
+     reported alone, whatever the job count *)
+  let c = F.exhaustive Scenario.quickstart ~seed:42 ~depth:1 in
+  let lines =
+    List.map (fun (r : F.run_result) -> F.replay_line ~seed:r.F.seed r.F.schedule)
+  in
+  Alcotest.(check (list string)) "clean campaign" []
+    (lines (F.unreproducible Scenario.quickstart c));
+  let victim = List.nth c.F.runs 7 in
+  let tampered = { victim with F.digest = String.make 32 '0' } in
+  let c =
+    { c with
+      F.runs = List.map (fun r -> if r == victim then tampered else r) c.F.runs }
+  in
+  List.iter
+    (fun jobs ->
+      let bad = F.unreproducible ~jobs Scenario.quickstart c in
+      Alcotest.(check (list string))
+        (Printf.sprintf "tampered run at jobs %d" jobs)
+        (lines [ victim ]) (lines bad);
+      Alcotest.(check bool) "the recorded run is returned" true (bad = [ tampered ]))
+    [ 1; 2 ]
+
 let test_random_campaign_reproducible () =
   let a = F.random_campaign Scenario.quickstart ~seed:7 ~runs:25 ~max_depth:3 in
   let b = F.random_campaign Scenario.quickstart ~seed:7 ~runs:25 ~max_depth:3 in
@@ -144,6 +169,8 @@ let suite =
     ("depth-1 exhaustive: full coverage, no violations", `Quick,
       test_depth1_exhaustive_coverage);
     ("replay is byte-identical", `Quick, test_replay_deterministic);
+    ("campaign check flags exactly the unreproduced runs", `Quick,
+      test_unreproducible);
     ("random campaigns reproduce from their seed", `Quick,
       test_random_campaign_reproducible);
     ("injected runs keep the baseline footprint", `Quick,
