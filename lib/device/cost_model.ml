@@ -35,11 +35,6 @@ let cycles_to_time t cycles =
 
 let artemis_runtime_overhead t = cycles_to_time t t.artemis_runtime_cycles_per_event
 
-let artemis_monitor_overhead t ~properties =
-  cycles_to_time t
-    (t.artemis_monitor_dispatch_cycles
-    + (t.artemis_monitor_cycles_per_property * properties))
-
 let mayfly_runtime_overhead t = cycles_to_time t t.mayfly_runtime_cycles_per_event
 
 let mayfly_check_overhead t ~properties =

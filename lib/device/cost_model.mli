@@ -45,9 +45,6 @@ val cycles_to_time : t -> int -> Time.t
 val artemis_runtime_overhead : t -> Time.t
 (** Per task event (start or end). *)
 
-val artemis_monitor_overhead : t -> properties:int -> Time.t
-(** Per task event given the number of properties the monitors evaluate. *)
-
 val mayfly_runtime_overhead : t -> Time.t
 val mayfly_check_overhead : t -> properties:int -> Time.t
 

@@ -111,8 +111,6 @@ and eval_binop op va vb =
   | (Add | Sub | Mul | Div | Mod | Lt | Le | Gt | Ge | And | Or), a, b ->
       error "ill-typed operands %a and %a" pp_value a pp_value b
 
-let eval_expr m store event e = eval m store event e
-
 let trigger_matches trigger (event : event) =
   match (trigger, event.kind) with
   | On_any, (Start | End) -> true

@@ -47,9 +47,6 @@ val memory_store : Ast.machine -> store
 val step : Ast.machine -> store -> event -> failure list
 (** Process one event.  @raise Runtime_error as documented above. *)
 
-val eval_expr : Ast.machine -> store -> event -> Ast.expr -> Ast.value
-(** Exposed for tests. @raise Runtime_error *)
-
 val mentions_task : Ast.machine -> string -> bool
 (** Does any trigger of the machine apply to this task?  [On_any]
     triggers match every task, so a machine using one watches all tasks.

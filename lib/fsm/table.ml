@@ -721,7 +721,6 @@ let var_count t = Array.length t.var_decl_arr
 let var_name t i = t.var_decl_arr.(i).var_name
 let var_id t n = find_exn t.var_ids n
 let var_decls t = t.var_decl_arr
-let task_count t = t.n_tasks
 let watched_tasks t = t.watched
 let watches_any_event t = t.any_event
 let mentions_task t task =

@@ -58,10 +58,6 @@ val var_id : t -> string -> int
 
 val var_decls : t -> Ast.var_decl array
 
-val task_count : t -> int
-(** Watched task names interned by this machine (excludes the implicit
-    "unknown task" dispatch column). *)
-
 (** {2 Flat-buffer footprint}
 
     Everything the engine touches per step, in machine words.  This is

@@ -63,7 +63,6 @@ let replace t monitor =
        t.monitors)
 
 let monitors t = t.monitors
-let property_count t = List.length t.monitors
 let hard_reset t = List.iter Monitor.hard_reset t.monitors
 
 let relevant_monitors t (event : Interp.event) =

@@ -46,10 +46,6 @@ val replace : t -> Monitor.t -> t
     deployment order.
     @raise Invalid_argument if no monitor with that name is deployed. *)
 
-val property_count : t -> int
-(** Number of deployed monitors = number of properties (the monitor
-    overhead cost model scales with this). *)
-
 val hard_reset : t -> unit
 
 val relevant_monitors : t -> Interp.event -> Monitor.t list

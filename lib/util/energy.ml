@@ -9,7 +9,6 @@ let to_mj e = e /. 1e3
 let uw p = p
 let mw p = p *. 1e3
 let to_uw p = p
-let to_mw p = p /. 1e3
 let add = ( +. )
 let sub a b = Float.max 0. (a -. b)
 let sub_exact a b = a -. b
@@ -31,7 +30,3 @@ let pp_energy ppf e =
   if Stdlib.( < ) (Float.abs e) 1e3 then Format.fprintf ppf "%.2fuJ" e
   else if Stdlib.( < ) (Float.abs e) 1e6 then Format.fprintf ppf "%.3fmJ" (e /. 1e3)
   else Format.fprintf ppf "%.4fJ" (e /. 1e6)
-
-let pp_power ppf p =
-  if Stdlib.( < ) (Float.abs p) 1e3 then Format.fprintf ppf "%.2fuW" p
-  else Format.fprintf ppf "%.3fmW" (p /. 1e3)

@@ -20,7 +20,6 @@ val to_mj : energy -> float
 val uw : float -> power
 val mw : float -> power
 val to_uw : power -> float
-val to_mw : power -> float
 
 val add : energy -> energy -> energy
 val sub : energy -> energy -> energy
@@ -48,4 +47,3 @@ val time_to_consume : power -> energy -> Time.t
 val add_power : power -> power -> power
 
 val pp_energy : Format.formatter -> energy -> unit
-val pp_power : Format.formatter -> power -> unit
