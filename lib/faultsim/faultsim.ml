@@ -106,7 +106,7 @@ let golden_violations (b : Scenario.built) (result : Runtime.instrumented) =
     violations := { oracle = "golden-reexecution"; detail } :: !violations
   in
   let gnvm = Nvm.create () in
-  let golden0 = Suite.create gnvm b.Scenario.machines in
+  let golden0 = Suite.of_tables gnvm b.Scenario.tables in
   Suite.hard_reset golden0;
   let manager = Adapt.create gnvm ~app:b.Scenario.app golden0 in
   let golden = ref golden0 in

@@ -5,6 +5,7 @@ type built = {
   app : Task.app;
   suite : Suite.t;
   machines : Fsm.Ast.machine list;
+  tables : Fsm.Table.t list;
   config : Runtime.config;
   adaptations : (int * Adapt.update) list;
   freshness : Consistency.Freshness.t option;
@@ -17,15 +18,37 @@ type t = {
   build : engine:Monitor.engine option -> seed:int -> built;
 }
 
+(* A scenario's property spec and its lowering, a once-cell the scenario
+   owns.  The first build parses the spec, validates it against that
+   build's app and lowers it; every later build, on any domain, deploys
+   from the same immutable tables.  Two domains racing on the first
+   build both lower, and both keep the one value the CAS stored. *)
+type spec = {
+  text : string;
+  lowered : (Fsm.Ast.machine list * Fsm.Table.t list) option Atomic.t;
+}
+
+let spec text = { text; lowered = Atomic.make None }
+
+let lower spec ~app =
+  match Atomic.get spec.lowered with
+  | Some l -> l
+  | None ->
+      let machines = compile_exn ~app spec.text in
+      let l = Some (machines, List.map Fsm.Table.compile machines) in
+      ignore (Atomic.compare_and_set spec.lowered None l);
+      Option.get (Atomic.get spec.lowered)
+
 let deploy ?engine device app spec ~seed =
-  let machines = compile_exn ~app spec in
-  let suite = deploy ?engine device machines in
+  let machines, tables = lower spec ~app in
+  let suite = Suite.of_tables ?engine (Device.nvm device) tables in
   let config = { Runtime.default_config with seed } in
   {
     device;
     app;
     suite;
     machines;
+    tables;
     config;
     adaptations = [];
     freshness = None;
@@ -34,6 +57,7 @@ let deploy ?engine device app spec ~seed =
 
 (* examples/quickstart.ml, reconstructed fresh on every call. *)
 let quickstart =
+  let spec = spec "transmit: { maxTries: 3 onFail: skipPath; }" in
   let build ~engine ~seed =
     let capacitor =
       Capacitor.create ~capacity:(Energy.mj 3.2) ~on_threshold:(Energy.mj 3.1)
@@ -61,8 +85,7 @@ let quickstart =
       Task.app ~name:"quickstart"
         [ { Task.index = 1; tasks = [ sample; transmit ] } ]
     in
-    deploy ?engine device app "transmit: { maxTries: 3 onFail: skipPath; }"
-      ~seed
+    deploy ?engine device app spec ~seed
   in
   {
     name = "quickstart";
@@ -72,10 +95,11 @@ let quickstart =
   }
 
 let health =
+  let spec = spec Health_app.spec_text in
   let build ~engine ~seed =
     let device = Device.create () in
     let app, _handles = Health_app.make (Device.nvm device) in
-    deploy ?engine device app Health_app.spec_text ~seed
+    deploy ?engine device app spec ~seed
   in
   {
     name = "health";
@@ -168,6 +192,7 @@ let quickstart_fresh =
    dynamic oracle can see the double-apply; only the static WAR pass
    flags it.  That asymmetry is this scenario's reason to exist. *)
 let war_buggy =
+  let spec = spec "filter: { maxTries: 3 onFail: skipPath; }" in
   let build ~engine ~seed =
     let device = Device.create () in
     let nvm = Device.nvm device in
@@ -194,8 +219,7 @@ let war_buggy =
       Task.app ~name:"war-buggy"
         [ { Task.index = 1; tasks = [ sense; filter ] } ]
     in
-    deploy ?engine device app "filter: { maxTries: 3 onFail: skipPath; }"
-      ~seed
+    deploy ?engine device app spec ~seed
   in
   {
     name = "war-buggy";
@@ -214,6 +238,7 @@ let war_buggy =
    other oracle is violated: state stays transactional throughout. *)
 let stale_read =
   let base =
+    let spec = spec "report: { maxTries: 5 onFail: skipPath; }" in
     let build ~engine ~seed =
       let device =
         Device.create ~policy:(Charging_policy.Fixed_delay (Time.of_sec 30)) ()
@@ -241,8 +266,7 @@ let stale_read =
         Task.app ~name:"stale-read"
           [ { Task.index = 1; tasks = [ sense; report ] } ]
       in
-      deploy ?engine device app "report: { maxTries: 5 onFail: skipPath; }"
-        ~seed
+      deploy ?engine device app spec ~seed
     in
     { name = "stale-read"; description = ""; build }
   in
@@ -285,6 +309,7 @@ let livelock_prop =
        }"
       vars stmts
   in
+  let spec = spec "ping: { maxTries: 3 onFail: skipPath; }" in
   let build ~engine ~seed =
     let capacitor =
       Capacitor.create ~capacity:(Energy.uj 1.8) ~on_threshold:(Energy.uj 1.6)
@@ -303,7 +328,7 @@ let livelock_prop =
       Task.app ~name:"livelock-prop" [ { Task.index = 1; tasks = [ ping ] } ]
     in
     let b =
-      deploy ?engine device app "ping: { maxTries: 3 onFail: skipPath; }" ~seed
+      deploy ?engine device app spec ~seed
     in
     {
       b with

@@ -2,9 +2,13 @@
     fault-injection engine can rebuild from scratch for every run.
 
     Determinism contract: [build] must construct a fresh device, fresh
-    NVM and fresh monitors every time, with no dependence on wall-clock
-    time or global mutable state, so that two runs of the same injection
-    schedule produce byte-identical traces. *)
+    NVM and fresh monitors (fresh FRAM cells and fresh {!Fsm.Table.inst}
+    register files) every time, with no dependence on wall-clock time or
+    global mutable state, so that two runs of the same injection
+    schedule produce byte-identical traces.  The one thing builds share
+    is the lowering: each scenario parses, validates and lowers its
+    property spec once per process, on its first build, and every later
+    build - on any domain - deploys from those immutable tables. *)
 
 open Artemis
 
@@ -13,8 +17,11 @@ type built = {
   app : Task.app;
   suite : Suite.t;
   machines : Fsm.Ast.machine list;
-      (** the deployed property machines, in deployment order - the
-          golden oracle re-executes them on a pristine store *)
+      (** the deployed property machines, in deployment order *)
+  tables : Fsm.Table.t list;
+      (** their lowerings, in the same order: physically the same list
+          for every build of a scenario in one process.  The golden
+          oracle deploys its pristine suite from them. *)
   config : Runtime.config;
   adaptations : (int * Adapt.update) list;
       (** live property updates delivered mid-run (PR 4); empty for the

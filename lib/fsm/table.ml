@@ -146,20 +146,6 @@ type t = {
   task_ids : Strmap.t;  (* watched task -> dispatch column *)
   n_tasks : int;
   row_shift : int;  (* dispatch row stride = 1 lsl row_shift >= n_tasks + 1 *)
-  (* direct-mapped dispatch memo, indexed by the cheap string hash: an
-     app's task loop reuses the same name strings event after event, so
-     after one pass every lookup is two loads and a physical-equality
-     check.  Sound because equal pointers imply equal contents imply the
-     same column; a colliding or fresh string just re-probes [task_ids]
-     and overwrites its slot. *)
-  memo_keys : string array;
-  memo_cols : int array;
-  memo_mask : int;
-  (* the slot the previous event's task hashed to: consecutive events
-     usually repeat a task string (start/end pairs), and re-probing that
-     slot first skips the hash.  An int field, so updating it never hits
-     the write barrier. *)
-  mutable last_h : int;
   (* dispatch.(((state * 2) + kind) * (n_tasks + 1) + task) is an offset
      into [cands] ([count; tr; tr; ...] segments, shared between rows
      with identical candidate lists) or -1 for "no transition can
@@ -680,10 +666,6 @@ let compile (m : machine) =
     dispatch;
     cands = varray cands;
     row_shift;
-    memo_keys = Array.make 16 Strmap.sentinel;
-    memo_cols = Array.make 16 0;
-    memo_mask = 15;
-    last_h = 0;
     tr_guard_pc;
     tr_body_pc;
     tr_target;
@@ -739,18 +721,34 @@ let float_regs t = t.n_fregs
 
 (* --- instances --- *)
 
+(* Everything [step] writes lives here, so one [t] can serve any number
+   of instances, on any number of domains. *)
 type inst = {
   ints : int array;  (* register 0 is the control state *)
   floats : float array;
   istack : int array;
   fstack : float array;
   mutable failures : Interp.failure list;  (* reverse emission order *)
+  (* direct-mapped dispatch memo, indexed by the cheap string hash: an
+     app's task loop reuses the same name strings event after event, so
+     after one pass every lookup is two loads and a physical-equality
+     check.  Sound because equal pointers imply equal contents imply the
+     same column; a colliding or fresh string just re-probes [task_ids]
+     and overwrites its slot. *)
+  memo_keys : string array;
+  memo_cols : int array;
+  (* the slot the previous event's task hashed to: consecutive events
+     usually repeat a task string (start/end pairs), and re-probing that
+     slot first skips the hash.  An int field, so updating it never hits
+     the write barrier. *)
+  mutable last_h : int;
   var_sink : int -> unit;
   state_sink : int -> unit;
   sinks : bool;  (* false = both sinks are [no_sink]; skip the calls *)
 }
 
 let no_sink (_ : int) = ()
+let memo_mask = 15
 
 let current_state inst = inst.ints.(0)
 let set_state inst s = inst.ints.(0) <- s
@@ -783,6 +781,9 @@ let instance ?(var_sink = no_sink) ?(state_sink = no_sink) t =
       istack = Array.make (max 1 t.stack_i) 0;
       fstack = Array.make (max 1 t.stack_f) 0.;
       failures = [];
+      memo_keys = Array.make (memo_mask + 1) Strmap.sentinel;
+      memo_cols = Array.make (memo_mask + 1) 0;
+      last_h = 0;
       var_sink;
       state_sink;
       sinks = not (var_sink == no_sink && state_sink == no_sink);
@@ -1051,18 +1052,18 @@ let step t inst (ev : Interp.event) =
   let col =
     (* front cache first (no hash), then the memo slot the task really
        hashes to, then the full probe *)
-    let lh = t.last_h in
-    if Array.unsafe_get t.memo_keys lh == task then
-      Array.unsafe_get t.memo_cols lh
+    let lh = inst.last_h in
+    if Array.unsafe_get inst.memo_keys lh == task then
+      Array.unsafe_get inst.memo_cols lh
     else begin
-      let h = Strmap.hash task land t.memo_mask in
-      t.last_h <- h;
-      if Array.unsafe_get t.memo_keys h == task then
-        Array.unsafe_get t.memo_cols h
+      let h = Strmap.hash task land memo_mask in
+      inst.last_h <- h;
+      if Array.unsafe_get inst.memo_keys h == task then
+        Array.unsafe_get inst.memo_cols h
       else begin
         let c = Strmap.find t.task_ids task ~default:t.n_tasks in
-        Array.unsafe_set t.memo_keys h task;
-        Array.unsafe_set t.memo_cols h c;
+        Array.unsafe_set inst.memo_keys h task;
+        Array.unsafe_set inst.memo_cols h c;
         c
       end
     end

@@ -30,7 +30,10 @@
     differential fuzz tests. *)
 
 type t
-(** A lowered machine: immutable tables shared by all its instances. *)
+(** A lowered machine: immutable tables shared by all its instances.
+    Nothing writes to a [t] after {!compile} - {!step} keeps its
+    dispatch memo in the {!inst} - so one [t] may serve any number of
+    instances on any number of domains at once. *)
 
 val compile : Ast.machine -> t
 (** Typecheck and lower.  @raise Failure if the machine is ill-typed
@@ -83,7 +86,9 @@ val float_regs : t -> int
 
     An instance is a machine's mutable run state: an array of int
     registers (register 0 is the control state) and an array of float
-    registers, plus reusable operand-stack scratch. *)
+    registers, plus reusable operand-stack scratch and the per-instance
+    dispatch memo (the last few task strings and their dispatch
+    columns).  An instance belongs to one domain at a time. *)
 
 type inst
 

@@ -28,9 +28,11 @@ let of_monitors monitors =
   in
   { monitors; dispatch; any_watchers }
 
+let of_tables ?engine nvm tables =
+  of_monitors (List.map (Monitor.create ?engine nvm) tables)
+
 let create ?engine nvm machines =
-  of_monitors
-    (List.map (fun m -> Monitor.create ?engine nvm (Table.compile m)) machines)
+  of_tables ?engine nvm (List.map Table.compile machines)
 
 (* The mutation API is functional: each operation rebuilds the dispatch
    index over the new monitor list, so a suite value is immutable and the

@@ -12,10 +12,19 @@ open Artemis_fsm
 
 type t
 
+val of_tables : ?engine:Monitor.engine -> Nvm.t -> Table.t list -> t
+(** Deploys one fresh monitor per lowered machine, in order: fresh FRAM
+    cells on [nvm] and a fresh {!Table.inst}, sharing the immutable
+    table.  [engine] defaults to [Table] (see {!Monitor.create}).  The
+    faultsim scenarios lower their spec once per process and deploy
+    every run's suite through here; the golden oracle deploys its
+    pristine suite from the same tables. *)
+
 val create : ?engine:Monitor.engine -> Nvm.t -> Ast.machine list -> t
-(** Lowers each machine with {!Table.compile} and deploys it: the one
-    place a deployed specification is lowered.  [engine] defaults to
-    [Table] (see {!Monitor.create}).
+(** {!of_tables} over {!Table.compile}: lowers each machine, then deploys
+    it.  A spec deployed through [Artemis.compile_and_deploy_exn] is
+    lowered here; an OTA payload is lowered by [Adapt.payload_tables],
+    and a faultsim scenario's spec once per process by [Scenario].
     @raise Failure if a machine is ill-typed. *)
 
 val of_monitors : Monitor.t list -> t

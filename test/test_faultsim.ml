@@ -161,9 +161,53 @@ let test_json_report_shape () =
       "coverage"; "baseline"; "runs"; "total_runs"; "total_violations"; "shrunk";
     ]
 
+(* Builds share the scenario's lowering and nothing else: two health
+   builds hold the same tables, deploy them on stores of their own, and
+   stepping one build's suite leaves the other's monitors untouched. *)
+let test_builds_share_tables () =
+  let build seed = Scenario.health.Scenario.build ~engine:None ~seed in
+  let b1 = build 1 and b2 = build 2 in
+  Alcotest.(check bool) "tables ==" true
+    (b1.Scenario.tables == b2.Scenario.tables);
+  Alcotest.(check int) "eight properties" 8 (List.length b2.Scenario.tables);
+  List.iter2
+    (fun t m ->
+      Alcotest.(check bool) (Monitor.name m ^ " runs the shared table") true
+        (Monitor.table m == t))
+    b1.Scenario.tables
+    (Suite.monitors b2.Scenario.suite);
+  let cells b =
+    Nvm.snapshot_region (Device.nvm b.Scenario.device) ~region:Nvm.Monitor
+  in
+  let states b =
+    List.map
+      (fun m -> (Monitor.name m, Monitor.current_state m))
+      (Suite.monitors b.Scenario.suite)
+  in
+  let cells1 = cells b1 and cells2 = cells b2 and states2 = states b2 in
+  Alcotest.(check int) "both builds hold every monitor cell"
+    (List.length cells1) (List.length cells2);
+  List.iteri
+    (fun i (kind, task) ->
+      ignore
+        (Suite.step_all b1.Scenario.suite
+           (Helpers.event ~kind ~task ~ts:(i * 1_000) ())))
+    [
+      (Fsm.Interp.Start, "accel"); (Fsm.Interp.End, "accel");
+      (Fsm.Interp.Start, "micSense"); (Fsm.Interp.Start, "micSense");
+      (Fsm.Interp.Start, "send"); (Fsm.Interp.End, "send");
+    ];
+  Alcotest.(check bool) "stepping changed build 1's cells" false
+    (cells b1 = cells1);
+  Alcotest.(check (list (pair string string))) "build 2's cells" cells2
+    (cells b2);
+  Alcotest.(check (list (pair string string))) "build 2's states" states2
+    (states b2)
+
 let suite =
   [
     ("site numbering", `Quick, test_site_numbering);
+    ("builds share tables, not monitors", `Quick, test_builds_share_tables);
     ("schedule parse/print roundtrip", `Quick, test_schedule_roundtrip);
     ("uninjected baseline is clean", `Quick, test_baseline_clean);
     ("depth-1 exhaustive: full coverage, no violations", `Quick,

@@ -103,7 +103,7 @@ let fleet_spec_gen =
     ~print:(fun (scenario, count, first) ->
       Printf.sprintf "(%s, count=%d, first=%d)" scenario count first)
     QCheck.Gen.(
-      let* scenario = oneofl [ "quickstart"; "stale-read" ] in
+      let* scenario = oneofl [ "quickstart"; "stale-read"; "health-adapt" ] in
       let* count = 1 -- 4 in
       let* first = 0 -- 50 in
       return (scenario, count, first))

@@ -336,6 +336,100 @@ machine hot {
   if delta > 256. then
     Alcotest.failf "10k steps allocated %.0f minor words (want ~0)" delta
 
+(* A [Table.t] is immutable: two instances of one table, stepped at once
+   from two domains, each end where an instance of a separately
+   compiled table fed its stream alone ends.  All task names have length
+   2 and end in '1', so they hash to the same slot of the 16-slot
+   dispatch memo.  A memo shared between the instances tears only when
+   one domain's key and column stores land between the other's, which
+   is rare per step: against a mutation that shared it per table, 10k
+   steps per domain never caught it in 20 tries, and 10^6 steps failed
+   12 runs of this test in 12.  Each stream draws from six prebuilt
+   events with a xorshift, so the long run needs no event arrays, and a
+   step that reports no failure allocates nothing, so minor collections
+   do not keep stopping both domains. *)
+let test_shared_table_across_domains () =
+  let text =
+    {|
+machine shared {
+  var a : int = 0;
+  var b : int = 0;
+  var c : int = 0;
+  initial state A {
+    on startTask(p1) { a := a + 1; } -> B;
+    on startTask(q1) { b := b + 2; } -> B;
+    on startTask(r1) when (c < 1000000) { c := c + 1; } -> A;
+  }
+  state B {
+    on endTask(p1) when (a % 3 == 0) { fail restartTask; } -> A;
+    on endTask(p1) -> A;
+    on endTask(q1) when (b % 5 == 0) { fail skipTask; } -> A;
+    on endTask(q1) -> A;
+    on anyEvent when (c > 4000) { fail skipPath; } -> A;
+  }
+}
+|}
+  in
+  let steps = 1_000_000 in
+  let palette tasks =
+    Array.of_list
+      (List.concat_map
+         (fun task ->
+           [ Helpers.event ~task (); Helpers.event ~kind:Interp.End ~task () ])
+         tasks)
+  in
+  let s1 = palette [ "p1"; "r1"; "z1" ] and s2 = palette [ "q1"; "r1"; "s1" ] in
+  (* final state, registers, failure count and a digest of (step,
+     action) over every failure *)
+  let run t inst events ~seed ~ready =
+    Atomic.incr ready;
+    while Atomic.get ready < 2 do
+      Domain.cpu_relax ()
+    done;
+    let x = ref seed and failures = ref 0 and digest = ref 0 in
+    for i = 1 to steps do
+      x := !x lxor (!x lsl 13);
+      x := !x lxor (!x lsr 7);
+      x := !x lxor (!x lsl 17);
+      match
+        Table.step t inst events.((!x land max_int) mod Array.length events)
+      with
+      | [] -> ()
+      | fs ->
+          List.iter
+            (fun (f : Interp.failure) ->
+              incr failures;
+              digest := Hashtbl.hash (!digest, i, f.Interp.action))
+            fs
+    done;
+    ( Table.current_state inst,
+      List.init (Table.var_count t) (fun i ->
+          Format.asprintf "%a" F.pp_value (Table.read_var t inst i)),
+      (!failures, !digest) )
+  in
+  let shared = Table.compile (parse text) in
+  let ready = Atomic.make 0 in
+  let d =
+    Domain.spawn (fun () -> run shared (Table.instance shared) s1 ~seed:1 ~ready)
+  in
+  let got2 = run shared (Table.instance shared) s2 ~seed:2 ~ready in
+  let got1 = Domain.join d in
+  let alone events ~seed =
+    let t = Table.compile (parse text) in
+    run t (Table.instance t) events ~seed ~ready:(Atomic.make 1)
+  in
+  let check name (st, regs, fails) (st', regs', fails') =
+    Alcotest.(check int) (name ^ " state") st' st;
+    Alcotest.(check (list string)) (name ^ " registers") regs' regs;
+    Alcotest.(check (pair int int)) (name ^ " failures") fails' fails
+  in
+  let want1 = alone s1 ~seed:1 and want2 = alone s2 ~seed:2 in
+  Alcotest.(check bool) "both streams fail" true
+    (let _, _, (n1, _) = want1 and _, _, (n2, _) = want2 in
+     n1 > 0 && n2 > 0);
+  check "domain 1" got1 want1;
+  check "domain 2" got2 want2
+
 (* the crash-recovery contract on the engine the energy bound analyses:
    depth-1 exhaustive fault injection on quickstart with Table pinned by
    [with_engine], so it holds whichever engine deployments default to *)
@@ -368,6 +462,8 @@ let suite =
     Alcotest.test_case "missing data() payload" `Quick test_missing_dep_data;
     Alcotest.test_case "NaN semantics" `Quick test_nan_semantics;
     Alcotest.test_case "zero allocation per step" `Quick test_zero_allocation;
+    Alcotest.test_case "one table, two instances, two domains" `Quick
+      test_shared_table_across_domains;
     Alcotest.test_case "faultsim depth-1 (table engine)" `Quick
       test_faultsim_depth1_table;
   ]
