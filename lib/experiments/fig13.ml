@@ -67,8 +67,13 @@ let run ?(delay_min = 6) () =
     > 0
   in
   let timeline =
-    String.concat "\n"
-      (List.map (Format.asprintf "%a" Event.pp_timed) shown)
+    let buf = Buffer.create 4096 in
+    List.iteri
+      (fun i e ->
+        if i > 0 then Buffer.add_char buf '\n';
+        Event.render_timed buf e)
+      shown;
+    Buffer.contents buf
   in
   { stats; mitd_violations; path2_restarts; path2_skipped; timeline }
 

@@ -22,39 +22,66 @@ type t =
 
 type timed = { at : Time.t; event : t }
 
-let pp ppf = function
-  | Boot -> Format.fprintf ppf "boot"
-  | Reboot { charging_delay } ->
-      Format.fprintf ppf "reboot after %a charging" Time.pp charging_delay
-  | Power_failure { during_task = Some t } ->
-      Format.fprintf ppf "power failure during %s" t
-  | Power_failure { during_task = None } ->
-      Format.fprintf ppf "power failure between tasks"
-  | Task_started { task; attempt } ->
-      Format.fprintf ppf "start %s (attempt %d)" task attempt
-  | Task_completed { task } -> Format.fprintf ppf "end %s" task
-  | Monitor_verdict { monitor; task; action } ->
-      Format.fprintf ppf "monitor %s: violation at %s -> %s" monitor task action
-  | Runtime_action { action; task } ->
-      Format.fprintf ppf "runtime action %s at %s" action task
-  | Path_started { path } -> Format.fprintf ppf "path #%d started" path
-  | Path_completed { path } -> Format.fprintf ppf "path #%d completed" path
-  | Path_restarted { path; reason } ->
-      Format.fprintf ppf "path #%d restarted (%s)" path reason
-  | Path_skipped { path; reason } ->
-      Format.fprintf ppf "path #%d skipped (%s)" path reason
-  | Monitoring_suspended { path } ->
-      Format.fprintf ppf "monitoring suspended until path #%d completes" path
-  | Round_completed { round } -> Format.fprintf ppf "round %d completed" round
-  | Adaptation_staged { id; bytes } ->
-      Format.fprintf ppf "update #%d staged (%d bytes)" id bytes
-  | Adaptation_applied { id; generation } ->
-      Format.fprintf ppf "update #%d applied (generation %d)" id generation
-  | Adaptation_rejected { id; reason } ->
-      Format.fprintf ppf "update #%d rejected (%s)" id reason
-  | App_completed -> Format.fprintf ppf "application completed"
-  | Horizon_reached { reason } ->
-      Format.fprintf ppf "simulation horizon reached (%s)" reason
+let add = Buffer.add_string
+let add_int buf n = Buffer.add_string buf (Int.to_string n)
 
-let pp_timed ppf { at; event } = Format.fprintf ppf "[%a] %a" Time.pp at pp event
-let to_string e = Format.asprintf "%a" pp e
+let render buf = function
+  | Boot -> add buf "boot"
+  | Reboot { charging_delay } ->
+      add buf "reboot after "; Time.render buf charging_delay;
+      add buf " charging"
+  | Power_failure { during_task = Some t } ->
+      add buf "power failure during "; add buf t
+  | Power_failure { during_task = None } ->
+      add buf "power failure between tasks"
+  | Task_started { task; attempt } ->
+      add buf "start "; add buf task; add buf " (attempt ";
+      add_int buf attempt; add buf ")"
+  | Task_completed { task } -> add buf "end "; add buf task
+  | Monitor_verdict { monitor; task; action } ->
+      add buf "monitor "; add buf monitor; add buf ": violation at ";
+      add buf task; add buf " -> "; add buf action
+  | Runtime_action { action; task } ->
+      add buf "runtime action "; add buf action; add buf " at "; add buf task
+  | Path_started { path } ->
+      add buf "path #"; add_int buf path; add buf " started"
+  | Path_completed { path } ->
+      add buf "path #"; add_int buf path; add buf " completed"
+  | Path_restarted { path; reason } ->
+      add buf "path #"; add_int buf path; add buf " restarted (";
+      add buf reason; add buf ")"
+  | Path_skipped { path; reason } ->
+      add buf "path #"; add_int buf path; add buf " skipped (";
+      add buf reason; add buf ")"
+  | Monitoring_suspended { path } ->
+      add buf "monitoring suspended until path #"; add_int buf path;
+      add buf " completes"
+  | Round_completed { round } ->
+      add buf "round "; add_int buf round; add buf " completed"
+  | Adaptation_staged { id; bytes } ->
+      add buf "update #"; add_int buf id; add buf " staged (";
+      add_int buf bytes; add buf " bytes)"
+  | Adaptation_applied { id; generation } ->
+      add buf "update #"; add_int buf id; add buf " applied (generation ";
+      add_int buf generation; add buf ")"
+  | Adaptation_rejected { id; reason } ->
+      add buf "update #"; add_int buf id; add buf " rejected (";
+      add buf reason; add buf ")"
+  | App_completed -> add buf "application completed"
+  | Horizon_reached { reason } ->
+      add buf "simulation horizon reached ("; add buf reason; add buf ")"
+
+let render_timed buf { at; event } =
+  Buffer.add_char buf '[';
+  Time.render buf at;
+  add buf "] ";
+  render buf event
+
+let contents render x =
+  let buf = Buffer.create 64 in
+  render buf x;
+  Buffer.contents buf
+
+let to_string e = contents render e
+let pp ppf e = Format.pp_print_string ppf (to_string e)
+let pp_timed ppf e = Format.pp_print_string ppf (contents render_timed e)

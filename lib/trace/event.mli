@@ -42,6 +42,18 @@ type t =
 
 type timed = { at : Time.t; event : t }
 
+val render : Buffer.t -> t -> unit
+(** The one text rendering of an event, e.g. ["start send (attempt 2)"]:
+    the line Figure 13's timeline shows and every trace digest hashes. *)
+
+val render_timed : Buffer.t -> timed -> unit
+(** ["[<at>] <event>"], with [at] rendered by {!Time.render}. *)
+
 val pp : Format.formatter -> t -> unit
+(** Prints {!render}'s text. *)
+
 val pp_timed : Format.formatter -> timed -> unit
+(** Prints {!render_timed}'s text. *)
+
 val to_string : t -> string
+(** {!render}'s text. *)

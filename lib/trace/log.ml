@@ -23,16 +23,25 @@ let task_attempts t ~task =
     | _ -> false)
 
 let render_timeline ?limit t =
-  let all = events t in
-  let shown, elided =
+  let shown =
     match limit with
-    | Some n when List.length all > n ->
-        (List.filteri (fun i _ -> i < n) all, List.length all - n)
-    | _ -> (all, 0)
+    | None -> t.n
+    | Some l when l < 0 ->
+        invalid_arg (Printf.sprintf "Log.render_timeline: negative limit %d" l)
+    | Some l -> min l t.n
   in
-  let lines = List.map (Format.asprintf "%a" Event.pp_timed) shown in
-  let lines =
-    if elided > 0 then lines @ [ Printf.sprintf "... (%d more events)" elided ]
-    else lines
+  (* sized for ~48-byte lines, so a short timeline never regrows *)
+  let buf = Buffer.create (48 * (shown + 1)) in
+  let rec lines i = function
+    | e :: rest when i < shown ->
+        if i > 0 then Buffer.add_char buf '\n';
+        Event.render_timed buf e;
+        lines (i + 1) rest
+    | _ -> ()
   in
-  String.concat "\n" lines
+  lines 0 (events t);
+  if t.n > shown then begin
+    if shown > 0 then Buffer.add_char buf '\n';
+    Printf.bprintf buf "... (%d more events)" (t.n - shown)
+  end;
+  Buffer.contents buf

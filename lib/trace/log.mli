@@ -18,5 +18,7 @@ val task_attempts : t -> task:string -> int
 (** Number of [Task_started] events for [task] over the whole trace. *)
 
 val render_timeline : ?limit:int -> t -> string
-(** Figure 13-style textual timeline, one event per line; [limit] keeps
-    the first N lines and elides the rest. *)
+(** Figure 13-style textual timeline, one {!Event.render_timed} line per
+    event, all appended into one buffer; [limit] keeps the first N lines
+    and replaces the rest with ["... (K more events)"].
+    @raise Invalid_argument if [limit] is negative. *)

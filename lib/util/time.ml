@@ -24,14 +24,31 @@ let min = Stdlib.min
 let max = Stdlib.max
 let is_negative t = Stdlib.( < ) t 0
 
-let pp ppf t =
-  let abs = Stdlib.abs t in
-  if Stdlib.( < ) abs 1_000 then Format.fprintf ppf "%dus" t
-  else if Stdlib.( < ) abs 1_000_000 then Format.fprintf ppf "%.2fms" (to_ms_f t)
-  else if Stdlib.( < ) abs 60_000_000 then Format.fprintf ppf "%.2fs" (to_sec_f t)
-  else Format.fprintf ppf "%.2fmin" (to_min_f t)
+(* Printf's "%.2f" is this primitive applied to the format "%.2f":
+   calling it directly skips the format interpreter and keeps every
+   byte, rounding included. *)
+external format_float : string -> float -> string = "caml_format_float"
 
-let to_string t = Format.asprintf "%a" pp t
+let add_fixed2 buf x unit =
+  Buffer.add_string buf (format_float "%.2f" x);
+  Buffer.add_string buf unit
+
+let render buf t =
+  let abs = Stdlib.abs t in
+  if Stdlib.( < ) abs 1_000 then begin
+    Buffer.add_string buf (Int.to_string t);
+    Buffer.add_string buf "us"
+  end
+  else if Stdlib.( < ) abs 1_000_000 then add_fixed2 buf (to_ms_f t) "ms"
+  else if Stdlib.( < ) abs 60_000_000 then add_fixed2 buf (to_sec_f t) "s"
+  else add_fixed2 buf (to_min_f t) "min"
+
+let to_string t =
+  let buf = Buffer.create 16 in
+  render buf t;
+  Buffer.contents buf
+
+let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 let to_literal t =
   if t mod 60_000_000 = 0 && t <> 0 then

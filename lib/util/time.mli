@@ -44,8 +44,14 @@ val min : t -> t -> t
 val max : t -> t -> t
 val is_negative : t -> bool
 
+val render : Buffer.t -> t -> unit
+(** The one human-readable rendering, with an adaptive unit: ["42us"]
+    below 1 ms, then ["1.50ms"], ["2.50s"] and ["2.00min"] with two
+    decimals, rounded as [Printf]'s [%.2f] rounds the double.  Trace
+    digests hash this text. *)
+
 val pp : Format.formatter -> t -> unit
-(** Human-readable rendering with an adaptive unit (us, ms, s or min). *)
+(** Prints {!render}'s text. *)
 
 val to_literal : t -> string
 (** Exact concrete-syntax duration literal: the largest unit dividing the
@@ -53,3 +59,4 @@ val to_literal : t -> string
     {!Scanner} yields the value back. *)
 
 val to_string : t -> string
+(** {!render}'s text. *)

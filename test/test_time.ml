@@ -39,6 +39,53 @@ let test_pp_units () =
   Alcotest.(check string) "s" "2.50s" (render (Time.of_ms 2_500));
   Alcotest.(check string) "min" "2.00min" (render (Time.of_min 2))
 
+(* The rendering every trace digest hashes, as it was written with
+   Format: the renderer must reproduce it byte for byte. *)
+let reference t =
+  let us = Time.to_us t in
+  let abs = Stdlib.abs us in
+  if abs < 1_000 then Format.asprintf "%dus" us
+  else if abs < 1_000_000 then Format.asprintf "%.2fms" (Time.to_ms_f t)
+  else if abs < 60_000_000 then Format.asprintf "%.2fs" (Time.to_sec_f t)
+  else Format.asprintf "%.2fmin" (Time.to_min_f t)
+
+let test_render_boundaries () =
+  List.iter
+    (fun us ->
+      List.iter
+        (fun us ->
+          let t = Time.of_us us in
+          Alcotest.(check string) (string_of_int us) (reference t)
+            (Time.to_string t))
+        [ us; -us ])
+    [ 0; 999; 1_000; 999_999; 1_000_000; 59_999_999; 60_000_000 ];
+  (* %.2f rounds the double's binary value, not the decimal one *)
+  List.iter
+    (fun (us, text) ->
+      Alcotest.(check string) (string_of_int us) text
+        (Time.to_string (Time.of_us us)))
+    [
+      (999, "999us"); (1_000, "1.00ms"); (-1_000, "-1.00ms");
+      (1_005, "1.00ms"); (1_125, "1.12ms"); (1_375, "1.38ms");
+      (1_995, "2.00ms"); (999_995, "1000.00ms"); (999_999, "1000.00ms");
+      (1_000_000, "1.00s"); (59_999_999, "60.00s"); (60_000_000, "1.00min");
+    ];
+  let buf = Buffer.create 8 in
+  Time.render buf (Time.of_ms 2_500);
+  Alcotest.(check string) "render appends to_string's text" "2.50s"
+    (Buffer.contents buf)
+
+let render_matches_reference =
+  QCheck.Test.make ~name:"to_string = the Format rendering" ~count:2000
+    (* every unit gets its share of draws, up to +-10^10 us *)
+    QCheck.(
+      map Time.of_us
+        (oneof
+           (List.map
+              (fun b -> int_range (-b) b)
+              [ 1_000; 1_000_000; 60_000_000; 10_000_000_000 ])))
+    (fun t -> String.equal (Time.to_string t) (reference t))
+
 let literal_roundtrip =
   QCheck.Test.make ~name:"to_literal scans back to the same value"
     ~count:500
@@ -57,5 +104,8 @@ let suite =
     Alcotest.test_case "comparisons" `Quick test_comparisons;
     Alcotest.test_case "exact literals" `Quick test_literal;
     Alcotest.test_case "pp adaptive units" `Quick test_pp_units;
+    Alcotest.test_case "render: unit boundaries and rounding" `Quick
+      test_render_boundaries;
+    QCheck_alcotest.to_alcotest render_matches_reference;
     QCheck_alcotest.to_alcotest literal_roundtrip;
   ]
