@@ -99,11 +99,15 @@ let run_experiment name jobs =
       2
 
 let run system_name engine delay_min continuous temp_base show_trace trace_limit show_summary csv_path trace_out metrics_out show_metrics adapt_path experiment matrix matrix_json seed jobs =
-  match Artemis.Par.jobs_of_flag ~prog jobs with
-  | Error msg ->
+  match
+    ( Artemis.Par.jobs_of_flag ~prog jobs,
+      Cli.check_ints ~prog
+        [ ("delay", 0, delay_min); ("trace-limit", 0, trace_limit) ] )
+  with
+  | Error msg, _ | _, Error msg ->
       prerr_endline msg;
       2
-  | Ok jobs ->
+  | Ok jobs, Ok () ->
   match (matrix, experiment) with
   | Some name, _ -> run_matrix name matrix_json seed
   | None, Some name -> run_experiment name jobs

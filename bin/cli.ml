@@ -1,7 +1,7 @@
 (* Command-line pieces the four binaries share: file input and output
    that report a failure as "<prog>: <path>: <reason>" and exit 1
-   instead of escaping as an uncaught Sys_error, and the --seed and
-   --engine terms. *)
+   instead of escaping as an uncaught Sys_error, the integer-flag range
+   check, and the --seed and --engine terms. *)
 
 open Cmdliner
 
@@ -35,6 +35,19 @@ let finish_out ~prog path oc write =
       fail ~prog path msg
 
 let write_file ~prog path write = finish_out ~prog path (open_out ~prog path) write
+
+(* [(flag, min, value)] with [min] 0 or 1: the first value below its
+   minimum as the usage message "<prog>: --<flag> must be positive (got
+   N)" ("non-negative" for a minimum of 0), which the binaries print and
+   exit 2 on, as they do for --jobs. *)
+let check_ints ~prog checks =
+  match List.find_opt (fun (_, min, n) -> n < min) checks with
+  | None -> Ok ()
+  | Some (flag, min, n) ->
+      Error
+        (Printf.sprintf "%s: --%s must be %s (got %d)" prog flag
+           (if min > 0 then "positive" else "non-negative")
+           n)
 
 let seed ~doc = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
 

@@ -85,14 +85,20 @@ let run scenario_name engine list depth random max_depth seed replay json
     skip_verify trace_out jobs =
   (* Usage errors exit before the trace writer is installed, so a
      rejected invocation never creates or overwrites --trace-out. *)
+  let counts =
+    Cli.check_ints ~prog
+      (("depth", 1, depth) :: ("max-depth", 1, max_depth)
+      :: Option.fold random ~none:[] ~some:(fun n -> [ ("random", 1, n) ]))
+  in
   match
     ( Artemis.Par.jobs_of_flag ~prog jobs,
+      counts,
       if list then Ok None else find_scenario scenario_name )
   with
-  | Error msg, _ | _, Error msg ->
+  | Error msg, _, _ | _, Error msg, _ | _, _, Error msg ->
       prerr_endline msg;
       2
-  | Ok jobs, Ok scenario ->
+  | Ok jobs, Ok (), Ok scenario ->
       (* opened before the campaign runs, so a bad path fails fast *)
       let trace =
         Option.map (fun path -> (path, Cli.open_out ~prog path)) trace_out
