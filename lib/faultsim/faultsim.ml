@@ -1,4 +1,5 @@
 open Artemis
+module Strmap = Artemis_util.Strmap
 
 (* --- injection sites (Nvm numbering first, then Runtime, then the
    Alpaca two-phase-commit windows appended by PR 10 so the historic
@@ -9,15 +10,16 @@ let sites =
     (Nvm.injection_sites @ Runtime.injection_sites @ Alpaca.injection_sites)
 let site_count = Array.length sites
 
-(* Shared-mutable audit (PR 5): this table is populated once at module
+(* Shared-mutable audit: this map is built once at module
    initialisation and is read-only afterwards, so concurrent lookups
-   from worker domains are safe (no resize can occur). *)
-let site_ids : (string, int) Hashtbl.t =
-  let tbl = Hashtbl.create 16 in
-  Array.iteri (fun i label -> Hashtbl.replace tbl label i) sites;
-  tbl
+   from worker domains are safe.  Every probe hit resolves its label
+   here, so the lookup must not allocate or hash the whole label. *)
+let site_ids =
+  Strmap.build (List.mapi (fun i label -> (label, i)) (Array.to_list sites))
 
-let site_id label = Hashtbl.find site_ids label
+let site_id label =
+  let id = Strmap.find site_ids label ~default:(-1) in
+  if id < 0 then raise Not_found else id
 
 (* --- schedules and replay lines --- *)
 

@@ -50,7 +50,11 @@ val sites : string array
 val site_count : int
 
 val site_id : string -> int
-(** @raise Not_found for an unknown label. *)
+(** The id of a site label, compared by content.  Every probe hit pays
+    this lookup, so it does not hash the whole label: an
+    {!Artemis_util.Strmap} probe keyed on its length and last character,
+    settled by [String.equal].
+    @raise Not_found for an unknown label. *)
 
 (** {2 Schedules} *)
 

@@ -59,37 +59,24 @@ type access = {
   acc_in_tx : bool;
 }
 
-(* Per-cell hooks let the store manipulate heterogeneous cells uniformly. *)
-type registered = {
-  reg_name : string;
-  reset_volatile : unit -> unit;
-  digest_committed : unit -> string;
-  digest_logical : unit -> string;
-}
-
-(* One transactionally-dirty cell: how to publish its pending value and
-   how to drop it.  Tracking these per-transaction keeps abort and
-   power-failure rollback O(dirty cells), not O(all cells).  [capture]
-   (PR 10) freezes the cell's current pending value into a standalone
-   redo thunk, so a checkpoint-free runtime can log the write set and
-   re-apply it after the transaction's pending views are gone. *)
-type dirty = {
-  d_name : string;
-  d_region : region;
-  commit : unit -> unit;
-  discard : unit -> unit;
-  capture : unit -> unit -> unit;
-}
-
 type t = {
   obs : Obs.ctx;  (* recording surface; per-device since PR 5 *)
-  regions : registered list array;
+  regions : packed list array;
       (* per [region_index], each in reverse allocation order *)
+  region_versions : int array;
+      (* per [region_index]: bumped by every [set_committed] on one of the
+         region's cells and by every registration in the region *)
+  snapshots : (string * string) list array;
+      (* per [region_index]: the last [snapshot_region] result, valid
+         while [snapshot_versions] equals [region_versions] *)
+  snapshot_versions : int array;
   names : (region * string, unit) Hashtbl.t;  (* duplicate detection *)
   footprints : int array;  (* (kind, region) -> declared bytes *)
-  mutable volatiles : registered list;  (* Ram cells only *)
+  mutable volatiles : packed list;  (* Ram cells only *)
   mutable tx_open : bool;
-  mutable tx_dirty : dirty list;  (* reverse write order *)
+  mutable tx_dirty : packed list;
+      (* cells with a pending value, reverse first-write order: abort and
+         power-failure rollback cost O(dirty cells), not O(all cells) *)
   mutable reverts : int;  (* aborts + power failures, see [revert_count] *)
   mutable tx_begin_us : int;  (* span start when tracing is enabled *)
   mutable probe : (string -> unit) option;
@@ -99,7 +86,7 @@ type t = {
       (* access-set recorder for the static WAR-hazard pass (PR 7) *)
 }
 
-type 'a cell = {
+and 'a cell = {
   store : t;
   name : string;
   region : region;
@@ -112,6 +99,10 @@ type 'a cell = {
   mutable digest_version : int;
 }
 
+(* A cell with its value type hidden, so the store can list cells of
+   every type together; unboxed, so packing one allocates nothing. *)
+and packed = Cell : 'a cell -> packed [@@unboxed]
+
 let region_index = function
   | Runtime -> 0
   | Monitor -> 1
@@ -122,10 +113,14 @@ let footprint_slot kind region =
   (match kind with Fram -> 0 | Ram -> 4) + region_index region
 
 (* Every assignment to [committed] goes through here, so a cell whose
-   version has not moved still holds the value it was last digested at. *)
+   version has not moved still holds the value it was last digested at,
+   and a region whose version has not moved still has the snapshot it
+   was last taken at. *)
 let set_committed c v =
   c.committed <- v;
-  c.version <- c.version + 1
+  c.version <- c.version + 1;
+  let versions = c.store.region_versions and r = region_index c.region in
+  versions.(r) <- versions.(r) + 1
 
 let digest_value v = Digest.string (Marshal.to_string v [ Marshal.Closures ])
 
@@ -142,6 +137,9 @@ let create ?obs () =
   {
     obs = (match obs with Some o -> o | None -> Obs.current ());
     regions = Array.make 4 [];
+    region_versions = Array.make 4 0;
+    snapshots = Array.make 4 [];
+    snapshot_versions = Array.make 4 (-1);
     names = Hashtbl.create 64;
     footprints = Array.make 8 0;
     volatiles = [];
@@ -180,23 +178,12 @@ let cell t ~region ?(kind = Fram) ~name ~bytes init =
     { store = t; name; region; kind; initial = init; committed = init;
       version = 0; pending = None; digest = ""; digest_version = -1 }
   in
-  let registered =
-    {
-      reg_name = name;
-      reset_volatile = (fun () -> if kind = Ram then set_committed c c.initial);
-      digest_committed = (fun () -> digest_committed c);
-      digest_logical =
-        (fun () ->
-          match c.pending with
-          | Some p -> digest_value p
-          | None -> digest_committed c);
-    }
-  in
   let r = region_index region in
-  t.regions.(r) <- registered :: t.regions.(r);
+  t.regions.(r) <- Cell c :: t.regions.(r);
+  t.region_versions.(r) <- t.region_versions.(r) + 1;
   t.footprints.(footprint_slot kind region) <-
     t.footprints.(footprint_slot kind region) + bytes;
-  if kind = Ram then t.volatiles <- registered :: t.volatiles;
+  if kind = Ram then t.volatiles <- Cell c :: t.volatiles;
   c
 
 let read c =
@@ -239,19 +226,7 @@ let tx_write c v =
   (if !Chaos.tx_write_through then set_committed c v
    else begin
      (match c.pending with
-     | None ->
-         let commit () =
-           (match c.pending with Some p -> set_committed c p | None -> ());
-           c.pending <- None
-         in
-         let discard () = c.pending <- None in
-         let capture () =
-           let v = match c.pending with Some p -> p | None -> c.committed in
-           fun () -> set_committed c v
-         in
-         c.store.tx_dirty <-
-           { d_name = c.name; d_region = c.region; commit; discard; capture }
-           :: c.store.tx_dirty
+     | None -> c.store.tx_dirty <- Cell c :: c.store.tx_dirty
      | Some _ -> ());
      c.pending <- Some v
    end);
@@ -266,10 +241,16 @@ let write_join c v =
     tx_write c v
   else write c v
 
+let publish (Cell c) =
+  (match c.pending with Some p -> set_committed c p | None -> ());
+  c.pending <- None
+
+let discard (Cell c) = c.pending <- None
+
 let commit_tx t =
   if not t.tx_open then invalid_arg "Nvm.commit_tx: no open transaction";
   fire t "nvm.commit_tx.before";
-  List.iter (fun d -> d.commit ()) (List.rev t.tx_dirty);
+  List.iter publish (List.rev t.tx_dirty);
   t.tx_dirty <- [];
   t.tx_open <- false;
   Obs.Ctx.incr t.obs m_tx_commits;
@@ -288,12 +269,15 @@ let commit_tx t =
 
 let capture_tx t =
   if not t.tx_open then invalid_arg "Nvm.capture_tx: no open transaction";
-  List.rev t.tx_dirty
-  |> List.map (fun d -> (d.d_name, d.d_region, d.capture ()))
+  List.rev_map
+    (fun (Cell c) ->
+      let v = match c.pending with Some p -> p | None -> c.committed in
+      (c.name, c.region, fun () -> set_committed c v))
+    t.tx_dirty
 
 let drop_tx t =
   if not t.tx_open then invalid_arg "Nvm.drop_tx: no open transaction";
-  List.iter (fun d -> d.discard ()) t.tx_dirty;
+  List.iter discard t.tx_dirty;
   t.tx_dirty <- [];
   t.tx_open <- false;
   (* the write set was captured for redo: logically this is a commit *)
@@ -303,7 +287,7 @@ let drop_tx t =
 let abort_tx t =
   if not t.tx_open then invalid_arg "Nvm.abort_tx: no open transaction";
   t.reverts <- t.reverts + 1;
-  List.iter (fun d -> d.discard ()) t.tx_dirty;
+  List.iter discard t.tx_dirty;
   t.tx_dirty <- [];
   t.tx_open <- false;
   Obs.Ctx.incr t.obs m_tx_aborts;
@@ -315,7 +299,7 @@ let power_failure t =
   Obs.Ctx.incr t.obs m_power_failures;
   t.reverts <- t.reverts + 1;
   if t.tx_open then abort_tx t;
-  List.iter (fun r -> r.reset_volatile ()) t.volatiles
+  List.iter (fun (Cell c) -> set_committed c c.initial) t.volatiles
 
 let revert_count t = t.reverts
 
@@ -323,14 +307,24 @@ let footprint t ~kind ~region = t.footprints.(footprint_slot kind region)
 
 (* [List.rev_map] over a reverse-allocation-order list: allocation order. *)
 let cell_names t ~region =
-  List.rev_map (fun r -> r.reg_name) t.regions.(region_index region)
+  List.rev_map (fun (Cell c) -> c.name) t.regions.(region_index region)
 
+(* Returns the previous list while the region's version stands: the
+   values in it are never mutated, so sharing it is safe. *)
 let snapshot_region t ~region =
-  List.rev_map
-    (fun r -> (r.reg_name, r.digest_committed ()))
-    t.regions.(region_index region)
+  let r = region_index region in
+  if t.snapshot_versions.(r) <> t.region_versions.(r) then begin
+    t.snapshots.(r) <-
+      List.rev_map (fun (Cell c) -> (c.name, digest_committed c)) t.regions.(r);
+    t.snapshot_versions.(r) <- t.region_versions.(r)
+  end;
+  t.snapshots.(r)
 
 let snapshot_region_logical t ~region =
   List.rev_map
-    (fun r -> (r.reg_name, r.digest_logical ()))
+    (fun (Cell c) ->
+      ( c.name,
+        match c.pending with
+        | Some p -> digest_value p
+        | None -> digest_committed c ))
     t.regions.(region_index region)

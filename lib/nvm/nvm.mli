@@ -16,7 +16,9 @@
     O(1) per operation: duplicate detection and footprint accounting use a
     [(region, name)] index maintained at allocation, and transaction
     rollback touches only cells with pending writes (power failures
-    additionally reset the volatile cells, tracked separately). *)
+    additionally reset the volatile cells, tracked separately).  The
+    store lists its cells of every value type as packed cells, so a first
+    {!tx_write} to a cell allocates one list cell and no closures. *)
 
 type t
 (** A simulated memory store (one per device). *)
@@ -180,13 +182,21 @@ val snapshot_region : t -> region:region -> (string * string) list
     fault-injection oracles (task-transaction atomicity), which take one
     at every commit.
 
-    Digests are memoized: each cell carries a write version that every
-    assignment to its committed value bumps (a {!write}, a commit, a
-    redo thunk from {!capture_tx}, a volatile reset), and a cell is
-    re-marshalled only when its version has moved since its last
-    digest.  Precondition: a value stored in a cell is never mutated in
-    place - cells are updated by storing a new value.  Rollback already
-    relies on this (a task that mutated a value it read would change
+    Snapshots are memoized at two levels.  Each cell carries a write
+    version that every assignment to its committed value bumps (a
+    {!write}, a commit, a redo thunk from {!capture_tx}, a volatile
+    reset), and a cell is re-marshalled only when its version has moved
+    since its last digest.  Each region carries a write version too,
+    bumped by those same assignments to any of its cells and by every
+    {!cell} registered in it: while the region's version stands,
+    [snapshot_region] returns the previous list itself (physically
+    equal), so a commit that writes only other regions' cells, an
+    aborted transaction or a pending {!tx_write} costs no snapshot.
+
+    Precondition: a value stored in a cell is never mutated in place -
+    cells are updated by storing a new value - and neither is a
+    returned list, which later calls share.  Rollback already relies on
+    the first (a task that mutated a value it read would change
     committed state no abort can restore), and every Application cell
     holds an immutable float, int or list. *)
 

@@ -18,8 +18,24 @@ let test_site_numbering () =
     F.sites.(List.length Nvm.injection_sites
              + List.length Runtime.injection_sites);
   List.iteri
-    (fun i label -> Alcotest.(check int) ("id of " ^ label) i (F.site_id label))
-    (Nvm.injection_sites @ Runtime.injection_sites @ Alpaca.injection_sites)
+    (fun i label ->
+      Alcotest.(check int) ("id of " ^ label) i (F.site_id label);
+      (* by content: a fresh copy is not physically the label *)
+      let copy = String.init (String.length label) (String.get label) in
+      Alcotest.(check int) ("id of a copy of " ^ label) i (F.site_id copy))
+    (Nvm.injection_sites @ Runtime.injection_sites @ Alpaca.injection_sites);
+  let label = F.sites.(0) in
+  let n = String.length label in
+  List.iter
+    (fun bad ->
+      Alcotest.check_raises ("unknown " ^ bad) Not_found (fun () ->
+          ignore (F.site_id bad)))
+    [
+      "";
+      String.sub label 0 (n - 1);
+      (* same length and last character: the lookup's hash collides *)
+      String.make (n - 1) 'x' ^ String.sub label (n - 1) 1;
+    ]
 
 let test_schedule_roundtrip () =
   let cases = [ []; [ (0, 0) ]; [ (3, 2); (11, 0); (5, 7) ] ] in

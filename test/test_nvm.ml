@@ -91,6 +91,42 @@ let test_footprint_accounting () =
   Alcotest.(check (list string)) "names in order" [ "a"; "b" ]
     (Nvm.cell_names nvm ~region:Nvm.Monitor)
 
+(* [snapshot_region] returns its previous list until the region's
+   version moves; a cell registered after a snapshot must move it. *)
+let test_snapshot_sees_new_cells () =
+  let nvm = Nvm.create () in
+  ignore (Nvm.cell nvm ~region:Nvm.Application ~name:"a" ~bytes:4 0);
+  ignore (Nvm.snapshot_region nvm ~region:Nvm.Application);
+  ignore (Nvm.cell nvm ~region:Nvm.Application ~name:"b" ~bytes:4 0);
+  Alcotest.(check (list string)) "registered after the snapshot" [ "a"; "b" ]
+    (List.map fst (Nvm.snapshot_region nvm ~region:Nvm.Application))
+
+let test_snapshot_memo () =
+  let nvm = Nvm.create () in
+  let app = Nvm.cell nvm ~region:Nvm.Application ~name:"app" ~bytes:4 0 in
+  let mon = Nvm.cell nvm ~region:Nvm.Monitor ~name:"mon" ~bytes:4 0 in
+  let snap () = Nvm.snapshot_region nvm ~region:Nvm.Application in
+  let s0 = snap () in
+  let same what = Alcotest.(check bool) what true (snap () == s0) in
+  Nvm.write mon 1;
+  same "monitor write";
+  Nvm.begin_tx nvm;
+  Nvm.tx_write mon 2;
+  Nvm.commit_tx nvm;
+  same "committed monitor tx_write";
+  Nvm.begin_tx nvm;
+  Nvm.tx_write app 3;
+  same "uncommitted application tx_write";
+  Nvm.abort_tx nvm;
+  same "aborted transaction";
+  Nvm.begin_tx nvm;
+  Nvm.tx_write app 4;
+  Nvm.commit_tx nvm;
+  let s1 = snap () in
+  Alcotest.(check bool) "committed application write: new list" false
+    (s1 == s0);
+  Alcotest.(check bool) "with the new digest" false (s1 = s0)
+
 (* Random interleavings of transactional ops and power failures never leak
    uncommitted state: after every failure, reads equal the last committed
    value. *)
@@ -137,5 +173,9 @@ let suite =
     Alcotest.test_case "duplicate cells rejected" `Quick
       test_duplicate_cells_rejected;
     Alcotest.test_case "footprint accounting" `Quick test_footprint_accounting;
+    Alcotest.test_case "snapshot sees cells registered after it" `Quick
+      test_snapshot_sees_new_cells;
+    Alcotest.test_case "snapshot memo follows the region's writes" `Quick
+      test_snapshot_memo;
     QCheck_alcotest.to_alcotest atomicity_qcheck;
   ]
