@@ -208,8 +208,6 @@ type migration = { monitor : string; migrated : string list; reset : bool }
 type built = {
   suite : Suite.t;
   replaced : (Monitor.t * Monitor.t) list;  (* (retiring, replacement) *)
-  added : string list;
-  removed : string list;
 }
 
 type t = {
@@ -248,7 +246,7 @@ let create ?(engine = Monitor.Table) ?(admission = fun _ -> Ok ()) nvm ~app
       { generation = 0; pending = None; applied = [] }
   in
   let suites = Hashtbl.create 4 in
-  Hashtbl.replace suites 0 { suite; replaced = []; added = []; removed = [] };
+  Hashtbl.replace suites 0 { suite; replaced = [] };
   { nvm; app; engine; buffer; control; suites; admission }
 
 let generation t = (Nvm.read t.control).generation
@@ -378,14 +376,8 @@ let build t ~target update tables =
       let added =
         List.filter (fun table -> not (List.exists (fun m -> named m table) kept)) tables
       in
-      let b =
-        {
-          suite = Suite.of_monitors (survivors @ List.map fresh_monitor added);
-          replaced;
-          added = List.map Table.name added;
-          removed = update.remove;
-        }
-      in
+      let suite = Suite.of_monitors (survivors @ List.map fresh_monitor added) in
+      let b = { suite; replaced } in
       Hashtbl.replace t.suites target b;
       b
 
@@ -452,5 +444,3 @@ let apply ?(probe = fun _ -> ()) ?(commit_extra = fun (_ : applied) -> ()) t =
                   probe "rt.adapt.clear.after";
                   Obs.Ctx.incr (Nvm.obs t.nvm) m_applied;
                   Applied a)))
-
-let deployment t gen = Hashtbl.find_opt t.suites gen

@@ -145,15 +145,3 @@ val apply :
     point: every partial state either retries to the same outcome or was
     already committed (in which case the pending marker is gone and the
     call returns [Idle]). *)
-
-(** {1 Introspection (oracles, experiments)} *)
-
-type built = {
-  suite : Suite.t;
-  replaced : (Monitor.t * Monitor.t) list;
-  added : string list;
-  removed : string list;
-}
-
-val deployment : t -> int -> built option
-(** The cached deployment of a generation, if built. *)

@@ -5,6 +5,14 @@ type t =
   | Duty_cycle of { period : Time.t; on_fraction : float; rate : Energy.power }
   | Trace of (Time.t * Energy.power) array
 
+let duty_cycle ~avg_uw =
+  Duty_cycle
+    {
+      period = Time.of_min 2;
+      on_fraction = 0.5;
+      rate = Energy.uw (2. *. avg_uw);
+    }
+
 let validate = function
   | Constant p ->
       if Energy.to_uw p < 0. then Error "constant rate is negative" else Ok ()

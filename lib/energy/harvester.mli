@@ -18,6 +18,11 @@ type t =
           from [t_i] until the next entry; the last rate holds forever.
           Entries must start at 0 and be strictly increasing. *)
 
+val duty_cycle : avg_uw:float -> t
+(** The harvester study's duty-cycled source: a 2-minute period whose
+    first half delivers twice [avg_uw], so the time-averaged power is
+    [avg_uw] µW. *)
+
 val validate : t -> (unit, string) result
 
 val rate_at : t -> Time.t -> Energy.power

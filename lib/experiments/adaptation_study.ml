@@ -27,24 +27,17 @@ type study = {
   reprogram_energy : Energy.energy;
 }
 
-(* The same 64-byte-chunk link model the runtime costs deliveries with. *)
-let radio_params () =
-  match Runtime.default_external_wireless with
-  | Runtime.External_wireless { radio_power; round_trip } ->
-      (radio_power, round_trip)
-  | Runtime.Separate_module | Runtime.Inlined -> assert false
-
-let chunk_bytes = 64
-
 (* A realistic MSP430-class monitor firmware image.  Reprogramming also
    loses all persistent monitor state (there is nothing to migrate
    into), which the adaptation path keeps. *)
 let firmware_image_bytes = 16 * 1024
 
+(* The same link model the runtime costs deliveries with. *)
 let reprogram_cost () =
-  let radio_power, round_trip = radio_params () in
-  let chunks = (firmware_image_bytes + chunk_bytes - 1) / chunk_bytes in
-  let time = Time.scale round_trip chunks in
+  let radio_power, time =
+    Runtime.link_cost Runtime.default_external_wireless
+      ~bytes:firmware_image_bytes
+  in
   (time, Energy.consumed radio_power time)
 
 let updates =
@@ -62,9 +55,11 @@ let run_update ~at (label, update) =
   let device = Config.device (Config.Intermittent (Time.of_min 1)) in
   let app, _handles = Health_app.make (Device.nvm device) in
   let suite = compile_and_deploy_exn device app Health_app.spec_text in
-  let result = Runtime.run_adaptive ~adaptations:[ (at, update) ] device app suite in
+  let result =
+    Runtime.run_instrumented ~adaptations:[ (at, update) ] device app suite
+  in
   let record =
-    match result.Runtime.records with
+    match result.Runtime.adaptations with
     | [ r ] -> r
     | rs ->
         failwith
@@ -78,7 +73,7 @@ let run_update ~at (label, update) =
     final_generation = result.Runtime.final_generation;
     final_monitors =
       List.map Monitor.name (Suite.monitors result.Runtime.final_suite);
-    stats = result.Runtime.adaptive_stats;
+    stats = result.Runtime.stats;
   }
 
 let run ?(at = 40) () =

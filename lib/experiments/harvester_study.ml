@@ -8,16 +8,6 @@ type row = {
   mayfly : Stats.t;
 }
 
-let duty_cycle_harvester ~avg_uw =
-  (* 2-minute period, power arrives during the first half at twice the
-     average rate *)
-  Harvester.Duty_cycle
-    {
-      period = Time.of_min 2;
-      on_fraction = 0.5;
-      rate = Energy.uw (2. *. avg_uw);
-    }
-
 (* Unlike the fixed-delay policy (which recharges to capacity), the
    harvester policy brings the capacitor back to the turn-on threshold
    only; the threshold must therefore sit above the hungriest task's
@@ -32,7 +22,7 @@ let study_capacitor () =
 let device ~avg_uw =
   Device.create
     ~capacitor:(study_capacitor ())
-    ~policy:(Charging_policy.From_harvester (duty_cycle_harvester ~avg_uw))
+    ~policy:(Charging_policy.From_harvester (Harvester.duty_cycle ~avg_uw))
     ~horizon:(Time.of_min 720) ()
 
 let mean_charging_delay dev =

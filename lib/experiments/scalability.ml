@@ -62,9 +62,10 @@ let render rows =
 (* --- non-watching properties --- *)
 
 (* A deployed property whose machine names only tasks the application
-   never runs: with task-indexed dispatch it is never invoked, so its
-   only cost is FRAM.  This is the sweep the indexed hot path is judged
-   on - monitor overhead must stay flat as these are piled on. *)
+   never runs: every monitor call steps it, but the runtime charges only
+   monitors watching the event's task, so its only cost is FRAM.  This
+   is the sweep that charging rule is judged on - monitor overhead must
+   stay flat as these are piled on. *)
 let non_watching_machine i =
   let task = Printf.sprintf "ghostTask%d" i in
   {

@@ -11,9 +11,10 @@
     overhead grows linearly in the {e watching} copies.
 
     The companion non-watching sweep deploys properties that name only
-    tasks the application never runs: task-indexed dispatch never invokes
-    them, so monitor overhead must stay flat (sublinear in the deployed
-    count) while only their FRAM footprint grows. *)
+    tasks the application never runs: the runtime steps them but charges
+    only monitors watching the event's task, so monitor overhead must
+    stay flat (sublinear in the deployed count) while only their FRAM
+    footprint grows. *)
 
 val replicated_machines : int -> Artemis.Fsm.Ast.machine list
 (** [k] independent, renamed copies of the benchmark property set — the

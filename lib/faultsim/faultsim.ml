@@ -114,7 +114,7 @@ let golden_violations (b : Scenario.built) (result : Runtime.instrumented) =
   let golden = ref golden0 in
   List.iter
     (function
-      | Runtime.Stepped ev -> ignore (Suite.step_all_unindexed !golden ev)
+      | Runtime.Stepped ev -> ignore (Suite.step_all !golden ev)
       | Runtime.Reinited tasks -> Suite.reinit_for_tasks !golden ~tasks
       | Runtime.Adapted { id; generation } -> (
           match

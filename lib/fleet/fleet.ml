@@ -20,21 +20,11 @@ type profile =
   | Duty_cycle of { avg_uw : float }
   | Constant of { avg_uw : float }
 
-(* The duty-cycle shape of the harvester study: a 2-minute period whose
-   first half delivers twice the average rate, so the time-averaged
-   power equals [avg_uw]. *)
 let policy_of_profile = function
   | Scenario_default -> None
   | Fixed_delay d -> Some (Charging_policy.Fixed_delay d)
   | Duty_cycle { avg_uw } ->
-      Some
-        (Charging_policy.From_harvester
-           (Harvester.Duty_cycle
-              {
-                period = Time.of_min 2;
-                on_fraction = 0.5;
-                rate = Energy.uw (2. *. avg_uw);
-              }))
+      Some (Charging_policy.From_harvester (Harvester.duty_cycle ~avg_uw))
   | Constant { avg_uw } ->
       Some (Charging_policy.From_harvester (Harvester.Constant (Energy.uw avg_uw)))
 
@@ -47,8 +37,13 @@ let parse_time s =
   let num suffix =
     String.sub s 0 (String.length s - String.length suffix)
   in
+  (* a delay is a whole number of microseconds: one that rounds to
+     nothing would charge instantly and label itself unparseably *)
   let scaled suffix to_time =
-    Result.map to_time (parse_positive "delay" (num suffix))
+    Result.bind (parse_positive "delay" (num suffix)) (fun v ->
+        let t = to_time v in
+        if Time.to_us t >= 1 then Ok t
+        else Error (Printf.sprintf "delay must be at least 1us (got %S)" s))
   in
   if String.length s > 2 && Filename.check_suffix s "min" then
     scaled "min" (fun v -> Time.of_sec_f (v *. 60.))
@@ -90,22 +85,13 @@ let profile_of_string s =
             (Printf.sprintf
                "unknown harvester profile kind %S (fixed|duty|constant)" kind))
 
-(* Canonical labels round-trip through profile_of_string; times render
-   in the largest exact unit so "fixed:30s" stays "fixed:30s". *)
-let time_label t =
-  let us = Time.to_us t in
-  if us mod 60_000_000 = 0 then Printf.sprintf "%dmin" (us / 60_000_000)
-  else if us mod 1_000_000 = 0 then Printf.sprintf "%ds" (us / 1_000_000)
-  else if us mod 1_000 = 0 then Printf.sprintf "%dms" (us / 1_000)
-  else Printf.sprintf "%dus" us
-
 let uw_label v =
   if Float.is_integer v then Printf.sprintf "%.0fuw" v
   else Printf.sprintf "%guw" v
 
 let profile_label = function
   | Scenario_default -> "default"
-  | Fixed_delay d -> "fixed:" ^ time_label d
+  | Fixed_delay d -> "fixed:" ^ Time.to_literal d
   | Duty_cycle { avg_uw } -> "duty:" ^ uw_label avg_uw
   | Constant { avg_uw } -> "constant:" ^ uw_label avg_uw
 

@@ -28,13 +28,12 @@ type profile =
   | Scenario_default
   | Fixed_delay of Time.t  (** the paper's charging-time knob *)
   | Duty_cycle of { avg_uw : float }
-      (** 2-minute period, power during the first half at twice the
-          average rate (the harvester-study shape) *)
+      (** the harvester study's shape, {!Artemis.Harvester.duty_cycle} *)
   | Constant of { avg_uw : float }  (** steady incoming power *)
 
 val profile_of_string : string -> (profile, string) result
-(** ["default"], ["fixed:30s"] (also [ms]/[min] suffixes),
-    ["duty:200uw"], ["constant:65uw"]. *)
+(** ["default"], ["fixed:30s"] (also [us]/[ms]/[min] suffixes; the delay
+    must round to at least 1us), ["duty:200uw"], ["constant:65uw"]. *)
 
 val profile_label : profile -> string
 (** Canonical rendering, parseable by {!profile_of_string}. *)

@@ -89,9 +89,10 @@ val migrate_persistent : from:t -> t -> string list
 val watches_task : t -> string -> bool
 (** Whether any trigger of the machine applies to the task (O(1); [On_any]
     machines watch every task).  Used to select the monitors a path
-    restart must re-initialize and to index event dispatch. *)
+    restart must re-initialize. *)
 
 val watches_event : t -> Interp.event -> bool
-(** [watches_task] on the event's task. *)
+(** [watches_task] on the event's task: whether the runtime charges this
+    monitor's step of a monitor call. *)
 
 val fram_bytes : t -> int

@@ -184,7 +184,6 @@ type state = {
       (** the task execute/commit protocol (PR 10): which intermittent-
           system family makes task effects durable, and at what cost *)
   mutable exec : exec;  (** the active generation's deployment *)
-  execs : (int, exec) Hashtbl.t;  (** generation -> deployment (host cache) *)
   adapt : Adapt.t;
   deliveries : delivery list;
   config : config;
@@ -306,8 +305,6 @@ let make_state ?(probe = fun _ -> ()) ?(journaling = false) ?(adaptations = [])
         })
       adaptations
   in
-  let execs = Hashtbl.create 4 in
-  Hashtbl.replace execs 0 exec0;
   (* Backend cells are allocated last, after the shared runtime's and the
      adaptation manager's, so every backend sees the same cell prefix and
      the footprint fingerprints stay deterministic per backend. *)
@@ -320,7 +317,6 @@ let make_state ?(probe = fun _ -> ()) ?(journaling = false) ?(adaptations = [])
     paths;
     binst;
     exec = exec0;
-    execs;
     adapt;
     deliveries;
     config;
@@ -368,11 +364,12 @@ let capacitor_mj st = Energy.to_mj (Capacitor.level (Device.capacitor st.device)
    A power failure leaves the thread mid-way; the next loop iteration
    resumes it - that is monitorFinalize (Figure 8, line 16).
 
-   Dispatch is task-indexed: a property whose machine does not watch the
-   event's task is never invoked, so its step costs nothing beyond the
-   O(1) table lookup (covered by the per-call dispatch cost).  Monitor
-   overhead therefore scales with the monitors an event can fire, not
-   with the deployed property count. *)
+   Every monitor is stepped, as in the paper's callMonitor, but only a
+   monitor whose machine watches the event's task is charged for its
+   step: any other can only take the implicit self-transition, which
+   costs nothing beyond the per-call dispatch cost.  Monitor overhead
+   therefore scales with the monitors an event can fire, not with the
+   deployed property count. *)
 let resume_monitor_call_inner st =
   observed (Device.obs st.device) ~cat:"monitor" ~hist:h_monitor_call
     "monitor_call"
@@ -465,13 +462,11 @@ let begin_monitor_call st =
     Immortal.reset st.exec.thread;
     Nvm.write st.mcall_failures [];
     Nvm.write st.mcall { (Nvm.read st.mcall) with active = true }
-  end;
-  resume_monitor_call st
+  end
 
 (* --- cursor movements; each is one atomic cell write --- *)
 
-let move_to_path st p =
-  ignore st;
+let path_start p =
   { path = p; index = 0; finished = false; attempt = 0; end_ts = Time.zero }
 
 let advance st =
@@ -482,7 +477,7 @@ let advance st =
   else begin
     Device.record st.device (Event.Path_completed { path = c.path });
     Nvm.write st.suspended false;
-    Nvm.write st.cursor (move_to_path st (c.path + 1))
+    Nvm.write st.cursor (path_start (c.path + 1))
   end
 
 let restart_path st ~target ~reason =
@@ -506,7 +501,7 @@ let restart_path st ~target ~reason =
     let m = Nvm.read st.mcall in
     Nvm.write_join st.mcall { m with journal = Reinited tasks :: m.journal }
   end;
-  Nvm.write_join st.cursor (move_to_path st p);
+  Nvm.write_join st.cursor (path_start p);
   Nvm.commit_tx nvm
 
 let skip_path st ~target ~reason =
@@ -514,7 +509,7 @@ let skip_path st ~target ~reason =
   let p = Option.value target ~default:c.path in
   Device.record st.device (Event.Path_skipped { path = p; reason });
   Nvm.write st.suspended false;
-  Nvm.write st.cursor (move_to_path st (p + 1))
+  Nvm.write st.cursor (path_start (p + 1))
 
 (* --- task execution (the Proceed case of checkTask) --- *)
 
@@ -548,6 +543,12 @@ let execute_task st =
          earlier Task_started (its pending-stamp protocol). *)
       Device.record st.device (Event.Task_completed { task = task.Task.name })
 
+(* The Proceed case of checkTask: a start event runs the task, an end
+   event moves the cursor past it. *)
+let proceed st = function
+  | Interp.Start -> execute_task st
+  | Interp.End -> advance st
+
 (* --- verdict application --- *)
 
 let apply_verdict_body st failures =
@@ -560,10 +561,7 @@ let apply_verdict_body st failures =
              action = action_name f.action }))
     failures;
   match Suite.arbitrate failures with
-  | None -> (
-      match ev.Interp.kind with
-      | Interp.Start -> execute_task st
-      | Interp.End -> advance st)
+  | None -> proceed st ev.Interp.kind
   | Some f -> (
       Device.record st.device
         (Event.Runtime_action
@@ -584,18 +582,24 @@ let apply_verdict_body st failures =
       | Artemis_fsm.Ast.Restart_path ->
           restart_path st ~target:f.target_path ~reason
       | Artemis_fsm.Ast.Skip_path -> skip_path st ~target:f.target_path ~reason
-      | Artemis_fsm.Ast.Complete_path -> (
+      | Artemis_fsm.Ast.Complete_path ->
           let c = Nvm.read st.cursor in
           Device.record st.device (Event.Monitoring_suspended { path = c.path });
           Nvm.write st.suspended true;
-          match ev.Interp.kind with
-          | Interp.Start -> execute_task st
-          | Interp.End -> advance st))
+          proceed st ev.Interp.kind)
 
 let apply_verdict st failures =
   st.probe "rt.verdict.before";
   apply_verdict_body st failures;
   st.probe "rt.verdict.after"
+
+(* Run the armed monitor call as far as this power cycle allows.  An
+   interrupted call stays active, and the next loop iteration resumes it
+   here (monitorFinalize); a finished call's verdict is applied. *)
+let monitor_call st =
+  match resume_monitor_call st with
+  | Pending -> ()
+  | Verdict failures -> apply_verdict st failures
 
 (* --- the live-adaptation update window (PR 4) ---
 
@@ -610,52 +614,42 @@ let chunk_bytes = 64
 (* Delivery is always costed through the External_wireless radio model:
    on-device deployments still receive updates over the same BLE-class
    link the external-monitor variant uses for events. *)
-let radio_params st =
-  match st.config.deployment with
-  | External_wireless { radio_power; round_trip } -> (radio_power, round_trip)
-  | Separate_module | Inlined -> (
-      match default_external_wireless with
-      | External_wireless { radio_power; round_trip } -> (radio_power, round_trip)
-      | Separate_module | Inlined -> assert false)
+let rec link_cost deployment ~bytes =
+  match deployment with
+  | External_wireless { radio_power; round_trip } ->
+      let chunks = max 1 ((bytes + chunk_bytes - 1) / chunk_bytes) in
+      (radio_power, Time.scale round_trip chunks)
+  | Separate_module | Inlined -> link_cost default_external_wireless ~bytes
 
-(* Swap in the committed generation's deployment.  Building an exec is
-   cached per generation: the thread's persistent pc cell must be
-   allocated exactly once even when a crash forces this path to re-run. *)
+(* Swap in the committed generation's deployment.  The durable generation
+   only moves forward and [st.exec] survives power failures, so each
+   generation's thread, and its persistent pc cell, is built exactly once:
+   at the first window after its flip commits. *)
 let sync_exec st =
   let gen = Adapt.generation st.adapt in
-  if gen <> st.exec.gen then begin
-    let exec =
-      match Hashtbl.find_opt st.execs gen with
-      | Some e -> e
-      | None ->
-          let e =
-            make_exec (Device.nvm st.device) ~gen (Adapt.active st.adapt)
-              st.event st.mcall_failures
-          in
-          Hashtbl.replace st.execs gen e;
-          e
-    in
-    st.exec <- exec
-  end
+  if gen <> st.exec.gen then
+    st.exec <-
+      make_exec (Device.nvm st.device) ~gen (Adapt.active st.adapt) st.event
+        st.mcall_failures
 
 let find_delivery st id =
   List.find_opt (fun d -> d.d_update.Adapt.id = id) st.deliveries
 
+let delivery_record st (d : delivery) outcome =
+  {
+    update_id = d.d_update.Adapt.id;
+    scheduled_iteration = d.d_iteration;
+    wire_bytes = Adapt.wire_bytes d.d_update;
+    outcome;
+    first_attempt_at = Option.value d.d_first_attempt ~default:Time.zero;
+    completed_at = Device.now st.device;
+    radio_time = d.d_radio_time;
+    radio_energy = d.d_radio_energy;
+  }
+
 let finish_delivery st (d : delivery) outcome =
   d.d_delivered <- true;
-  if d.d_record = None then
-    d.d_record <-
-      Some
-        {
-          update_id = d.d_update.Adapt.id;
-          scheduled_iteration = d.d_iteration;
-          wire_bytes = Adapt.wire_bytes d.d_update;
-          outcome;
-          first_attempt_at = Option.value d.d_first_attempt ~default:Time.zero;
-          completed_at = Device.now st.device;
-          radio_time = d.d_radio_time;
-          radio_energy = d.d_radio_energy;
-        }
+  if d.d_record = None then d.d_record <- Some (delivery_record st d outcome)
 
 let apply_staged st =
   match
@@ -704,10 +698,9 @@ let deliver st (d : delivery) =
       (Update_applied { generation = Adapt.generation st.adapt; migrations = [] })
   else begin
     if d.d_first_attempt = None then d.d_first_attempt <- Some (Device.now st.device);
-    let bytes = Adapt.wire_bytes d.d_update in
-    let radio_power, round_trip = radio_params st in
-    let chunks = max 1 ((bytes + chunk_bytes - 1) / chunk_bytes) in
-    let duration = Time.scale round_trip chunks in
+    let radio_power, duration =
+      link_cost st.config.deployment ~bytes:(Adapt.wire_bytes d.d_update)
+    in
     match
       Device.consume st.device Device.Runtime_work ~during:"adapt.deliver"
         ~power:radio_power ~duration ()
@@ -774,40 +767,37 @@ let make_event st kind (c : cursor) =
     energy_mj = capacitor_mj st;
   }
 
-let start_phase st =
+(* One event of the current task: its start event until the body has
+   committed, its end event after.  A start counts a new attempt (and
+   opens the path on its first).  The event goes to the persistent
+   MonitorEvent cell, then to the monitors, or straight to [proceed]
+   while monitoring is suspended (completePath). *)
+let event_phase st =
   let c = Nvm.read st.cursor in
-  if c.index = 0 && c.attempt = 0 then
-    Device.record st.device (Event.Path_started { path = c.path });
-  let c = { c with attempt = c.attempt + 1 } in
-  Nvm.write st.cursor c;
-  let task = current_task st c in
-  Device.record st.device
-    (Event.Task_started { task = task.Task.name; attempt = c.attempt });
+  let kind, c =
+    if c.finished then (Interp.End, c)
+    else begin
+      if c.index = 0 && c.attempt = 0 then
+        Device.record st.device (Event.Path_started { path = c.path });
+      let c = { c with attempt = c.attempt + 1 } in
+      Nvm.write st.cursor c;
+      let task = current_task st c in
+      Device.record st.device
+        (Event.Task_started { task = task.Task.name; attempt = c.attempt });
+      (Interp.Start, c)
+    end
+  in
   st.probe "rt.event_update.before";
-  Nvm.write st.event (make_event st Interp.Start c);
+  Nvm.write st.event (make_event st kind c);
   st.probe "rt.event_update.after";
   match consume_runtime st with
   | Device.Interrupted | Device.Starved -> ()
-  | Device.Completed -> (
-      if Nvm.read st.suspended then execute_task st
-      else
-        match begin_monitor_call st with
-        | Pending -> ()
-        | Verdict failures -> apply_verdict st failures)
-
-let end_phase st =
-  let c = Nvm.read st.cursor in
-  st.probe "rt.event_update.before";
-  Nvm.write st.event (make_event st Interp.End c);
-  st.probe "rt.event_update.after";
-  match consume_runtime st with
-  | Device.Interrupted | Device.Starved -> ()
-  | Device.Completed -> (
-      if Nvm.read st.suspended then advance st
-      else
-        match begin_monitor_call st with
-        | Pending -> ()
-        | Verdict failures -> apply_verdict st failures)
+  | Device.Completed ->
+      if Nvm.read st.suspended then proceed st kind
+      else begin
+        begin_monitor_call st;
+        monitor_call st
+      end
 
 (* --- main loop and reporting --- *)
 
@@ -847,7 +837,7 @@ let run_internal ?probe ?journaling ?adaptations ?backend ~config device app
             Device.record device
               (Event.Round_completed { round = completed_round });
             Nvm.write st.round (completed_round + 1);
-            Nvm.write st.cursor (move_to_path st 1);
+            Nvm.write st.cursor (path_start 1);
             loop ()
           end
           else begin
@@ -857,16 +847,14 @@ let run_internal ?probe ?journaling ?adaptations ?backend ~config device app
         end
         else if (Nvm.read st.mcall).active then begin
           (* monitorFinalize: progress the interrupted monitor call *)
-          (match resume_monitor_call st with
-          | Pending -> ()
-          | Verdict failures -> apply_verdict st failures);
+          monitor_call st;
           loop ()
         end
         else begin
           (* Between monitor calls: finish or stage live property updates
              (no-op without scheduled adaptations or a staged update). *)
           update_window st;
-          if c.finished then end_phase st else start_phase st;
+          event_phase st;
           loop ()
         end)
   in
@@ -901,60 +889,25 @@ let run_internal ?probe ?journaling ?adaptations ?backend ~config device app
 let run ?(config = default_config) ?adaptations ?backend device app suite =
   snd (run_internal ?adaptations ?backend ~config device app suite)
 
-let adaptation_records st =
-  List.map
-    (fun d ->
-      match d.d_record with
-      | Some r -> r
-      | None ->
-          {
-            update_id = d.d_update.Adapt.id;
-            scheduled_iteration = d.d_iteration;
-            wire_bytes = Adapt.wire_bytes d.d_update;
-            outcome = Update_unfinished;
-            first_attempt_at = Option.value d.d_first_attempt ~default:Time.zero;
-            completed_at = Device.now st.device;
-            radio_time = d.d_radio_time;
-            radio_energy = d.d_radio_energy;
-          })
-    st.deliveries
-
-type adaptive = {
-  adaptive_stats : Stats.t;
-  records : adaptation_record list;  (** scheduled-delivery order *)
-  final_suite : Suite.t;  (** the active suite when the run ended *)
-  final_generation : int;
-}
-
-let run_adaptive ?(config = default_config) ?backend ~adaptations device app
-    suite =
-  let st, stats = run_internal ~adaptations ?backend ~config device app suite in
-  (* the run may end between a committed flip and the next update window *)
-  sync_exec st;
-  {
-    adaptive_stats = stats;
-    records = adaptation_records st;
-    final_suite = st.exec.suite;
-    final_generation = st.exec.gen;
-  }
-
 type instrumented = {
   stats : Stats.t;
   journal : journal_entry list;  (** oldest first *)
   partial : (Interp.event * int) option;
       (** monitor call in flight at end of run: (event, immortal pc) *)
   final_suite : Suite.t;
+  final_generation : int;
   adaptations : adaptation_record list;
   max_call_energy : Energy.energy;
       (** worst single monitor-call attempt observed (Monitor_work) *)
 }
 
-let run_instrumented ?(config = default_config) ?adaptations ?backend ~probe
+let run_instrumented ?(config = default_config) ?adaptations ?backend ?probe
     device app suite =
   let st, stats =
-    run_internal ~probe ~journaling:true ?adaptations ?backend ~config device
+    run_internal ?probe ~journaling:true ?adaptations ?backend ~config device
       app suite
   in
+  (* the run may end between a committed flip and the next update window *)
   sync_exec st;
   let m = Nvm.read st.mcall in
   let partial =
@@ -967,7 +920,14 @@ let run_instrumented ?(config = default_config) ?adaptations ?backend ~probe
     journal = List.rev m.journal;
     partial;
     final_suite = st.exec.suite;
-    adaptations = adaptation_records st;
+    final_generation = st.exec.gen;
+    adaptations =
+      List.map
+        (fun d ->
+          match d.d_record with
+          | Some r -> r
+          | None -> delivery_record st d Update_unfinished)
+        st.deliveries;
     max_call_energy = st.max_mcall_energy;
   }
 

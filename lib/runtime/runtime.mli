@@ -73,7 +73,7 @@ val run :
     Events are recorded in the device's trace log.  [adaptations]
     schedules live property updates: each [(k, update)] is delivered over
     the radio at the first update window on or after scheduler iteration
-    [k] (see {!run_adaptive} for the result details).  [backend] selects
+    [k] ({!run_instrumented} reports each update's outcome).  [backend] selects
     the task execute/commit protocol (PR 10) - which intermittent-system
     family makes task effects durable; defaults to
     {!Artemis_backend.Backend.immortal}, the paper's task-transaction
@@ -111,21 +111,12 @@ type adaptation_record = {
   radio_energy : Energy.energy;
 }
 
-type adaptive = {
-  adaptive_stats : Artemis_trace.Stats.t;
-  records : adaptation_record list;  (** scheduled-delivery order *)
-  final_suite : Artemis_monitor.Suite.t;
-  final_generation : int;
-}
-
-val run_adaptive :
-  ?config:config ->
-  ?backend:Artemis_backend.Backend.b ->
-  adaptations:(int * Artemis_adapt.Adapt.update) list ->
-  Device.t -> Task.app -> Artemis_monitor.Suite.t ->
-  adaptive
-(** {!run} plus per-update latency/energy records and the final active
-    suite — the measurement entry point of the adaptation study. *)
+val link_cost : monitor_deployment -> bytes:int -> Energy.power * Time.t
+(** Radio power and transfer time of [bytes] over the deployment's radio
+    in 64-byte chunks, one round-trip each (at least one).  Deployments
+    without a radio of their own use {!default_external_wireless}.  The
+    runtime costs update deliveries with it; the adaptation study costs
+    its full-reprogramming baseline over the same link. *)
 
 val runtime_fram_bytes : Device.t -> int
 (** FRAM bytes of the runtime's own persistent cells after a run was set
@@ -168,8 +159,11 @@ type instrumented = {
   final_suite : Artemis_monitor.Suite.t;
       (** the active suite when the run ended (≠ the deployed suite once
           an adaptation applied) *)
+  final_generation : int;  (** the active suite's generation *)
   adaptations : adaptation_record list;
-      (** per-update delivery records, as in {!run_adaptive} *)
+      (** one delivery record per scheduled update, in scheduling order:
+          its outcome, radio time and energy, and first-attempt and
+          completion times *)
   max_call_energy : Energy.energy;
       (** the worst Monitor_work energy any single monitor-call attempt
           (one [resume] within one power cycle, including attempts cut
@@ -181,12 +175,14 @@ val run_instrumented :
   ?config:config ->
   ?adaptations:(int * Artemis_adapt.Adapt.update) list ->
   ?backend:Artemis_backend.Backend.b ->
-  probe:(string -> unit) ->
+  ?probe:(string -> unit) ->
   Device.t -> Task.app -> Artemis_monitor.Suite.t ->
   instrumented
-(** Like {!run}, with [probe] installed on every injection site (both
-    the NVM bookkeeping sites and the runtime sites above) and the
-    monitor-call journal recorded.  A probe raising
+(** Like {!run}, with the monitor-call journal recorded, returning the
+    final suite and the per-update records too: the entry point of the
+    fault-injection engine and of the adaptation study.  [probe], when
+    given, is installed on every injection site (both the NVM
+    bookkeeping sites and the runtime sites above).  A probe raising
     {!Artemis_nvm.Nvm.Injected_failure} triggers
     {!Device.force_power_failure} and the run resumes from persistent
     state, exactly as after a capacitor brown-out. *)

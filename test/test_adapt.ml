@@ -120,7 +120,7 @@ let read_n mgr =
 let test_apply_migrates () =
   let _nvm, mgr = setup () in
   for i = 1 to 3 do
-    ignore (Suite.step_all_unindexed (Adapt.active mgr) (start_a i))
+    ignore (Suite.step_all (Adapt.active mgr) (start_a i))
   done;
   Alcotest.(check int) "pre-update count" 3 (read_n mgr);
   let update = Adapt.machine_update ~id:1 counter_v2_src in
@@ -139,7 +139,7 @@ let test_apply_migrates () =
   Alcotest.(check bool) "exactly-once flag" true (Adapt.already_applied mgr 1);
   Alcotest.(check (option int)) "no pending left" None (Adapt.pending_id mgr);
   Alcotest.(check int) "persistent n migrated" 3 (read_n mgr);
-  ignore (Suite.step_all_unindexed (Adapt.active mgr) (start_a 4));
+  ignore (Suite.step_all (Adapt.active mgr) (start_a 4));
   Alcotest.(check int) "new logic (+2) over migrated state" 5 (read_n mgr);
   (* nothing staged: apply is a no-op, never a re-application *)
   Alcotest.(check bool) "idle after commit" true (Adapt.apply mgr = Adapt.Idle)
@@ -147,7 +147,7 @@ let test_apply_migrates () =
 let test_incompatible_resets () =
   let _nvm, mgr = setup () in
   for i = 1 to 3 do
-    ignore (Suite.step_all_unindexed (Adapt.active mgr) (start_a i))
+    ignore (Suite.step_all (Adapt.active mgr) (start_a i))
   done;
   ignore (Adapt.stage mgr (Adapt.machine_update ~id:1 counter_incompatible_src));
   (match Adapt.apply mgr with
@@ -262,7 +262,7 @@ let test_per_site_crash_recovery () =
     (fun site ->
       let nvm, mgr = setup () in
       for i = 1 to 3 do
-        ignore (Suite.step_all_unindexed (Adapt.active mgr) (start_a i))
+        ignore (Suite.step_all (Adapt.active mgr) (start_a i))
       done;
       let update = Adapt.machine_update ~id:1 counter_v2_src in
       let armed = ref true in
@@ -307,9 +307,12 @@ let test_run_adaptive () =
   let app, _ = Health_app.make (Device.nvm device) in
   let suite = compile_and_deploy_exn device app Health_app.spec_text in
   let before = List.map Monitor.name (Suite.monitors suite) in
-  let r = Runtime.run_adaptive ~adaptations:[ (40, health_update) ] device app suite in
+  let r =
+    Runtime.run_instrumented ~adaptations:[ (40, health_update) ] device app
+      suite
+  in
   Alcotest.(check bool) "completed" true
-    (r.Runtime.adaptive_stats.Stats.outcome = Stats.Completed);
+    (r.Runtime.stats.Stats.outcome = Stats.Completed);
   Alcotest.(check int) "final generation" 1 r.Runtime.final_generation;
   let after = List.map Monitor.name (Suite.monitors r.Runtime.final_suite) in
   Alcotest.(check bool) "maxDuration_send removed" true
@@ -317,7 +320,7 @@ let test_run_adaptive () =
     && not (List.mem "maxDuration_send" after));
   Alcotest.(check bool) "MITD replaced in place" true
     (List.mem "MITD_send_accel" after);
-  match r.Runtime.records with
+  match r.Runtime.adaptations with
   | [ rec1 ] -> (
       Alcotest.(check int) "update id" 1 rec1.Runtime.update_id;
       Alcotest.(check bool) "radio was costed" true
@@ -358,7 +361,10 @@ let test_engine_defaults () =
     compile_and_deploy_exn ~engine:Monitor.Interpreted device app
       Health_app.spec_text
   in
-  let r = Runtime.run_adaptive ~adaptations:[ (40, health_update) ] device app suite in
+  let r =
+    Runtime.run_instrumented ~adaptations:[ (40, health_update) ] device app
+      suite
+  in
   Alcotest.(check int) "update applied" 1 r.Runtime.final_generation;
   let final = r.Runtime.final_suite in
   Alcotest.(check bool) "replacement present" true
@@ -391,7 +397,7 @@ let test_differential_replay () =
   let golden = ref golden0 in
   List.iter
     (function
-      | Runtime.Stepped ev -> ignore (Suite.step_all_unindexed !golden ev)
+      | Runtime.Stepped ev -> ignore (Suite.step_all !golden ev)
       | Runtime.Reinited tasks -> Suite.reinit_for_tasks !golden ~tasks
       | Runtime.Adapted { id; generation } ->
           ignore (Adapt.stage mgr health_update);
@@ -435,6 +441,59 @@ let test_faultsim_campaign () =
     (List.length c.F.covered);
   Alcotest.(check bool) "no reproducer" true (c.F.shrunk = None)
 
+(* Two updates in one run take the durable generation 0 -> 1 -> 2: each
+   flip gets its generation's callMonitor thread exactly once, and no
+   crash instant in either update window breaks an oracle. *)
+let health_two_updates =
+  {
+    Scenario.name = "health-two-updates";
+    description = "health plus live updates at iterations 40 and 45";
+    build =
+      (fun ~engine ~seed ->
+        let b = Scenario.health.Scenario.build ~engine ~seed in
+        {
+          b with
+          Scenario.adaptations =
+            [
+              (40, health_update);
+              ( 45,
+                Adapt.spec_update ~id:2
+                  "send: { maxTries: 8 onFail: skipPath; }" );
+            ];
+        });
+  }
+
+let test_two_updates () =
+  let b = health_two_updates.Scenario.build ~engine:None ~seed:42 in
+  let r =
+    Runtime.run_instrumented ~config:b.Scenario.config
+      ~adaptations:b.Scenario.adaptations ~backend:b.Scenario.backend
+      b.Scenario.device b.Scenario.app b.Scenario.suite
+  in
+  let generations =
+    List.map
+      (fun (rc : Runtime.adaptation_record) ->
+        match rc.Runtime.outcome with
+        | Runtime.Update_applied { generation; _ } -> generation
+        | Runtime.Update_rejected _ | Runtime.Update_unfinished -> -1)
+      r.Runtime.adaptations
+  in
+  Alcotest.(check (list int)) "both updates applied, in order" [ 1; 2 ]
+    generations;
+  Alcotest.(check int) "final generation" 2 r.Runtime.final_generation;
+  let threads =
+    List.filter
+      (fun name -> String.starts_with ~prefix:"ic:" name)
+      (Nvm.cell_names (Device.nvm b.Scenario.device) ~region:Nvm.Monitor)
+  in
+  Alcotest.(check (list string)) "one callMonitor thread per generation"
+    [ "ic:callMonitor"; "ic:callMonitor.g1"; "ic:callMonitor.g2" ]
+    (List.sort String.compare threads);
+  let c =
+    F.random_campaign health_two_updates ~seed:42 ~runs:300 ~max_depth:3
+  in
+  Alcotest.(check int) "zero violations" 0 (F.total_violations c)
+
 let test_adaptation_study () =
   let s = Artemis_experiments.Adaptation_study.run () in
   Alcotest.(check int) "two updates studied" 2
@@ -468,5 +527,6 @@ let suite =
     ("differential: adapted run == from-scratch replay", `Quick,
       test_differential_replay);
     ("depth-1 campaign over the update window", `Quick, test_faultsim_campaign);
+    ("two live updates in one run", `Quick, test_two_updates);
     ("adaptation study beats reprogramming", `Quick, test_adaptation_study);
   ]

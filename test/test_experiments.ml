@@ -238,7 +238,7 @@ let test_scalability () =
 let test_non_watching_flat () =
   match Scalability.run_non_watching ~extras:[ 0; 32 ] () with
   | [ base; piled ] ->
-      (* task-indexed dispatch never invokes a monitor whose tasks the
+      (* the runtime never charges a monitor whose tasks the
          application does not run: piling them on must not grow the
          monitor overhead, only the FRAM footprint *)
       Alcotest.(check bool) "overhead stays flat" true

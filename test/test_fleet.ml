@@ -68,6 +68,10 @@ let test_spec_rejects () =
     "unit suffix";
   rejected
     {|{"scenarios": ["quickstart"], "seeds": {"count": 1},
+       "harvesters": ["fixed:0.4us"]}|}
+    "at least 1us (got \"0.4us\")";
+  rejected
+    {|{"scenarios": ["quickstart"], "seeds": {"count": 1},
        "engines": ["jit"]}|}
     "unknown engine";
   rejected
@@ -84,8 +88,8 @@ let test_profile_round_trip () =
       | Error e -> Alcotest.failf "%s rejected: %s" label e
       | Ok p ->
           Alcotest.(check string) label label (Fleet.profile_label p))
-    [ "default"; "fixed:30s"; "fixed:500ms"; "fixed:2min"; "duty:200uw";
-      "constant:65uw" ]
+    [ "default"; "fixed:30s"; "fixed:500ms"; "fixed:2min"; "fixed:1500us";
+      "duty:200uw"; "constant:65uw" ]
 
 (* --- report determinism: jobs must never change a byte --- *)
 
