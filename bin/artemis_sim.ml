@@ -135,9 +135,10 @@ let run system_name engine delay_min continuous temp_base show_trace trace_limit
         if continuous then Config.Continuous
         else Config.Intermittent (Artemis.Time.of_min delay_min)
       in
-      Artemis.Obs.reset ();
-      Artemis.Obs.set_metrics (metrics_out <> None || show_metrics);
-      Artemis.Obs.set_tracing (trace_out <> None);
+      (* the run's device records into this domain's current context *)
+      let obs = Artemis.Obs.current () in
+      Artemis.Obs.set_metrics obs (metrics_out <> None || show_metrics);
+      Artemis.Obs.set_tracing obs (trace_out <> None);
       let { Config.stats; device; handles } =
         Config.run_health ?temp_base ?adaptations ?engine system supply
       in
@@ -179,13 +180,13 @@ let run system_name engine delay_min continuous temp_base show_trace trace_limit
           Printf.printf "trace CSV written to %s\n" path);
       if show_metrics then begin
         print_endline "--- metrics ---";
-        print_string (Artemis.Obs.metrics_dump ())
+        print_string (Artemis.Obs.metrics_dump obs)
       end;
       let failures = ref 0 in
       (match trace_out with
       | None -> ()
       | Some path -> (
-          let text = Artemis.Obs.trace_json () in
+          let text = Artemis.Obs.trace_json obs in
           Cli.write_file ~prog path (fun oc -> output_string oc text);
           match check_trace_json text with
           | Ok () ->
@@ -197,11 +198,11 @@ let run system_name engine delay_min continuous temp_base show_trace trace_limit
       (match metrics_out with
       | None -> ()
       | Some path -> (
-          let text = Artemis.Obs.metrics_json () in
+          let text = Artemis.Obs.metrics_json obs in
           Cli.write_file ~prog path (fun oc -> output_string oc text);
           match
             ( Artemis.Json.parse text,
-              Artemis.Export.reconcile_metrics stats )
+              Artemis.Export.reconcile_metrics obs stats )
           with
           | Error e, _ ->
               Printf.eprintf "metrics written to %s FAILED validation: %s\n" path

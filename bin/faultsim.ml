@@ -33,8 +33,8 @@ let print_violations campaign =
         r.F.violations)
     (campaign.F.baseline :: campaign.F.runs)
 
-let campaign ~jobs scenario engine depth random max_depth seed replay json
-    skip_verify =
+let campaign ~obs ~jobs scenario engine depth random max_depth seed replay
+    json skip_verify =
   let scenario =
     match engine with
     | None -> scenario
@@ -68,7 +68,7 @@ let campaign ~jobs scenario engine depth random max_depth seed replay json
         print_violations campaign
       end;
       (* --trace-out records the campaign, not its verification *)
-      Artemis.Obs.set_tracing false;
+      Artemis.Obs.set_tracing obs false;
       let reproducible =
         skip_verify || verify_replays ~jobs scenario campaign
       in
@@ -103,20 +103,21 @@ let run scenario_name engine list depth random max_depth seed replay json
       let trace =
         Option.map (fun path -> (path, Cli.open_out ~prog path)) trace_out
       in
-      Artemis.Obs.reset ();
-      Artemis.Obs.set_tracing (trace <> None);
+      (* every campaign run's device records into this context *)
+      let obs = Artemis.Obs.current () in
+      Artemis.Obs.set_tracing obs (trace <> None);
       let code =
         match scenario with
         | None -> list_sites ()
         | Some scenario ->
-            campaign ~jobs scenario engine depth random max_depth seed replay
-              json skip_verify
+            campaign ~obs ~jobs scenario engine depth random max_depth seed
+              replay json skip_verify
       in
       (match trace with
       | None -> ()
       | Some (path, oc) ->
           Cli.finish_out ~prog path oc (fun oc ->
-              output_string oc (Artemis.Obs.trace_json ()));
+              output_string oc (Artemis.Obs.trace_json obs));
           Printf.eprintf "trace written to %s\n" path);
       code
 

@@ -270,7 +270,7 @@ let stage ?(probe = fun _ -> ()) t update =
   let c = Nvm.read t.control in
   Nvm.write t.control
     { c with pending = Some { pending_id = update.id; target = c.generation + 1 } };
-  Obs.Ctx.incr (Nvm.obs t.nvm) m_staged;
+  Obs.incr (Nvm.obs t.nvm) m_staged;
   probe "rt.adapt.stage.after";
   String.length wire
 
@@ -387,7 +387,7 @@ let reject t (c : control) id reason =
      next stage overwrites. *)
   Nvm.write t.control { c with pending = None };
   Nvm.write t.buffer None;
-  Obs.Ctx.incr (Nvm.obs t.nvm) m_rejected;
+  Obs.incr (Nvm.obs t.nvm) m_rejected;
   Rejected { id; reason }
 
 let apply ?(probe = fun _ -> ()) ?(commit_extra = fun (_ : applied) -> ()) t =
@@ -442,5 +442,5 @@ let apply ?(probe = fun _ -> ()) ?(commit_extra = fun (_ : applied) -> ()) t =
                   probe "rt.adapt.flip.after";
                   Nvm.write t.buffer None;
                   probe "rt.adapt.clear.after";
-                  Obs.Ctx.incr (Nvm.obs t.nvm) m_applied;
+                  Obs.incr (Nvm.obs t.nvm) m_applied;
                   Applied a)))

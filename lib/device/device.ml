@@ -29,46 +29,46 @@ let h_charging = Obs.histogram "charging_delay_us"
 
 let observe_event obs event =
   (match event with
-  | Event.Task_started _ -> Obs.Ctx.incr obs m_task_executions
-  | Event.Task_completed _ -> Obs.Ctx.incr obs m_task_completions
-  | Event.Power_failure _ -> Obs.Ctx.incr obs m_power_failures
-  | Event.Reboot _ -> Obs.Ctx.incr obs m_reboots
-  | Event.Path_restarted _ -> Obs.Ctx.incr obs m_path_restarts
-  | Event.Path_skipped _ -> Obs.Ctx.incr obs m_path_skips
-  | Event.Monitor_verdict _ -> Obs.Ctx.incr obs m_monitor_verdicts
-  | Event.Runtime_action _ -> Obs.Ctx.incr obs m_runtime_actions
+  | Event.Task_started _ -> Obs.incr obs m_task_executions
+  | Event.Task_completed _ -> Obs.incr obs m_task_completions
+  | Event.Power_failure _ -> Obs.incr obs m_power_failures
+  | Event.Reboot _ -> Obs.incr obs m_reboots
+  | Event.Path_restarted _ -> Obs.incr obs m_path_restarts
+  | Event.Path_skipped _ -> Obs.incr obs m_path_skips
+  | Event.Monitor_verdict _ -> Obs.incr obs m_monitor_verdicts
+  | Event.Runtime_action _ -> Obs.incr obs m_runtime_actions
   | _ -> ());
-  if Obs.Ctx.tracing_enabled obs then
+  if Obs.tracing_enabled obs then
     match event with
-    | Event.Boot -> Obs.Ctx.instant obs ~cat:"power" "boot"
+    | Event.Boot -> Obs.instant obs ~cat:"power" "boot"
     | Event.Power_failure { during_task } ->
         let args =
           match during_task with
           | Some task -> [ ("task", Obs.S task) ]
           | None -> []
         in
-        Obs.Ctx.instant obs ~cat:"power" ~args "power_failure"
+        Obs.instant obs ~cat:"power" ~args "power_failure"
     | Event.Monitor_verdict { monitor; task; action } ->
-        Obs.Ctx.instant obs ~cat:"monitor"
+        Obs.instant obs ~cat:"monitor"
           ~args:
             [ ("monitor", Obs.S monitor); ("task", Obs.S task);
               ("action", Obs.S action) ]
           "verdict"
     | Event.Runtime_action { action; task } ->
-        Obs.Ctx.instant obs ~cat:"runtime"
+        Obs.instant obs ~cat:"runtime"
           ~args:[ ("action", Obs.S action); ("task", Obs.S task) ]
           "corrective_action"
     | Event.Path_restarted { path; reason } ->
-        Obs.Ctx.instant obs ~cat:"runtime"
+        Obs.instant obs ~cat:"runtime"
           ~args:[ ("path", Obs.I path); ("reason", Obs.S reason) ]
           "path_restarted"
     | Event.Path_skipped { path; reason } ->
-        Obs.Ctx.instant obs ~cat:"runtime"
+        Obs.instant obs ~cat:"runtime"
           ~args:[ ("path", Obs.I path); ("reason", Obs.S reason) ]
           "path_skipped"
-    | Event.App_completed -> Obs.Ctx.instant obs ~cat:"runtime" "app_completed"
+    | Event.App_completed -> Obs.instant obs ~cat:"runtime" "app_completed"
     | Event.Horizon_reached { reason } ->
-        Obs.Ctx.instant obs ~cat:"runtime"
+        Obs.instant obs ~cat:"runtime"
           ~args:[ ("reason", Obs.S reason) ]
           "horizon_reached"
     | _ -> ()
@@ -76,7 +76,7 @@ type consume_result = Completed | Interrupted | Starved
 
 type t = {
   nvm : Nvm.t;
-  obs : Obs.ctx;
+  obs : Obs.t;
   clock : Clock.t;
   capacitor : Capacitor.t;
   mutable policy : Charging_policy.t;
@@ -121,7 +121,7 @@ let create ?capacitor ?policy ?clock ?horizon ?obs () =
      and instants are stamped in simulated microseconds.  The last
      created device on a context wins; each context's devices run
      sequentially. *)
-  Obs.Ctx.set_clock obs (fun () -> Time.to_us (Clock.elapsed_ground_truth clock));
+  Obs.set_clock obs (fun () -> Time.to_us (Clock.elapsed_ground_truth clock));
   {
     nvm = Nvm.create ~obs ();
     obs;
@@ -168,12 +168,12 @@ let account t category dt energy =
   | Monitor_work ->
       t.time_monitor <- Time.add t.time_monitor dt;
       t.energy_monitor <- Energy.add t.energy_monitor energy);
-  if Obs.Ctx.metrics_enabled t.obs then begin
-    Obs.Ctx.observe_us t.obs h_consume (Time.to_us dt);
-    Obs.Ctx.set_gauge t.obs g_energy_app (Energy.to_uj t.energy_app);
-    Obs.Ctx.set_gauge t.obs g_energy_runtime (Energy.to_uj t.energy_runtime);
-    Obs.Ctx.set_gauge t.obs g_energy_monitor (Energy.to_uj t.energy_monitor);
-    Obs.Ctx.set_gauge t.obs g_capacitor
+  if Obs.metrics_enabled t.obs then begin
+    Obs.observe_us t.obs h_consume (Time.to_us dt);
+    Obs.set_gauge t.obs g_energy_app (Energy.to_uj t.energy_app);
+    Obs.set_gauge t.obs g_energy_runtime (Energy.to_uj t.energy_runtime);
+    Obs.set_gauge t.obs g_energy_monitor (Energy.to_uj t.energy_monitor);
+    Obs.set_gauge t.obs g_capacitor
       (Energy.to_uj (Capacitor.level t.capacitor))
   end
 
@@ -205,14 +205,14 @@ let handle_power_failure t ~during =
       record t (Event.Horizon_reached { reason = "harvester starved" });
       Starved
   | Some delay ->
-      let t0 = if Obs.Ctx.tracing_enabled t.obs then Obs.Ctx.now_us t.obs else 0 in
+      let t0 = if Obs.tracing_enabled t.obs then Obs.now_us t.obs else 0 in
       Clock.advance_off t.clock delay;
       t.off <- Time.add t.off delay;
       Clock.record_reboot t.clock;
-      if Obs.Ctx.tracing_enabled t.obs then
-        Obs.Ctx.span t.obs ~cat:"power" ~begin_us:t0
-          ~end_us:(Obs.Ctx.now_us t.obs) "charging";
-      Obs.Ctx.observe_us t.obs h_charging (Time.to_us delay);
+      if Obs.tracing_enabled t.obs then
+        Obs.span t.obs ~cat:"power" ~begin_us:t0
+          ~end_us:(Obs.now_us t.obs) "charging";
+      Obs.observe_us t.obs h_charging (Time.to_us delay);
       record t (Event.Reboot { charging_delay = delay });
       Interrupted
 

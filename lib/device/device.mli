@@ -33,7 +33,7 @@ val create :
   ?policy:Artemis_energy.Charging_policy.t ->
   ?clock:Artemis_clock.Persistent_clock.t ->
   ?horizon:Time.t ->
-  ?obs:Artemis_obs.Obs.ctx ->
+  ?obs:Artemis_obs.Obs.t ->
   unit ->
   t
 (** Defaults: a 100 mJ capacitor with 90 mJ usable budget, a fixed
@@ -45,7 +45,7 @@ val create :
 
 val nvm : t -> Artemis_nvm.Nvm.t
 
-val obs : t -> Artemis_obs.Obs.ctx
+val obs : t -> Artemis_obs.Obs.t
 (** The device's observability context (also reachable as
     [Nvm.obs (nvm t)]). *)
 

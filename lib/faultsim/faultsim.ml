@@ -265,10 +265,12 @@ let m_violations = Obs.counter "faultsim_violations"
 
 let run_schedule (scenario : Scenario.t) ~seed schedule =
   let b = scenario.Scenario.build ~engine:None ~seed in
-  Obs.incr m_runs;
+  (* the run records into the context its device records into *)
+  let obs = Device.obs b.Scenario.device in
+  Obs.incr obs m_runs;
   (* Each run's device clock restarts at zero; [Scenario.build] installed
      it as the trace clock, so the campaign span starts here. *)
-  let span_begin = if Obs.tracing_enabled () then Obs.now_us () else 0 in
+  let span_begin = if Obs.tracing_enabled obs then Obs.now_us obs else 0 in
   let nvm = Device.nvm b.Scenario.device in
   let hits = Array.make site_count 0 in
   let since = Array.make site_count 0 in
@@ -347,7 +349,7 @@ let run_schedule (scenario : Scenario.t) ~seed schedule =
         remaining := rest;
         Array.fill since 0 site_count 0;
         fired := (s, o) :: !fired;
-        Obs.incr m_injected;
+        Obs.incr obs m_injected;
         check_atomicity label;
         raise (Nvm.Injected_failure label)
     | _ -> ()
@@ -365,10 +367,10 @@ let run_schedule (scenario : Scenario.t) ~seed schedule =
     @ adaptation_violations b result (Device.log b.Scenario.device)
     @ freshness_violations b
   in
-  Obs.add m_violations (List.length violations);
-  if Obs.tracing_enabled () then begin
-    let end_us = Obs.now_us () in
-    Obs.span ~cat:"faultsim"
+  Obs.add obs m_violations (List.length violations);
+  if Obs.tracing_enabled obs then begin
+    let end_us = Obs.now_us obs in
+    Obs.span obs ~cat:"faultsim"
       ~args:
         [ ("seed", Obs.I seed);
           ("schedule", Obs.S (schedule_to_string schedule));
@@ -376,13 +378,13 @@ let run_schedule (scenario : Scenario.t) ~seed schedule =
       ~begin_us:span_begin ~end_us scenario.Scenario.name;
     List.iter
       (fun v ->
-        Obs.instant ~cat:"faultsim" ~ts:end_us
+        Obs.instant obs ~cat:"faultsim" ~ts:end_us
           ~args:[ ("oracle", Obs.S v.oracle); ("detail", Obs.S v.detail) ]
           "violation")
       violations;
     (* Lay sequential campaign runs end-to-end on one exported timeline,
        separated by a one-second gap. *)
-    Obs.set_base (end_us + 1_000_000)
+    Obs.set_base obs (end_us + 1_000_000)
   end;
   {
     seed;

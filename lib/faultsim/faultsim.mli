@@ -93,7 +93,9 @@ type run_result = {
 val run_schedule : Scenario.t -> seed:int -> schedule -> run_result
 (** Build the scenario fresh, run it with the schedule installed, then
     apply every oracle.  The footprint oracle needs a baseline and is
-    applied by the campaign drivers, not here. *)
+    applied by the campaign drivers, not here.  The run's counters,
+    span and violation instants go to the context its device records
+    into ({!Artemis.Device.obs}). *)
 
 (** {2 Campaigns} *)
 

@@ -644,7 +644,6 @@ let var_name t i = t.var_decl_arr.(i).var_name
 let var_id t n = find_exn t.var_ids n
 let var_decls t = t.var_decl_arr
 let watched_tasks t = t.watched
-let watches_any_event t = t.any_event
 let mentions_task t task =
   t.any_event || Strmap.find t.task_ids task ~default:(-1) >= 0
 

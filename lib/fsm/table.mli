@@ -126,7 +126,6 @@ val reset_vars : t -> inst -> unit
 (** {2 Static trigger information} *)
 
 val watched_tasks : t -> string list
-val watches_any_event : t -> bool
 val mentions_task : t -> string -> bool
 
 (** {2 Static worst-case step costs}

@@ -14,8 +14,6 @@ let create nvm ~region ~name ~steps =
   { nvm; pc_cell; steps }
 
 let pc t = Nvm.read t.pc_cell
-let length t = Array.length t.steps
-let fram_bytes _t = 2
 let steps t = t.steps
 let fresh t = pc t = 0
 let completed t = pc t >= Array.length t.steps
@@ -39,7 +37,7 @@ let run_step t =
      with e ->
        if Nvm.in_tx t.nvm then Nvm.abort_tx t.nvm;
        raise e);
-    Obs.Ctx.incr (Nvm.obs t.nvm) m_steps;
+    Obs.incr (Nvm.obs t.nvm) m_steps;
     Ran i
   end
 
@@ -47,5 +45,5 @@ let rec run_to_completion t =
   match run_step t with Done -> () | Ran _ -> run_to_completion t
 
 let reset t =
-  Obs.Ctx.incr (Nvm.obs t.nvm) m_resets;
+  Obs.incr (Nvm.obs t.nvm) m_resets;
   Nvm.write t.pc_cell 0

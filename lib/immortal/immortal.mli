@@ -22,13 +22,6 @@ val create :
     @raise Invalid_argument on an empty step array. *)
 
 val pc : t -> int
-val length : t -> int
-
-val fram_bytes : t -> int
-(** Persistent bytes the thread itself occupies (its 2-byte program
-    counter) - the backend-independent monitor-call overhead the
-    runtime-matrix footprint accounting separates from each backend's
-    own cells. *)
 
 val steps : t -> (unit -> unit) array
 (** The thread's step bodies, in program order - the access-recording

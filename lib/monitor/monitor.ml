@@ -32,12 +32,11 @@ type table_rt = {
 type exec = Run_table of table_rt | Run_interp of Interp.store
 
 type t = {
-  obs : Obs.ctx;  (* the owning device's recording surface *)
+  obs : Obs.t;  (* the owning device's recording surface *)
   table : Table.t;  (* the one lowering: interning tables and table code *)
   state_cell : int Nvm.cell;  (* interned state id *)
   var_cells : Ast.value Nvm.cell array;  (* indexed by variable slot *)
   exec : exec;
-  bytes : int;
 }
 
 let create ?(engine = Table) ?cell_prefix nvm table =
@@ -66,12 +65,6 @@ let create ?(engine = Table) ?cell_prefix nvm table =
   ignore
     (Nvm.cell nvm ~region:Monitor ~name:(prefix ^ ".property_t")
        ~bytes:property_table_bytes ());
-  let bytes =
-    2 + property_table_bytes
-    + Array.fold_left
-        (fun acc (v : Ast.var_decl) -> acc + ty_bytes v.Ast.ty)
-        0 (Table.var_decls table)
-  in
   let exec =
     match engine with
     | Table ->
@@ -108,7 +101,7 @@ let create ?(engine = Table) ?cell_prefix nvm table =
               (fun s -> Nvm.write_join state_cell (Table.state_id table s));
           }
   in
-  { obs = Nvm.obs nvm; table; state_cell; var_cells; exec; bytes }
+  { obs = Nvm.obs nvm; table; state_cell; var_cells; exec }
 
 let name t = Table.name t.table
 let machine t = Table.machine t.table
@@ -138,7 +131,7 @@ let reinitialize t =
   invalidate_registers t
 
 let step t event =
-  Obs.Ctx.incr t.obs m_steps;
+  Obs.incr t.obs m_steps;
   let failures =
     match t.exec with
     | Run_table rt ->
@@ -157,7 +150,7 @@ let step t event =
         Table.step t.table rt.tinst event
     | Run_interp store -> Interp.step (Table.machine t.table) store event
   in
-  (match failures with [] -> () | fs -> Obs.Ctx.add t.obs m_failures (List.length fs));
+  (match failures with [] -> () | fs -> Obs.add t.obs m_failures (List.length fs));
   failures
 
 let current_state t = Table.state_name t.table (Nvm.read t.state_cell)
@@ -213,4 +206,3 @@ let migrate_persistent ~from t =
 
 let watches_task t task = Table.mentions_task t.table task
 let watches_event t (event : Interp.event) = watches_task t event.Interp.task
-let fram_bytes t = t.bytes

@@ -95,4 +95,3 @@ val watches_event : t -> Interp.event -> bool
 (** [watches_task] on the event's task: whether the runtime charges this
     monitor's step of a monitor call. *)
 
-val fram_bytes : t -> int

@@ -60,7 +60,7 @@ type access = {
 }
 
 type t = {
-  obs : Obs.ctx;  (* recording surface; per-device since PR 5 *)
+  obs : Obs.t;  (* recording surface; per-device since PR 5 *)
   regions : packed list array;
       (* per [region_index], each in reverse allocation order *)
   region_versions : int array;
@@ -197,7 +197,7 @@ let write c v =
         (Printf.sprintf "Nvm.write: cell %S has an uncommitted tx value" c.name)
   | (Fram | Ram), _ -> ());
   record_access c Write_op;
-  Obs.Ctx.incr c.store.obs m_writes;
+  Obs.incr c.store.obs m_writes;
   fire c.store "nvm.write.before";
   set_committed c v;
   fire c.store "nvm.write.after"
@@ -206,22 +206,22 @@ let begin_tx t =
   if t.tx_open then invalid_arg "Nvm.begin_tx: transaction already open";
   t.tx_open <- true;
   t.tx_dirty <- [];
-  if Obs.Ctx.tracing_enabled t.obs then t.tx_begin_us <- Obs.Ctx.now_us t.obs
+  if Obs.tracing_enabled t.obs then t.tx_begin_us <- Obs.now_us t.obs
 
 (* The span covers begin_tx to the close; it is emitted as one balanced
    pair at the close so a crash inside the transaction (which aborts via
    [power_failure]) still produces a well-formed trace. *)
 let close_tx_span t name =
-  if Obs.Ctx.tracing_enabled t.obs then
-    Obs.Ctx.span t.obs ~cat:"nvm" ~begin_us:t.tx_begin_us
-      ~end_us:(Obs.Ctx.now_us t.obs) name
+  if Obs.tracing_enabled t.obs then
+    Obs.span t.obs ~cat:"nvm" ~begin_us:t.tx_begin_us
+      ~end_us:(Obs.now_us t.obs) name
 
 let tx_write c v =
   if not c.store.tx_open then invalid_arg "Nvm.tx_write: no open transaction";
   if c.kind = Ram then
     invalid_arg (Printf.sprintf "Nvm.tx_write: cell %S is volatile" c.name);
   record_access c Tx_write_op;
-  Obs.Ctx.incr c.store.obs m_tx_writes;
+  Obs.incr c.store.obs m_tx_writes;
   fire c.store "nvm.tx_write.before";
   (if !Chaos.tx_write_through then set_committed c v
    else begin
@@ -253,7 +253,7 @@ let commit_tx t =
   List.iter publish (List.rev t.tx_dirty);
   t.tx_dirty <- [];
   t.tx_open <- false;
-  Obs.Ctx.incr t.obs m_tx_commits;
+  Obs.incr t.obs m_tx_commits;
   close_tx_span t "tx";
   fire t "nvm.commit_tx.after"
 
@@ -281,7 +281,7 @@ let drop_tx t =
   t.tx_dirty <- [];
   t.tx_open <- false;
   (* the write set was captured for redo: logically this is a commit *)
-  Obs.Ctx.incr t.obs m_tx_commits;
+  Obs.incr t.obs m_tx_commits;
   close_tx_span t "tx"
 
 let abort_tx t =
@@ -290,13 +290,13 @@ let abort_tx t =
   List.iter discard t.tx_dirty;
   t.tx_dirty <- [];
   t.tx_open <- false;
-  Obs.Ctx.incr t.obs m_tx_aborts;
+  Obs.incr t.obs m_tx_aborts;
   close_tx_span t "tx_aborted"
 
 let in_tx t = t.tx_open
 
 let power_failure t =
-  Obs.Ctx.incr t.obs m_power_failures;
+  Obs.incr t.obs m_power_failures;
   t.reverts <- t.reverts + 1;
   if t.tx_open then abort_tx t;
   List.iter (fun (Cell c) -> set_committed c c.initial) t.volatiles

@@ -48,11 +48,11 @@ val injection_sites : string list
     order used by the fault-injection engine: before/after each {!write},
     {!tx_write} and {!commit_tx}. *)
 
-val create : ?obs:Artemis_obs.Obs.ctx -> unit -> t
+val create : ?obs:Artemis_obs.Obs.t -> unit -> t
 (** [obs] is the observability context this store records into; defaults
     to the calling domain's current context ([Obs.current ()]). *)
 
-val obs : t -> Artemis_obs.Obs.ctx
+val obs : t -> Artemis_obs.Obs.t
 (** The recording surface shared by the store's owning device; the
     instrumented libraries ([lib/monitor], [lib/immortal], [lib/adapt])
     fetch it from here so one device's activity lands in one context. *)

@@ -47,14 +47,14 @@ end
    closed on the exception path too - a crashed attempt still exports a
    well-formed (short) span rather than a dangling B. *)
 let observed obs ~cat ?args ?hist name f =
-  if not (Obs.Ctx.metrics_enabled obs || Obs.Ctx.tracing_enabled obs) then f ()
+  if not (Obs.metrics_enabled obs || Obs.tracing_enabled obs) then f ()
   else begin
-    let t0 = Obs.Ctx.now_us obs in
+    let t0 = Obs.now_us obs in
     let finish () =
-      let t1 = Obs.Ctx.now_us obs in
-      (match hist with Some h -> Obs.Ctx.observe_us obs h (t1 - t0) | None -> ());
-      if Obs.Ctx.tracing_enabled obs then
-        Obs.Ctx.span obs ~cat ?args ~begin_us:t0 ~end_us:t1 name
+      let t1 = Obs.now_us obs in
+      (match hist with Some h -> Obs.observe_us obs h (t1 - t0) | None -> ());
+      if Obs.tracing_enabled obs then
+        Obs.span obs ~cat ?args ~begin_us:t0 ~end_us:t1 name
     in
     match f () with
     | r ->
@@ -450,7 +450,7 @@ let begin_monitor_call st =
      window where active is set while the pc still reads "completed" from
      the previous call, and a reboot inside it would deliver a stale
      empty verdict without stepping any monitor. *)
-  Obs.Ctx.incr (Device.obs st.device) m_monitor_calls;
+  Obs.incr (Device.obs st.device) m_monitor_calls;
   if !Chaos.reorder_begin_mcall then begin
     (* the pre-PR2 ordering bug, kept re-introducible for the mutation
        suite: active goes up while the thread still reads "completed" *)
@@ -691,32 +691,25 @@ let apply_staged st =
       | None -> ())
 
 let deliver st (d : delivery) =
-  if Adapt.already_applied st.adapt d.d_update.Adapt.id then
-    (* a crash separated the committed flip from this host-side flag:
-       the durable applied list is the source of truth *)
-    finish_delivery st d
-      (Update_applied { generation = Adapt.generation st.adapt; migrations = [] })
-  else begin
-    if d.d_first_attempt = None then d.d_first_attempt <- Some (Device.now st.device);
-    let radio_power, duration =
-      link_cost st.config.deployment ~bytes:(Adapt.wire_bytes d.d_update)
-    in
-    match
-      Device.consume st.device Device.Runtime_work ~during:"adapt.deliver"
-        ~power:radio_power ~duration ()
-    with
-    | Device.Interrupted | Device.Starved ->
-        ()  (* retransmitted at the next update window *)
-    | Device.Completed ->
-        d.d_radio_time <- Time.add d.d_radio_time duration;
-        d.d_radio_energy <-
-          Energy.add d.d_radio_energy (Energy.consumed radio_power duration);
-        let staged = Adapt.stage ~probe:st.probe st.adapt d.d_update in
-        d.d_delivered <- true;
-        Device.record st.device
-          (Event.Adaptation_staged { id = d.d_update.Adapt.id; bytes = staged });
-        apply_staged st
-  end
+  if d.d_first_attempt = None then d.d_first_attempt <- Some (Device.now st.device);
+  let radio_power, duration =
+    link_cost st.config.deployment ~bytes:(Adapt.wire_bytes d.d_update)
+  in
+  match
+    Device.consume st.device Device.Runtime_work ~during:"adapt.deliver"
+      ~power:radio_power ~duration ()
+  with
+  | Device.Interrupted | Device.Starved ->
+      ()  (* retransmitted at the next update window *)
+  | Device.Completed ->
+      d.d_radio_time <- Time.add d.d_radio_time duration;
+      d.d_radio_energy <-
+        Energy.add d.d_radio_energy (Energy.consumed radio_power duration);
+      let staged = Adapt.stage ~probe:st.probe st.adapt d.d_update in
+      d.d_delivered <- true;
+      Device.record st.device
+        (Event.Adaptation_staged { id = d.d_update.Adapt.id; bytes = staged });
+      apply_staged st
 
 let update_window st =
   (* cheap when idle: one cell read and an int compare *)
@@ -730,20 +723,21 @@ let update_window st =
     if Adapt.pending_id st.adapt <> None then apply_staged st;
     List.iter
       (fun d ->
-        if (not d.d_delivered) && st.iterations >= d.d_iteration then
-          deliver st d
-        else if
-          d.d_delivered && d.d_record = None
-          && Adapt.already_applied st.adapt d.d_update.Adapt.id
+        if d.d_record = None && Adapt.already_applied st.adapt d.d_update.Adapt.id
         then begin
-          (* a crash right after the committed flip lost the host-side
-             bookkeeping (the durable applied list is the source of
-             truth): record the event and close the delivery *)
+          (* the durable applied list is the source of truth: a crash
+             after the committed flip lost the host-side bookkeeping,
+             and when an earlier crash came between staging and
+             [d_delivered], recovery applied the update without
+             [deliver] ever closing it; either way, record the event
+             and close the delivery *)
           let generation = Adapt.generation st.adapt in
           Device.record st.device
             (Event.Adaptation_applied { id = d.d_update.Adapt.id; generation });
           finish_delivery st d (Update_applied { generation; migrations = [] })
-        end)
+        end
+        else if (not d.d_delivered) && st.iterations >= d.d_iteration then
+          deliver st d)
       st.deliveries
   end
 

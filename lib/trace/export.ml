@@ -124,10 +124,10 @@ let reconciled_counters =
     ("path_skips", fun s -> s.Stats.path_skips);
   ]
 
-let reconcile_metrics s =
+let reconcile_metrics obs s =
   List.filter_map
     (fun (name, get) ->
       let expected = get s in
-      let got = Obs.counter_value (Obs.counter name) in
+      let got = Obs.counter_value obs (Obs.counter name) in
       if expected = got then None else Some (name, expected, got))
     reconciled_counters

@@ -20,9 +20,10 @@ val stats_csv_header : string
     Both derive from the same field-spec list as {!stats_to_json}, so
     header, row and JSON keys cannot desync. *)
 
-val reconcile_metrics : Stats.t -> (string * int * int) list
-(** Cross-check the observability counters against the log-derived
+val reconcile_metrics :
+  Artemis_obs.Obs.t -> Stats.t -> (string * int * int) list
+(** Cross-check the counters a context recorded against the log-derived
     stats.  Returns [(name, stats_value, counter_value)] for every
-    counter that disagrees - empty when the metrics registry was enabled
+    counter that disagrees - empty when the context recorded metrics
     for the whole run (the counters are bumped at the same
     [Device.record] chokepoint the stats are computed from). *)

@@ -439,7 +439,15 @@ let test_faultsim_campaign () =
   Alcotest.(check int) "all sites covered, including rt.adapt.*"
     (F.site_count - List.length Artemis.Alpaca.injection_sites)
     (List.length c.F.covered);
-  Alcotest.(check bool) "no reproducer" true (c.F.shrunk = None)
+  Alcotest.(check bool) "no reproducer" true (c.F.shrunk = None);
+  (* Depth 2 chains a second crash after the first: one after staging
+     leaves the update to recovery, and one after the recovered flip
+     loses its host-side record.  The update must still be logged as
+     applied exactly once (42:13@0,18@0 once ended with no
+     Adaptation_applied event). *)
+  let c2 = F.exhaustive Scenario.quickstart_adapt ~seed:42 ~depth:2 in
+  Alcotest.(check int) "zero violations at depth 2" 0 (F.total_violations c2);
+  Alcotest.(check bool) "no reproducer at depth 2" true (c2.F.shrunk = None)
 
 (* Two updates in one run take the durable generation 0 -> 1 -> 2: each
    flip gets its generation's callMonitor thread exactly once, and no

@@ -140,12 +140,12 @@ let test_recording_jobs_invariant () =
          "backends": ["immortal", "alpaca"]}|}
   in
   let run jobs =
-    let ctx = Obs.Ctx.create () in
-    Obs.Ctx.set_tracing ctx true;
-    Obs.Ctx.set_metrics ctx true;
+    let ctx = Obs.create () in
+    Obs.set_tracing ctx true;
+    Obs.set_metrics ctx true;
     let report = Obs.with_ctx ctx (fun () -> Fleet.run ~jobs spec) in
-    (report_bytes report, Obs.Ctx.trace_json ctx, Obs.Ctx.metrics_json ctx,
-     Obs.Ctx.event_count ctx)
+    (report_bytes report, Obs.trace_json ctx, Obs.metrics_json ctx,
+     Obs.event_count ctx)
   in
   let report1, trace1, metrics1, events1 = run 1 in
   let report2, trace2, metrics2, _ = run 2 in

@@ -230,13 +230,13 @@ let test_quickstart_fresh_green () =
 
 let test_stale_read_jobs_invariant () =
   let run jobs =
-    let ctx = Obs.Ctx.create () in
-    Obs.Ctx.set_tracing ctx true;
+    let ctx = Obs.create () in
+    Obs.set_tracing ctx true;
     let json =
       Obs.with_ctx ctx (fun () ->
           F.campaign_to_json (F.exhaustive Scenario.stale_read ~seed:42 ~depth:1 ~jobs))
     in
-    (json, Obs.Ctx.trace_json ctx)
+    (json, Obs.trace_json ctx)
   in
   let json1, trace1 = run 1 in
   let json4, trace4 = run 4 in

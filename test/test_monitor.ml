@@ -58,11 +58,12 @@ let test_ill_typed_rejected () =
   | _ -> Alcotest.fail "ill-typed machine accepted"
 
 let test_watches_task_and_fram () =
-  let _, m = make () in
+  let nvm, m = make () in
   Alcotest.(check bool) "watches t" true (Monitor.watches_task m "t");
   Alcotest.(check bool) "ignores u" false (Monitor.watches_task m "u");
   (* 2 state + 24 property table + 4 + 4 vars *)
-  Alcotest.(check int) "fram bytes" 34 (Monitor.fram_bytes m)
+  Alcotest.(check int) "fram bytes" 34
+    (Nvm.footprint nvm ~kind:Nvm.Fram ~region:Nvm.Monitor)
 
 let test_read_var_unknown () =
   let _, m = make () in

@@ -1,75 +1,75 @@
 open Artemis
 
-(* The observability layer is process-global and other suites run in the
-   same binary, so every test that switches it on restores the default
-   off state on the way out. *)
+(* Every test records into a fresh context of its own, installed as the
+   current one so the devices a scenario builds record into it too;
+   other suites run in the same binary and never see it. *)
 let with_obs ?(metrics = false) ?(tracing = false) f =
-  Obs.reset ();
-  Obs.set_metrics metrics;
-  Obs.set_tracing tracing;
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.set_metrics false;
-      Obs.set_tracing false;
-      Obs.reset ())
-    f
+  let obs = Obs.create () in
+  Obs.set_metrics obs metrics;
+  Obs.set_tracing obs tracing;
+  Obs.with_ctx obs (fun () -> f obs)
 
 let test_disabled_is_inert () =
-  with_obs (fun () ->
+  with_obs (fun obs ->
       let c = Obs.counter "test_inert_counter" in
       let g = Obs.gauge "test_inert_gauge" in
       let h = Obs.histogram "test_inert_hist" in
-      Obs.incr c;
-      Obs.add c 10;
-      Obs.set_gauge g 3.5;
-      Obs.observe_us h 42;
-      Obs.span ~cat:"test" ~begin_us:0 ~end_us:5 "s";
-      Obs.instant ~cat:"test" "i";
-      Alcotest.(check int) "counter untouched" 0 (Obs.counter_value c);
-      Alcotest.(check (float 0.)) "gauge untouched" 0. (Obs.gauge_value g);
-      Alcotest.(check int) "no events" 0 (Obs.event_count ()))
+      Obs.incr obs c;
+      Obs.add obs c 10;
+      Obs.set_gauge obs g 3.5;
+      Obs.observe_us obs h 42;
+      Obs.span obs ~cat:"test" ~begin_us:0 ~end_us:5 "s";
+      Obs.instant obs ~cat:"test" "i";
+      Alcotest.(check int) "counter untouched" 0 (Obs.counter_value obs c);
+      Alcotest.(check (float 0.)) "gauge untouched" 0. (Obs.gauge_value obs g);
+      Alcotest.(check int) "no events" 0 (Obs.event_count obs))
 
 let test_registry_semantics () =
-  with_obs ~metrics:true (fun () ->
+  with_obs ~metrics:true (fun obs ->
       let c = Obs.counter "test_sem_counter" in
-      Obs.incr c;
-      Obs.add c 4;
-      Alcotest.(check int) "counter accumulates" 5 (Obs.counter_value c);
+      Obs.incr obs c;
+      Obs.add obs c 4;
+      Alcotest.(check int) "counter accumulates" 5 (Obs.counter_value obs c);
       Alcotest.(check bool) "registration is idempotent" true
         (Obs.counter "test_sem_counter" == c);
       let g = Obs.gauge "test_sem_gauge" in
-      Obs.set_gauge g 1.5;
-      Obs.set_gauge g 2.5;
+      Obs.set_gauge obs g 1.5;
+      Obs.set_gauge obs g 2.5;
       Alcotest.(check (float 0.)) "gauge keeps the last value" 2.5
-        (Obs.gauge_value g);
-      Obs.reset ();
-      Alcotest.(check int) "reset zeroes counters" 0 (Obs.counter_value c);
-      Alcotest.(check (float 0.)) "reset zeroes gauges" 0. (Obs.gauge_value g);
+        (Obs.gauge_value obs g);
+      Obs.reset obs;
+      Alcotest.(check int) "reset zeroes counters" 0 (Obs.counter_value obs c);
+      Alcotest.(check (float 0.)) "reset zeroes gauges" 0.
+        (Obs.gauge_value obs g);
       (* reset turned nothing off *)
-      Obs.incr c;
-      Alcotest.(check int) "still enabled after reset" 1 (Obs.counter_value c))
+      Obs.incr obs c;
+      Alcotest.(check int) "still enabled after reset" 1
+        (Obs.counter_value obs c))
 
 let test_histogram_buckets () =
-  with_obs ~metrics:true (fun () ->
-      let h = Obs.histogram ~buckets_us:[| 10; 100; 1000 |] "test_hist_buckets" in
-      List.iter (Obs.observe_us h) [ 1; 10; 11; 100; 5_000; 1_000_000 ];
-      let dump = Obs.metrics_dump () in
+  with_obs ~metrics:true (fun obs ->
+      let h = Obs.histogram "test_hist_buckets" in
+      List.iter (Obs.observe_us obs h)
+        [ 1; 10; 11; 100; 5_000; 1_000_000; 61_000_000 ];
+      let dump = Obs.metrics_dump obs in
       let contains needle =
         let n = String.length needle and l = String.length dump in
         let rec go i = i + n <= l && (String.sub dump i n = needle || go (i + 1)) in
         go 0
       in
-      (* 1,10 -> le10; 11,100 -> le100; nothing in le1000; 2 overflow *)
+      (* a bound is inclusive: 1 -> le1, 10 -> le10, 11 and 100 -> le100;
+         61 s is past the last bound (60 s) and overflows *)
       Alcotest.(check bool) "bucket line" true
         (contains
-           "histogram test_hist_buckets count 6 sum_us 1005122 le10:2 le100:2 \
-            le1000:0 inf:2"))
+           "histogram test_hist_buckets count 7 sum_us 62005122 le1:1 le10:1 \
+            le100:2 le1000:0 le10000:1 le100000:0 le1000000:1 le10000000:0 \
+            le60000000:0 inf:1"))
 
 let test_span_clamps_and_balances () =
-  with_obs ~tracing:true (fun () ->
-      Obs.span ~cat:"test" ~begin_us:100 ~end_us:50 "backwards";
-      Alcotest.(check int) "B and E emitted together" 2 (Obs.event_count ());
-      match Json.parse (Obs.trace_json ()) with
+  with_obs ~tracing:true (fun obs ->
+      Obs.span obs ~cat:"test" ~begin_us:100 ~end_us:50 "backwards";
+      Alcotest.(check int) "B and E emitted together" 2 (Obs.event_count obs);
+      match Json.parse (Obs.trace_json obs) with
       | Error e -> Alcotest.failf "trace does not parse: %s" e
       | Ok doc -> (
           match Json.member "traceEvents" doc with
@@ -100,9 +100,9 @@ let quickstart_run () =
     b.Artemis_faultsim.Scenario.suite
 
 let test_quickstart_trace_is_valid_and_balanced () =
-  with_obs ~metrics:true ~tracing:true (fun () ->
+  with_obs ~metrics:true ~tracing:true (fun obs ->
       let _stats = quickstart_run () in
-      let text = Obs.trace_json () in
+      let text = Obs.trace_json obs in
       match Json.parse text with
       | Error e -> Alcotest.failf "trace does not parse: %s" e
       | Ok doc -> (
@@ -143,9 +143,9 @@ let test_quickstart_trace_is_valid_and_balanced () =
           | _ -> Alcotest.fail "missing traceEvents"))
 
 let test_quickstart_metrics_reconcile () =
-  with_obs ~metrics:true (fun () ->
+  with_obs ~metrics:true (fun obs ->
       let stats = quickstart_run () in
-      (match Export.reconcile_metrics stats with
+      (match Export.reconcile_metrics obs stats with
       | [] -> ()
       | mismatches ->
           Alcotest.failf "counters disagree with stats: %s"
@@ -155,7 +155,7 @@ let test_quickstart_metrics_reconcile () =
                     Printf.sprintf "%s stats=%d counter=%d" name expected got)
                   mismatches)));
       (* and the JSON export of the registry parses *)
-      match Json.parse (Obs.metrics_json ()) with
+      match Json.parse (Obs.metrics_json obs) with
       | Ok _ -> ()
       | Error e -> Alcotest.failf "metrics JSON does not parse: %s" e)
 
@@ -163,7 +163,7 @@ let test_quickstart_metrics_reconcile () =
    scenario produces the same log digest with and without the layer on *)
 let test_observing_does_not_perturb_the_run () =
   let digest_with ~metrics ~tracing =
-    with_obs ~metrics ~tracing (fun () ->
+    with_obs ~metrics ~tracing (fun _obs ->
         let b =
           Artemis_faultsim.Scenario.quickstart.Artemis_faultsim.Scenario.build
             ~engine:None ~seed:7

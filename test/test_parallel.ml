@@ -51,22 +51,22 @@ let test_par_map_propagates_exn () =
    itself explicitly (next test) *)
 let test_par_map_worker_ctx_isolated () =
   let parent = Obs.current () in
-  let before = Obs.Ctx.event_count parent in
+  let before = Obs.event_count parent in
   let ctxs =
     Par.map ~jobs:4 8 (fun i ->
         let ctx = Obs.current () in
         if ctx != parent then begin
-          Obs.Ctx.set_tracing ctx true;
-          Obs.Ctx.instant ctx ~cat:"test" ~ts:i "tick"
+          Obs.set_tracing ctx true;
+          Obs.instant ctx ~cat:"test" ~ts:i "tick"
         end;
         ctx)
   in
   Alcotest.(check int) "parent ctx untouched" before
-    (Obs.Ctx.event_count parent);
+    (Obs.event_count parent);
   Array.iter
     (fun ctx ->
       Alcotest.(check bool) "worker recorded into its own ctx" true
-        (ctx == parent || Obs.Ctx.event_count ctx >= 1))
+        (ctx == parent || Obs.event_count ctx >= 1))
     ctxs
 
 (* the isolation pattern [Obs.par_map] uses for recording callers: an
@@ -74,44 +74,45 @@ let test_par_map_worker_ctx_isolated () =
    clean for every jobs value, even when the map runs inline *)
 let test_par_map_explicit_isolation () =
   let parent = Obs.current () in
-  let before = Obs.Ctx.event_count parent in
+  let before = Obs.event_count parent in
   let ctxs =
     Par.map ~jobs:4 8 (fun i ->
-        let ctx = Obs.Ctx.create () in
-        Obs.Ctx.set_tracing ctx true;
-        Obs.with_ctx ctx (fun () -> Obs.instant ~cat:"test" ~ts:i "tick");
+        let ctx = Obs.create () in
+        Obs.set_tracing ctx true;
+        Obs.with_ctx ctx (fun () ->
+            Obs.instant (Obs.current ()) ~cat:"test" ~ts:i "tick");
         ctx)
   in
   Alcotest.(check int) "parent ctx untouched" before
-    (Obs.Ctx.event_count parent);
+    (Obs.event_count parent);
   Array.iter
     (fun ctx ->
       Alcotest.(check int) "each item recorded into its own ctx" 1
-        (Obs.Ctx.event_count ctx))
+        (Obs.event_count ctx))
     ctxs
 
 (* --- Obs: two domains recording concurrently never interleave --- *)
 
-let digest_of_ctx ctx = Digest.to_hex (Digest.string (Obs.Ctx.trace_json ctx))
+let digest_of_ctx ctx = Digest.to_hex (Digest.string (Obs.trace_json ctx))
 
 (* Record [n] instants through the ctx clock (ts = base + clock), the
    same path device-driven events take. *)
 let record_burst ctx label n =
-  Obs.Ctx.set_tracing ctx true;
+  Obs.set_tracing ctx true;
   let t = ref 0 in
-  Obs.Ctx.set_clock ctx (fun () -> !t);
+  Obs.set_clock ctx (fun () -> !t);
   for i = 1 to n do
     t := i;
-    Obs.Ctx.instant ctx ~cat:label (Printf.sprintf "%s-%d" label i)
+    Obs.instant ctx ~cat:label (Printf.sprintf "%s-%d" label i)
   done;
   ctx
 
 let test_obs_two_domain_isolation () =
   (* expected digests from sequential, single-domain recording *)
-  let expect_a = digest_of_ctx (record_burst (Obs.Ctx.create ()) "alpha" 500) in
-  let expect_b = digest_of_ctx (record_burst (Obs.Ctx.create ()) "beta" 500) in
+  let expect_a = digest_of_ctx (record_burst (Obs.create ()) "alpha" 500) in
+  let expect_b = digest_of_ctx (record_burst (Obs.create ()) "beta" 500) in
   for _round = 1 to 5 do
-    let a = Obs.Ctx.create () and b = Obs.Ctx.create () in
+    let a = Obs.create () and b = Obs.create () in
     let da =
       Domain.spawn (fun () -> ignore (record_burst a "alpha" 500))
     in
@@ -128,22 +129,22 @@ let test_obs_two_domain_isolation () =
    timeline: interleaved two-context recording merged with absorb equals
    recording both bursts into one context back to back *)
 let test_obs_absorb_stitches () =
-  let seq = Obs.Ctx.create () in
+  let seq = Obs.create () in
   ignore (record_burst seq "alpha" 50);
-  Obs.Ctx.set_base seq 1_000;
+  Obs.set_base seq 1_000;
   ignore (record_burst seq "beta" 50);
-  Obs.Ctx.set_base seq 2_000;
-  let a = record_burst (Obs.Ctx.create ()) "alpha" 50 in
-  Obs.Ctx.set_base a 1_000;
-  let b = record_burst (Obs.Ctx.create ()) "beta" 50 in
-  Obs.Ctx.set_base b 1_000;
-  let merged = Obs.Ctx.create () in
-  Obs.Ctx.set_tracing merged true;
-  Obs.Ctx.absorb ~into:merged a;
-  Obs.Ctx.absorb ~into:merged b;
-  Alcotest.(check int) "merged base" 2_000 (Obs.Ctx.base merged);
+  Obs.set_base seq 2_000;
+  let a = record_burst (Obs.create ()) "alpha" 50 in
+  Obs.set_base a 1_000;
+  let b = record_burst (Obs.create ()) "beta" 50 in
+  Obs.set_base b 1_000;
+  let merged = Obs.create () in
+  Obs.set_tracing merged true;
+  Obs.absorb ~into:merged a;
+  Obs.absorb ~into:merged b;
+  Alcotest.(check int) "merged base" 2_000 (Obs.base merged);
   Alcotest.(check string) "merged timeline = sequential timeline"
-    (Obs.Ctx.trace_json seq) (Obs.Ctx.trace_json merged)
+    (Obs.trace_json seq) (Obs.trace_json merged)
 
 (* --- campaign determinism: jobs must never change the report --- *)
 
@@ -162,13 +163,13 @@ let exhaustive_jobs_invariant =
   QCheck.Test.make ~name:"exhaustive report is jobs-invariant" ~count:4
     campaign_gen (fun (scenario, depth, seed) ->
       let run jobs =
-        let ctx = Obs.Ctx.create () in
-        Obs.Ctx.set_tracing ctx true;
+        let ctx = Obs.create () in
+        Obs.set_tracing ctx true;
         let json =
           Obs.with_ctx ctx (fun () ->
               F.campaign_to_json (F.exhaustive scenario ~seed ~depth ~jobs))
         in
-        (json, Obs.Ctx.trace_json ctx)
+        (json, Obs.trace_json ctx)
       in
       let json1, trace1 = run 1 in
       let json4, trace4 = run 4 in
