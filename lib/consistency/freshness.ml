@@ -28,7 +28,7 @@ type t = {
   revert_count : unit -> int;
   budget_us : int;
   reads : (string * string list) list;
-  sources : (string, unit) Hashtbl.t;
+  sources : string list;  (* every task some consumer reads *)
   stamps : (string, stamp) Hashtbl.t;
   pending : (string, int) Hashtbl.t;
       (* producer start times: a crash can land between the producer's
@@ -47,17 +47,13 @@ let create ~clock ?(in_tx = fun () -> false) ?(revert_count = fun () -> 0)
     ~budget ~reads () =
   if Time.is_negative budget then
     invalid_arg "Freshness.create: negative budget";
-  let sources = Hashtbl.create 8 in
-  List.iter
-    (fun (_, srcs) -> List.iter (fun s -> Hashtbl.replace sources s ()) srcs)
-    reads;
   {
     clock;
     in_tx;
     revert_count;
     budget_us = Time.to_us budget;
     reads;
-    sources;
+    sources = List.concat_map snd reads;
     stamps = Hashtbl.create 8;
     pending = Hashtbl.create 8;
     skew_us = 0;
@@ -66,8 +62,16 @@ let create ~clock ?(in_tx = fun () -> false) ?(revert_count = fun () -> 0)
 
 let now t = t.clock () + t.skew_us
 
+(* Task events outnumber producer events, so membership is a scan of a
+   short list by [String.equal], not a polymorphic hash. *)
+let rec mem_string s = function
+  | [] -> false
+  | x :: rest -> String.equal x s || mem_string s rest
+
+let is_source t task = mem_string task t.sources
+
 let stamp t ~source =
-  if (not !Chaos.skip_freshness_stamp) && Hashtbl.mem t.sources source then
+  if (not !Chaos.skip_freshness_stamp) && is_source t source then
     Hashtbl.replace t.stamps source
       {
         s_at = now t;
@@ -78,7 +82,7 @@ let stamp t ~source =
 (* Producer [Task_started]: remember the start time so the stamp is not
    lost if a crash eats the completion event after the commit. *)
 let note_started t ~source =
-  if (not !Chaos.skip_freshness_stamp) && Hashtbl.mem t.sources source then
+  if (not !Chaos.skip_freshness_stamp) && is_source t source then
     Hashtbl.replace t.pending source (now t)
 
 (* Promote a pending start-time entry to a durable stamp (see the
@@ -106,10 +110,17 @@ let seal t ~source =
 let valid t (s : stamp) =
   (not s.s_provisional) || t.revert_count () = s.s_reverts
 
+(* [List.assoc_opt] would compare polymorphically on every task event;
+   a consumer that reads nothing and one not listed behave the same. *)
+let rec sources_read consumer = function
+  | [] -> []
+  | (c, srcs) :: rest ->
+      if String.equal c consumer then srcs else sources_read consumer rest
+
 let check t ~consumer =
-  match List.assoc_opt consumer t.reads with
-  | None -> ()
-  | Some srcs ->
+  match sources_read consumer t.reads with
+  | [] -> ()
+  | srcs ->
       let at = now t in
       List.iter
         (fun source ->
@@ -139,9 +150,12 @@ let on_event t = function
       note_started t ~source:task
   | Event.Task_completed { task } ->
       check t ~consumer:task;
-      stamp t ~source:task;
-      seal t ~source:task;
-      Hashtbl.remove t.pending task
+      (* only sources are ever stamped or pending *)
+      if is_source t task then begin
+        stamp t ~source:task;
+        seal t ~source:task;
+        Hashtbl.remove t.pending task
+      end
   | Event.Reboot _ ->
       if !Chaos.clock_skip_on_recovery then
         t.skew_us <- t.skew_us + 3_600_000_000

@@ -25,11 +25,22 @@ let site_id label =
 
 type schedule = (int * int) list
 
-let schedule_to_string = function
-  | [] -> "-"
+let add = Buffer.add_string
+let add_int = Json.add_int
+
+let add_schedule buf = function
+  | [] -> Buffer.add_char buf '-'
   | entries ->
-      String.concat ","
-        (List.map (fun (s, o) -> Printf.sprintf "%d@%d" s o) entries)
+      List.iteri
+        (fun i (s, o) ->
+          if i > 0 then Buffer.add_char buf ',';
+          add_int buf s; Buffer.add_char buf '@'; add_int buf o)
+        entries
+
+let schedule_to_string schedule =
+  let buf = Buffer.create 16 in
+  add_schedule buf schedule;
+  Buffer.contents buf
 
 let schedule_of_string text =
   if text = "-" || text = "" then Ok []
@@ -85,14 +96,20 @@ type run_result = {
 }
 
 let fingerprint nvm =
-  [ ("runtime", Nvm.Runtime); ("monitor", Nvm.Monitor);
-    ("application", Nvm.Application); ("staging", Nvm.Staging) ]
-  |> List.map (fun (label, region) ->
-         Printf.sprintf "%s fram=%dB ram=%dB cells=%s" label
-           (Nvm.footprint nvm ~kind:Nvm.Fram ~region)
-           (Nvm.footprint nvm ~kind:Nvm.Ram ~region)
-           (String.concat "," (Nvm.cell_names nvm ~region)))
-  |> String.concat "; "
+  let buf = Buffer.create 1024 in
+  List.iteri
+    (fun i (label, region) ->
+      if i > 0 then add buf "; ";
+      add buf label;
+      add buf " fram="; add_int buf (Nvm.footprint nvm ~kind:Nvm.Fram ~region);
+      add buf "B ram="; add_int buf (Nvm.footprint nvm ~kind:Nvm.Ram ~region);
+      add buf "B cells=";
+      List.iteri
+        (fun j name -> if j > 0 then Buffer.add_char buf ','; add buf name)
+        (Nvm.cell_names nvm ~region))
+    [ ("runtime", Nvm.Runtime); ("monitor", Nvm.Monitor);
+      ("application", Nvm.Application); ("staging", Nvm.Staging) ];
+  Buffer.contents buf
 
 let pp_val v = Format.asprintf "%a" Fsm.Ast.pp_value v
 
@@ -594,57 +611,75 @@ let unreproducible ?(jobs = 1) scenario c =
 
 let json_string = Json.quote
 
-let run_to_json r =
-  Printf.sprintf
-    "{\"seed\": %d, \"schedule\": %s, \"fired\": %s, \"outcome\": %s, \
-     \"power_failures\": %d, \"digest\": %s, \"hits\": [%s], \
-     \"violations\": [%s]}"
-    r.seed
-    (json_string (schedule_to_string r.schedule))
-    (json_string (schedule_to_string r.fired))
-    (json_string r.outcome) r.power_failures (json_string r.digest)
-    (String.concat ", " (Array.to_list (Array.map string_of_int r.hits)))
-    (String.concat ", "
-       (List.map
-          (fun v ->
-            Printf.sprintf "{\"oracle\": %s, \"detail\": %s}"
-              (json_string v.oracle) (json_string v.detail))
-          r.violations))
-
-(* The report renderer is written against a string sink so campaign-
-   and fleet-scale reports can stream straight to an output channel:
-   only one run's row is ever in memory, never the whole document. *)
-let write_campaign_json ~emit c =
-  let add fmt = Printf.ksprintf emit fmt in
-  add "{\n";
-  add "  \"scenario\": %s,\n" (json_string c.scenario);
-  add "  \"mode\": %s,\n" (json_string c.mode);
-  add "  \"depth\": %d,\n" c.depth;
-  add "  \"campaign_seed\": %d,\n" c.campaign_seed;
-  add "  \"sites\": [%s],\n"
-    (String.concat ", " (Array.to_list (Array.map json_string sites)));
-  add "  \"registered_sites\": %d,\n" site_count;
-  add "  \"covered_sites\": [%s],\n"
-    (String.concat ", " (List.map string_of_int c.covered));
-  add "  \"coverage\": \"%d/%d\",\n" (List.length c.covered) site_count;
-  add "  \"baseline\": %s,\n" (run_to_json c.baseline);
-  add "  \"runs\": [\n";
-  let last = List.length c.runs - 1 in
+(* A schedule's text is digits, '@', ',' and '-': quoting it needs no
+   escapes. *)
+let add_run_json buf r =
+  add buf "{\"seed\": "; add_int buf r.seed;
+  add buf ", \"schedule\": \""; add_schedule buf r.schedule;
+  add buf "\", \"fired\": \""; add_schedule buf r.fired;
+  add buf "\", \"outcome\": "; add buf (json_string r.outcome);
+  add buf ", \"power_failures\": "; add_int buf r.power_failures;
+  add buf ", \"digest\": "; add buf (json_string r.digest);
+  add buf ", \"hits\": [";
+  Array.iteri (fun i h -> if i > 0 then add buf ", "; add_int buf h) r.hits;
+  add buf "], \"violations\": [";
   List.iteri
-    (fun i r -> add "    %s%s\n" (run_to_json r) (if i = last then "" else ","))
-    c.runs;
-  add "  ],\n";
-  add "  \"total_runs\": %d,\n" (List.length c.runs);
-  add "  \"total_violations\": %d,\n" (total_violations c);
-  add "  \"shrunk\": %s\n"
-    (match c.shrunk with None -> "null" | Some line -> json_string line);
-  add "}\n"
+    (fun i v ->
+      if i > 0 then add buf ", ";
+      add buf "{\"oracle\": "; add buf (json_string v.oracle);
+      add buf ", \"detail\": "; add buf (json_string v.detail); add buf "}")
+    r.violations;
+  add buf "]}"
 
-let output_campaign_json oc c = write_campaign_json ~emit:(output_string oc) c
+let add_list buf add_item items =
+  List.iteri (fun i x -> if i > 0 then add buf ", "; add_item buf x) items
+
+(* The report renderer writes into [buf] and calls [flush] after the
+   header and after each run's row, so campaign- and fleet-scale
+   reports can stream straight to an output channel: only one run's
+   row is ever in memory, never the whole document. *)
+let write_campaign_json buf ~flush c =
+  let add_quoted buf s = add buf (json_string s) in
+  add buf "{\n  \"scenario\": "; add_quoted buf c.scenario;
+  add buf ",\n  \"mode\": "; add_quoted buf c.mode;
+  add buf ",\n  \"depth\": "; add_int buf c.depth;
+  add buf ",\n  \"campaign_seed\": "; add_int buf c.campaign_seed;
+  add buf ",\n  \"sites\": ["; add_list buf add_quoted (Array.to_list sites);
+  add buf "],\n  \"registered_sites\": "; add_int buf site_count;
+  add buf ",\n  \"covered_sites\": ["; add_list buf add_int c.covered;
+  add buf "],\n  \"coverage\": \""; add_int buf (List.length c.covered);
+  Buffer.add_char buf '/'; add_int buf site_count;
+  add buf "\",\n  \"baseline\": "; add_run_json buf c.baseline;
+  add buf ",\n  \"runs\": [\n";
+  flush ();
+  let rec rows = function
+    | [] -> ()
+    | r :: rest ->
+        add buf "    ";
+        add_run_json buf r;
+        add buf (match rest with [] -> "\n" | _ -> ",\n");
+        flush ();
+        rows rest
+  in
+  rows c.runs;
+  add buf "  ],\n  \"total_runs\": "; add_int buf (List.length c.runs);
+  add buf ",\n  \"total_violations\": "; add_int buf (total_violations c);
+  add buf ",\n  \"shrunk\": ";
+  (match c.shrunk with
+  | None -> add buf "null"
+  | Some line -> add_quoted buf line);
+  add buf "\n}\n";
+  flush ()
+
+let output_campaign_json oc c =
+  let buf = Buffer.create 1024 in
+  write_campaign_json buf c ~flush:(fun () ->
+      Buffer.output_buffer oc buf;
+      Buffer.clear buf)
 
 let campaign_to_json c =
   let buf = Buffer.create 4096 in
-  write_campaign_json ~emit:(Buffer.add_string buf) c;
+  write_campaign_json buf c ~flush:ignore;
   Buffer.contents buf
 
 let campaign_summary c =

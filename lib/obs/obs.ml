@@ -125,7 +125,6 @@ let set_tracing t b = t.tracing_on <- b
 let tracing_enabled t = t.tracing_on
 let set_clock t f = t.clock <- f
 let set_base t b = t.base_us <- b
-let base t = t.base_us
 let now_us t = t.base_us + t.clock ()
 
 (* metrics: handles may be registered after a ctx was created, so the
@@ -391,22 +390,6 @@ let trace_json t =
     all;
   Buffer.add_string buf "]}\n";
   Buffer.contents buf
-
-let reset t =
-  Array.fill t.cvals 0 (Array.length t.cvals) 0;
-  Array.fill t.gvals 0 (Array.length t.gvals) 0.;
-  Array.fill t.gwrites 0 (Array.length t.gwrites) 0;
-  Array.iter
-    (function
-      | None -> ()
-      | Some cell ->
-          Array.fill cell.counts 0 (Array.length cell.counts) 0;
-          cell.h_count <- 0;
-          cell.h_sum_us <- 0)
-    t.hcells;
-  t.events <- [];
-  t.n_events <- 0;
-  t.base_us <- 0
 
 (* --- the current context (domain-local) ---
 

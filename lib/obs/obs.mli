@@ -109,8 +109,6 @@ val set_base : t -> int -> unit
     it between campaign runs so each run (whose device clock restarts at
     zero) lands on its own stretch of the exported timeline. *)
 
-val base : t -> int
-
 val now_us : t -> int
 (** Base plus the installed clock. *)
 
@@ -169,7 +167,3 @@ val trace_json : t -> string
 (** The collected events as a Chrome trace-event JSON document
     ([{"traceEvents": [...]}]) with thread-name metadata so Perfetto
     labels each category's track. *)
-
-val reset : t -> unit
-(** Zero every registered metric, drop all collected trace events and
-    reset the timeline base.  Switches and registrations survive. *)

@@ -23,7 +23,7 @@ type t =
 type timed = { at : Time.t; event : t }
 
 let add = Buffer.add_string
-let add_int buf n = Buffer.add_string buf (Int.to_string n)
+let add_int = Json.add_int
 
 let render buf = function
   | Boot -> add buf "boot"

@@ -29,6 +29,18 @@ let float_lit f =
 
 let int_lit = string_of_int
 
+(* Digits come off a non-positive [n], whose range covers [min_int]. *)
+let rec add_digits buf n =
+  if n <= -10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 - (n mod 10)))
+
+let add_int buf n =
+  if n < 0 then begin
+    Buffer.add_char buf '-';
+    add_digits buf n
+  end
+  else add_digits buf (-n)
+
 (* --- parsing --- *)
 
 exception Fail of int * string

@@ -35,6 +35,11 @@ val float_lit : float -> string
 
 val int_lit : int -> string
 
+val add_int : Buffer.t -> int -> unit
+(** Append exactly {!int_lit}'s bytes, [min_int] included, without
+    allocating: the one integer writer of every renderer a campaign
+    run pays for (times, events, footprints, report rows). *)
+
 (** {1 Parsing} *)
 
 val parse : string -> (t, string) result

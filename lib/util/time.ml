@@ -24,24 +24,52 @@ let min = Stdlib.min
 let max = Stdlib.max
 let is_negative t = Stdlib.( < ) t 0
 
-(* Printf's "%.2f" is this primitive applied to the format "%.2f":
-   calling it directly skips the format interpreter and keeps every
-   byte, rounding included. *)
+(* Printf's "%.2f" is this primitive applied to the format "%.2f". *)
 external format_float : string -> float -> string = "caml_format_float"
 
-let add_fixed2 buf x unit =
-  Buffer.add_string buf (format_float "%.2f" x);
+let two_pow_53 = 1 lsl 53
+
+(* [%.2f] of [to_f t] from integers: the remainder [m] decides, and at a
+   decimal midpoint the sign of one fma residual does.  Why this is
+   exact below 2^53 is in time.mli, at [render]. *)
+let add_fixed2 buf t ~scale to_f unit =
+  let a = Stdlib.abs t in
+  if Stdlib.( >= ) a two_pow_53 then
+    Buffer.add_string buf (format_float "%.2f" (to_f t))
+  else begin
+    let q = scale / 100 in
+    let n = a / q and m = a mod q in
+    let half = q / 2 in
+    let hundredths =
+      if Stdlib.( < ) m half then n
+      else if Stdlib.( > ) m half then n + 1
+      else
+        let r = Float.fma (to_f a) (float_of_int scale) (-.float_of_int a) in
+        if Stdlib.( > ) r 0. then n + 1
+        else if Stdlib.( < ) r 0. then n
+        else n + (n land 1)
+    in
+    if Stdlib.( < ) t 0 then Buffer.add_char buf '-';
+    Json.add_int buf (hundredths / 100);
+    Buffer.add_char buf '.';
+    let f = hundredths mod 100 in
+    Buffer.add_char buf (Char.unsafe_chr (48 + (f / 10)));
+    Buffer.add_char buf (Char.unsafe_chr (48 + (f mod 10)))
+  end;
   Buffer.add_string buf unit
 
+(* [Stdlib.abs min_int] is [min_int], so [min_int] renders in us. *)
 let render buf t =
   let abs = Stdlib.abs t in
   if Stdlib.( < ) abs 1_000 then begin
-    Buffer.add_string buf (Int.to_string t);
+    Json.add_int buf t;
     Buffer.add_string buf "us"
   end
-  else if Stdlib.( < ) abs 1_000_000 then add_fixed2 buf (to_ms_f t) "ms"
-  else if Stdlib.( < ) abs 60_000_000 then add_fixed2 buf (to_sec_f t) "s"
-  else add_fixed2 buf (to_min_f t) "min"
+  else if Stdlib.( < ) abs 1_000_000 then
+    add_fixed2 buf t ~scale:1_000 to_ms_f "ms"
+  else if Stdlib.( < ) abs 60_000_000 then
+    add_fixed2 buf t ~scale:1_000_000 to_sec_f "s"
+  else add_fixed2 buf t ~scale:60_000_000 to_min_f "min"
 
 let to_string t =
   let buf = Buffer.create 16 in

@@ -47,8 +47,22 @@ val is_negative : t -> bool
 val render : Buffer.t -> t -> unit
 (** The one human-readable rendering, with an adaptive unit: ["42us"]
     below 1 ms, then ["1.50ms"], ["2.50s"] and ["2.00min"] with two
-    decimals, rounded as [Printf]'s [%.2f] rounds the double.  Trace
-    digests hash this text. *)
+    decimals.  Trace digests hash this text.
+
+    The decimals are exactly what [Printf]'s [%.2f] prints for the
+    double [x] that {!to_ms_f}, {!to_sec_f} or {!to_min_f} returns:
+    [%.2f] rounds [x]'s binary value, so 1,005 us prints ["1.00ms"]
+    and 1,995 us ["2.00ms"].  They are computed with integers.  Let
+    [s] be the unit in us, [q = s / 100], [a = |t|], [n = a / q] and
+    [m = a mod q]: [m < q/2] prints [n] hundredths and [m > q/2]
+    prints [n + 1].  This is exact because for [a < 2^53] the product
+    [x * 100] lies within [(a/q) * 2^-53 < 1/q] of [a/q], while every
+    non-midpoint is at least [1/q] from the rounding boundary.  At a
+    decimal midpoint, [m = q/2], the sign of [Float.fma x s (-a)]
+    decides, since its single rounding keeps the sign of [x*s - a]:
+    positive prints [n + 1], negative [n], and an exact zero rounds
+    half to even, as [%.2f] does.  From 2^53 us on, [x] goes through
+    the C formatter itself. *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints {!render}'s text. *)

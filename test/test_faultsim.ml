@@ -160,6 +160,8 @@ let test_footprint_matches_baseline () =
         c.F.baseline.F.footprint r.F.footprint)
     c.F.runs
 
+let md5 text = Digest.to_hex (Digest.string text)
+
 let test_json_report_shape () =
   let c = F.exhaustive Scenario.quickstart ~seed:42 ~depth:1 in
   let json = F.campaign_to_json c in
@@ -175,7 +177,71 @@ let test_json_report_shape () =
     [
       "scenario"; "mode"; "depth"; "sites"; "registered_sites"; "covered_sites";
       "coverage"; "baseline"; "runs"; "total_runs"; "total_violations"; "shrunk";
-    ]
+    ];
+  Alcotest.(check string) "report bytes" "7f8fc14158bac2a7ef159cfc1a6b7e7b"
+    (md5 json)
+
+(* The bytes a campaign renders, pinned: a renderer that changes one
+   byte of a trace, footprint or report fails here, not only in the
+   benchmark's reference digests.  Per scenario: the MD5 of the
+   baseline's footprint, the trace digest of the baseline, and that of
+   one crashed run (its power-failure and reboot lines included). *)
+let pinned_runs =
+  [
+    ("quickstart", "bdb685505028095ba925e56e5ac23482",
+     "3ad1c986f75ffa25f0029de875205a9c",
+     "42:4@3", "60c9fe530a7087a167e40b6cc04c2666");
+    ("health", "f1337f43440e95584281e60bce8861dd",
+     "8f6f37e4e7542a4e4e8264f7118f9ca9",
+     "42:4@202", "6cbd2f27e4ef713fe32dcf3167ebe5ad");
+    ("quickstart-adapt", "62e54374f38d2120cec8c2e08ac78193",
+     "7b0bcf018cb2cbcc4635e30a500ce1d2",
+     "42:4@3", "cc740dad9fd8c9c38ebd6c84e974c85f");
+    ("health-adapt", "2d2ceb0532e12c4983d4a89469a041c5",
+     "ce00dc4dbfc4727d970ed96e85191302",
+     "42:4@198", "fdc37f58dabcd7f300de4a2fc4035223");
+    ("quickstart-fresh", "bdb685505028095ba925e56e5ac23482",
+     "3ad1c986f75ffa25f0029de875205a9c",
+     "42:4@3", "60c9fe530a7087a167e40b6cc04c2666");
+    ("stale-read", "22efc992037c48d217949761bf9f0e85",
+     "c29b657eaa7ddd969c07a94a397c6118",
+     "42:4@3", "b59c0f6cabe83be05aeaedd99d94dc2c");
+    ("war-buggy", "4aa6a0c5beca412b8febc39a99756a80",
+     "91edc77d3dde76a0849aa96b424c5e4a",
+     "42:4@3", "161d80e8025240701484a72496ceec5f");
+    ("livelock-prop", "6a44bfab80e92fdb54eb6661d687fccb",
+     "76a9c5d9f58516cd081d1ce8cf5a7e9c",
+     "42:4@2", "e4f48ecca451e9e9cd496e12d1a2450a");
+    ("quickstart-alpaca", "5d60b4cb47ad4672926638ac64787377",
+     "3ad1c986f75ffa25f0029de875205a9c",
+     "42:4@3", "9a2b0a50c6751e981e380e9620281bcb");
+  ]
+
+let test_pinned_bytes () =
+  Alcotest.(check (list string)) "every scenario pinned"
+    (List.map (fun s -> s.Scenario.name) Scenario.all)
+    (List.map (fun (name, _, _, _, _) -> name) pinned_runs);
+  List.iter
+    (fun (name, footprint, baseline, line, crashed) ->
+      let scenario = Option.get (Scenario.find name) in
+      let b = F.run_schedule scenario ~seed:42 [] in
+      Alcotest.(check string) (name ^ " footprint") footprint
+        (md5 b.F.footprint);
+      Alcotest.(check string) (name ^ " baseline digest") baseline b.F.digest;
+      match F.replay scenario ~line with
+      | Ok (r, _) ->
+          Alcotest.(check bool) (line ^ " crashed") true
+            (r.F.power_failures > b.F.power_failures);
+          Alcotest.(check string) (name ^ " digest at " ^ line) crashed
+            r.F.digest
+      | Error msg -> Alcotest.fail msg)
+    pinned_runs;
+  (* two violation rows exercise the violations array *)
+  let c = F.exhaustive Scenario.quickstart_alpaca ~seed:42 ~depth:2 in
+  Alcotest.(check int) "quickstart-alpaca depth-2 violations" 2
+    (F.total_violations c);
+  Alcotest.(check string) "quickstart-alpaca depth-2 report bytes"
+    "970d4bbcead43078d495cd392bda0652" (md5 (F.campaign_to_json c))
 
 (* Builds share the scenario's lowering and nothing else: two health
    builds hold the same tables, deploy them on stores of their own, and
@@ -236,4 +302,5 @@ let suite =
     ("injected runs keep the baseline footprint", `Quick,
       test_footprint_matches_baseline);
     ("JSON report keys", `Quick, test_json_report_shape);
+    ("trace, footprint and report bytes are pinned", `Quick, test_pinned_bytes);
   ]

@@ -86,6 +86,55 @@ let render_matches_reference =
               [ 1_000; 1_000_000; 60_000_000; 10_000_000_000 ])))
     (fun t -> String.equal (Time.to_string t) (reference t))
 
+(* Every decimal midpoint of the hundredths in each unit, up to the
+   360-min horizon: 99,900 in ms, 5,900 in s and 35,900 in min.  These
+   are the values integer rounding cannot decide alone, so each is
+   checked against %.2f of the same double. *)
+let test_render_midpoints () =
+  let bad = ref [] in
+  let sweep ~q ~lo ~hi to_f unit =
+    let k = ref (lo / q) in
+    while (!k * q) + (q / 2) < hi do
+      let t = Time.of_us ((!k * q) + (q / 2)) in
+      let want = Printf.sprintf "%.2f%s" (to_f t) unit in
+      if not (String.equal (Time.to_string t) want) then bad := want :: !bad;
+      incr k
+    done
+  in
+  sweep ~q:10 ~lo:1_000 ~hi:1_000_000 Time.to_ms_f "ms";
+  sweep ~q:10_000 ~lo:1_000_000 ~hi:60_000_000 Time.to_sec_f "s";
+  sweep ~q:600_000 ~lo:60_000_000 ~hi:(360 * 60_000_000) Time.to_min_f "min";
+  Alcotest.(check (list string)) "midpoints that differ from %.2f" [] !bad
+
+(* The ends of the int range, where |t| overflows or passes 2^53 and
+   the renderer hands the double to the C formatter. *)
+let extremes =
+  let p53 = 1 lsl 53 in
+  List.concat_map
+    (fun v -> [ v; -v ])
+    [ max_int; p53; p53 - 1; p53 + 1; 0; 1; 9; 10; 999; 1_000 ]
+  @ [ min_int; min_int + 1 ]
+
+let test_render_extremes () =
+  List.iter
+    (fun us ->
+      let t = Time.of_us us in
+      Alcotest.(check string) (string_of_int us) (reference t)
+        (Time.to_string t);
+      let buf = Buffer.create 8 in
+      Json.add_int buf us;
+      Alcotest.(check string) ("add_int " ^ string_of_int us)
+        (Int.to_string us) (Buffer.contents buf))
+    extremes
+
+let render_matches_whole_range =
+  QCheck.Test.make ~name:"to_string = %.2f over the whole int range"
+    ~count:2000
+    QCheck.(
+      map Time.of_us
+        (oneof [ int; int_range (-(1 lsl 55)) (1 lsl 55) ]))
+    (fun t -> String.equal (Time.to_string t) (reference t))
+
 let literal_roundtrip =
   QCheck.Test.make ~name:"to_literal scans back to the same value"
     ~count:500
@@ -106,6 +155,11 @@ let suite =
     Alcotest.test_case "pp adaptive units" `Quick test_pp_units;
     Alcotest.test_case "render: unit boundaries and rounding" `Quick
       test_render_boundaries;
+    Alcotest.test_case "render: every decimal midpoint" `Quick
+      test_render_midpoints;
+    Alcotest.test_case "render: int extremes and the appender" `Quick
+      test_render_extremes;
     QCheck_alcotest.to_alcotest render_matches_reference;
+    QCheck_alcotest.to_alcotest render_matches_whole_range;
     QCheck_alcotest.to_alcotest literal_roundtrip;
   ]
