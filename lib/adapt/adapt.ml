@@ -1,6 +1,7 @@
 open Artemis_util
 open Artemis_fsm
 module Nvm = Artemis_nvm.Nvm
+module Site = Artemis_nvm.Site
 module Monitor = Artemis_monitor.Monitor
 module Suite = Artemis_monitor.Suite
 module Task = Artemis_task.Task
@@ -11,24 +12,6 @@ module Obs = Artemis_obs.Obs
 let m_staged = Obs.counter "adapt_staged"
 let m_applied = Obs.counter "adapt_applied"
 let m_rejected = Obs.counter "adapt_rejected"
-
-(* Appended to [Runtime.injection_sites] (the engine numbers the NVM
-   sites, then the runtime's, then these — appending keeps the historic
-   numbering 0-11 stable).  Each label marks one crash window of the
-   update protocol; the depth-1 campaign drives a power failure through
-   every one of them and the oracles check the update still applies
-   exactly once. *)
-let injection_sites =
-  [
-    "rt.adapt.stage.before";
-    "rt.adapt.stage.after";
-    "rt.adapt.validate.after";
-    "rt.adapt.migrate.before";
-    "rt.adapt.migrate.after";
-    "rt.adapt.flip.before";
-    "rt.adapt.flip.after";
-    "rt.adapt.clear.after";
-  ]
 
 (* --- updates and their wire form --- *)
 
@@ -259,8 +242,8 @@ let pending_id t =
 
 let active t = (Hashtbl.find t.suites (generation t)).suite
 
-let stage ?(probe = fun _ -> ()) t update =
-  probe "rt.adapt.stage.before";
+let stage t update =
+  Nvm.fire t.nvm Site.rt_adapt_stage_before;
   let wire = serialize update in
   (* Two single-cell writes, bytes first: a crash between them leaves an
      orphaned buffer and no pending marker — nothing to recover, the next
@@ -271,7 +254,7 @@ let stage ?(probe = fun _ -> ()) t update =
   Nvm.write t.control
     { c with pending = Some { pending_id = update.id; target = c.generation + 1 } };
   Obs.incr (Nvm.obs t.nvm) m_staged;
-  probe "rt.adapt.stage.after";
+  Nvm.fire t.nvm Site.rt_adapt_stage_after;
   String.length wire
 
 (* --- validation (the device refuses an update rather than deploying a
@@ -390,7 +373,7 @@ let reject t (c : control) id reason =
   Obs.incr (Nvm.obs t.nvm) m_rejected;
   Rejected { id; reason }
 
-let apply ?(probe = fun _ -> ()) ?(commit_extra = fun (_ : applied) -> ()) t =
+let apply ?(commit_extra = fun (_ : applied) -> ()) t =
   let c = Nvm.read t.control in
   match c.pending with
   | None -> Idle
@@ -405,15 +388,15 @@ let apply ?(probe = fun _ -> ()) ?(commit_extra = fun (_ : applied) -> ()) t =
           | Ok update -> (
               match validate t update with
               | Error reason ->
-                  probe "rt.adapt.validate.after";
+                  Nvm.fire t.nvm Site.rt_adapt_validate_after;
                   reject t c id reason
               | Ok tables ->
-                  probe "rt.adapt.validate.after";
+                  Nvm.fire t.nvm Site.rt_adapt_validate_after;
                   let b = build t ~target update tables in
                   (* Migration writes only touch the replacement's cells
                      (the retiring monitor is read-only here), so re-running
                      it after a mid-migration crash is idempotent. *)
-                  probe "rt.adapt.migrate.before";
+                  Nvm.fire t.nvm Site.rt_adapt_migrate_before;
                   let migrations =
                     List.map
                       (fun (old_m, new_m) ->
@@ -427,20 +410,20 @@ let apply ?(probe = fun _ -> ()) ?(commit_extra = fun (_ : applied) -> ()) t =
                           { monitor = Monitor.name new_m; migrated = []; reset = true })
                       b.replaced
                   in
-                  probe "rt.adapt.migrate.after";
+                  Nvm.fire t.nvm Site.rt_adapt_migrate_after;
                   let a = { id; generation = target; migrations } in
                   (* Commit: the control flip and any caller bookkeeping
                      (the runtime's journal entry) join one NVM transaction,
                      so "the suite changed" and "the journal says so" are a
                      single atomic step. *)
-                  probe "rt.adapt.flip.before";
+                  Nvm.fire t.nvm Site.rt_adapt_flip_before;
                   Nvm.begin_tx t.nvm;
                   Nvm.tx_write t.control
                     { generation = target; pending = None; applied = id :: c.applied };
                   commit_extra a;
                   Nvm.commit_tx t.nvm;
-                  probe "rt.adapt.flip.after";
+                  Nvm.fire t.nvm Site.rt_adapt_flip_after;
                   Nvm.write t.buffer None;
-                  probe "rt.adapt.clear.after";
+                  Nvm.fire t.nvm Site.rt_adapt_clear_after;
                   Obs.incr (Nvm.obs t.nvm) m_applied;
                   Applied a)))

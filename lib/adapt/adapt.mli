@@ -39,10 +39,6 @@ module Monitor = Artemis_monitor.Monitor
 module Suite = Artemis_monitor.Suite
 module Task = Artemis_task.Task
 
-val injection_sites : string list
-(** Crash-window labels of the protocol, appended after the runtime's own
-    sites in the fault-injection numbering. *)
-
 (** {1 Updates} *)
 
 type payload =
@@ -130,16 +126,17 @@ val pending_id : t -> int option
 (** The staged-but-uncommitted update, if any (crash recovery re-applies
     it before new deliveries are staged). *)
 
-val stage : ?probe:(string -> unit) -> t -> update -> int
+val stage : t -> update -> int
 (** Write the update's wire image into the staging buffer and arm the
-    pending marker.  Returns the staged byte count.  Restaging over an
-    unapplied pending update overwrites it (last-writer-wins, as for an
-    OTA image). *)
+    pending marker, firing {!Artemis_nvm.Site.rt_adapt_stage_before} and
+    [_after] on the manager's store around both writes.  Returns the
+    staged byte count.  Restaging over an unapplied pending update
+    overwrites it (last-writer-wins, as for an OTA image). *)
 
-val apply :
-  ?probe:(string -> unit) -> ?commit_extra:(applied -> unit) -> t -> outcome
-(** Run validate/build/migrate/flip on the pending update, if any.
-    [commit_extra] runs inside the flip transaction (use
+val apply : ?commit_extra:(applied -> unit) -> t -> outcome
+(** Run validate/build/migrate/flip on the pending update, if any,
+    firing the [Site.rt_adapt_*] site of each crash window on the
+    manager's store.  [commit_extra] runs inside the flip transaction (use
     {!Nvm.tx_write}) so caller bookkeeping commits atomically with the
     generation flip.  Safe to call again after a power failure at any
     point: every partial state either retries to the same outcome or was

@@ -1,18 +1,9 @@
 module Nvm = Artemis_nvm.Nvm
+module Site = Artemis_nvm.Site
 module Device = Artemis_device.Device
 module Event = Artemis_trace.Event
 module Task = Artemis_task.Task
 module Backend = Artemis_backend.Backend
-
-(* Numbered after the NVM and runtime sites by the fault-injection
-   engine: the four crash windows of the two-phase commit. *)
-let injection_sites =
-  [
-    "alpaca.log.before";
-    "alpaca.log.after";
-    "alpaca.swap.before";
-    "alpaca.swap.after";
-  ]
 
 module Chaos = struct
   let torn_commit_log = ref false
@@ -44,7 +35,7 @@ let drop_newest_application entries =
   in
   List.rev (go (List.rev entries))
 
-let setup ~model ~probe device _app =
+let setup ~model device _app =
   let nvm = Device.nvm device in
   let log : log Nvm.cell =
     Nvm.cell nvm ~region:Runtime ~name:"alpaca.log" ~bytes:16 None
@@ -64,7 +55,7 @@ let setup ~model ~probe device _app =
     match Nvm.read log with
     | None -> true
     | Some (task_name, names) -> (
-        probe "alpaca.swap.before";
+        Nvm.fire nvm Site.alpaca_swap_before;
         match
           consume_cycles ~during:"alpaca.swap"
             (swap_base_cycles + (swap_cycles_per_cell * List.length names))
@@ -87,7 +78,7 @@ let setup ~model ~probe device _app =
                only the event. *)
             if recovery then
               Device.record device (Event.Task_completed { task = task_name });
-            probe "alpaca.swap.after";
+            Nvm.fire nvm Site.alpaca_swap_after;
             true)
   in
   {
@@ -119,11 +110,11 @@ let setup ~model ~probe device _app =
                    log never sealed, so the captured set is void *)
                 Backend.Interrupted
             | Device.Completed ->
-                probe "alpaca.log.before";
+                Nvm.fire nvm Site.alpaca_log_before;
                 redo := entries;
                 Nvm.write log
                   (Some (task.Task.name, List.map (fun (n, _, _) -> n) entries));
-                probe "alpaca.log.after";
+                Nvm.fire nvm Site.alpaca_log_after;
                 (* the scratch buffers are spent: the sealed log is now
                    the authoritative carrier of the write set *)
                 Nvm.drop_tx nvm;
@@ -138,6 +129,9 @@ let backend =
     description =
       "checkpoint-free task privatization with two-phase (log-then-swap) \
        commit";
-    injection_sites;
+    (* the four crash windows of the two-phase commit *)
+    injection_sites =
+      Site.[ alpaca_log_before; alpaca_log_after; alpaca_swap_before;
+             alpaca_swap_after ];
     setup;
   }

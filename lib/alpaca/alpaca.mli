@@ -18,16 +18,13 @@
     In this simulation the privatization buffers are the NVM
     transaction's pending views ({!Artemis_nvm.Nvm.capture_tx} freezes
     them into redo thunks, {!Artemis_nvm.Nvm.drop_tx} retires them once
-    the log is sealed).  The protocol exposes four injection sites
-    ([alpaca.log.before/after], [alpaca.swap.before/after]) so the
-    fault-injection campaign can crash inside both phases. *)
+    the log is sealed).  The protocol fires four injection sites
+    ({!Artemis_nvm.Site.alpaca_log_before} and [_after],
+    {!Artemis_nvm.Site.alpaca_swap_before} and [_after]), its
+    [injection_sites], so the fault-injection campaign can crash inside
+    both phases. *)
 
 module Backend = Artemis_backend.Backend
-
-val injection_sites : string list
-(** The four two-phase-commit crash windows, in numbering order (the
-    fault-injection engine appends them after the NVM and runtime
-    sites). *)
 
 val backend : Backend.b
 (** The registered backend ([name = "alpaca"]).  Its [setup] allocates

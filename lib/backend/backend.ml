@@ -1,4 +1,5 @@
 module Nvm = Artemis_nvm.Nvm
+module Site = Artemis_nvm.Site
 module Device = Artemis_device.Device
 module Cost_model = Artemis_device.Cost_model
 module Task = Artemis_task.Task
@@ -18,10 +19,9 @@ type instance = {
 type b = {
   name : string;
   description : string;
-  injection_sites : string list;
+  injection_sites : Site.t list;
   setup :
     model:Cost_model.t ->
-    probe:(string -> unit) ->
     Device.t ->
     Task.app ->
     instance;
@@ -45,7 +45,7 @@ let immortal =
     description = "ARTEMIS task transactions (ImmortalThreads-style reference)";
     injection_sites = [];
     setup =
-      (fun ~model:_ ~probe:_ device _app ->
+      (fun ~model:_ device _app ->
         let nvm = Device.nvm device in
         {
           recover = (fun () -> ());

@@ -24,6 +24,7 @@
     columns differ per family. *)
 
 module Nvm = Artemis_nvm.Nvm
+module Site = Artemis_nvm.Site
 module Device = Artemis_device.Device
 module Cost_model = Artemis_device.Cost_model
 module Task = Artemis_task.Task
@@ -58,21 +59,19 @@ type instance = {
 type b = {
   name : string;
   description : string;
-  injection_sites : string list;
-      (** Extra crash windows this backend's commit protocol exposes, in
-          numbering order (appended after the NVM and runtime sites by
-          the fault-injection engine).  Empty for backends whose commit
-          point is the single NVM transaction commit. *)
+  injection_sites : Site.t list;
+      (** Extra crash windows this backend's commit protocol exposes,
+          each fired through {!Artemis_nvm.Nvm.fire} on the device's
+          store.  Empty for backends whose commit point is the single
+          NVM transaction commit. *)
   setup :
     model:Cost_model.t ->
-    probe:(string -> unit) ->
     Device.t ->
     Task.app ->
     instance;
       (** Allocate the backend's persistent cells on [device] and return
           the per-run protocol hooks, their cycle costs priced by the
-          run's cost [model].  Called once per run; [probe] is the
-          fault-injection hook for the backend's own [injection_sites]. *)
+          run's cost [model].  Called once per run. *)
 }
 
 val consume_cycles :

@@ -268,7 +268,7 @@ let backend =
       "TICS-style checkpointing (restore on cold entry, snapshot on commit)";
     injection_sites = [];
     setup =
-      (fun ~model ~probe:_ device _app ->
+      (fun ~model device _app ->
         let nvm = Device.nvm device in
         let live =
           Nvm.cell nvm ~region:Runtime ~kind:Artemis_nvm.Nvm.Ram

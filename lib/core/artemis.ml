@@ -20,6 +20,7 @@ module Json = Artemis_util.Json
 module Par = Artemis_util.Par
 module Obs = Artemis_obs.Obs
 module Nvm = Artemis_nvm.Nvm
+module Site = Artemis_nvm.Site
 module Persistent_clock = Artemis_clock.Persistent_clock
 module Remanence_timekeeper = Artemis_clock.Remanence_timekeeper
 module Capacitor = Artemis_energy.Capacitor

@@ -1,19 +1,15 @@
 open Artemis
 module Strmap = Artemis_util.Strmap
 
-(* --- injection sites (Nvm numbering first, then Runtime, then the
-   Alpaca two-phase-commit windows appended by PR 10 so the historic
-   numbering [0,19] stays stable) --- *)
+(* --- injection sites (numbered in [Site]) --- *)
 
-let sites =
-  Array.of_list
-    (Nvm.injection_sites @ Runtime.injection_sites @ Alpaca.injection_sites)
-let site_count = Array.length sites
+let site_count = Site.count
+let sites = Array.init site_count (fun i -> Site.label (Site.of_int i))
 
 (* Shared-mutable audit: this map is built once at module
    initialisation and is read-only afterwards, so concurrent lookups
-   from worker domains are safe.  Every probe hit resolves its label
-   here, so the lookup must not allocate or hash the whole label. *)
+   from worker domains are safe.  Campaign runs see sites by number;
+   this serves callers that hold labels. *)
 let site_ids =
   Strmap.build (List.mapi (fun i label -> (label, i)) (Array.to_list sites))
 
@@ -303,9 +299,9 @@ let run_schedule (scenario : Scenario.t) ~seed schedule =
      captured logically (pending views included) at the seal - and in
      nothing else until the swap publishes it ([alpaca.swap.after]). *)
   let app_committed = ref (Nvm.snapshot_region nvm ~region:Nvm.Application) in
-  let commit_after = site_id "nvm.commit_tx.after" in
-  let log_after = site_id "alpaca.log.after" in
-  let swap_after = site_id "alpaca.swap.after" in
+  let commit_after = (Site.nvm_commit_tx_after :> int) in
+  let log_after = (Site.alpaca_log_after :> int) in
+  let swap_after = (Site.alpaca_swap_after :> int) in
   let sealed = ref false in
   let promised = ref [] in
   let changed_cells ~against now =
@@ -333,8 +329,8 @@ let run_schedule (scenario : Scenario.t) ~seed schedule =
         }
         :: !violations
   in
-  let probe label =
-    let id = site_id label in
+  let on_site (site : Site.t) =
+    let id = (site :> int) in
     hits.(id) <- hits.(id) + 1;
     let occ = since.(id) in
     since.(id) <- occ + 1;
@@ -367,13 +363,14 @@ let run_schedule (scenario : Scenario.t) ~seed schedule =
         Array.fill since 0 site_count 0;
         fired := (s, o) :: !fired;
         Obs.incr obs m_injected;
+        let label = Site.label site in
         check_atomicity label;
         raise (Nvm.Injected_failure label)
     | _ -> ()
   in
   let result =
     Runtime.run_instrumented ~config:b.Scenario.config
-      ~adaptations:b.Scenario.adaptations ~backend:b.Scenario.backend ~probe
+      ~adaptations:b.Scenario.adaptations ~backend:b.Scenario.backend ~on_site
       b.Scenario.device b.Scenario.app b.Scenario.suite
   in
   check_atomicity "end-of-run";

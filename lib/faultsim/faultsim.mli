@@ -42,18 +42,19 @@
 (** {2 Injection sites} *)
 
 val sites : string array
-(** All injection-point labels, in numbering order:
-    {!Nvm.injection_sites} first, then {!Runtime.injection_sites}, then
-    {!Artemis.Alpaca.injection_sites} (PR 10) - the historic ids [0,19]
-    are stable. *)
+(** All injection-point labels, indexed by site number:
+    [sites.(i) = Site.label (Site.of_int i)].  {!Artemis.Site} states
+    the numbering; schedules, replay lines and reports use it. *)
 
 val site_count : int
+(** [Site.count]. *)
 
 val site_id : string -> int
-(** The id of a site label, compared by content.  Every probe hit pays
-    this lookup, so it does not hash the whole label: an
-    {!Artemis_util.Strmap} probe keyed on its length and last character,
-    settled by [String.equal].
+(** The number of a site label, compared by content: the inverse of
+    {!sites}, for tools that hold labels.  Campaign runs never call it:
+    their hook sees each hit's site by number.  An
+    {!Artemis_util.Strmap} probe keyed on the label's length and last
+    character, settled by [String.equal].
     @raise Not_found for an unknown label. *)
 
 (** {2 Schedules} *)

@@ -207,7 +207,7 @@ let backend =
     description = "InK-style reactive kernel (event dispatch per task)";
     injection_sites = [];
     setup =
-      (fun ~model ~probe:_ device _app ->
+      (fun ~model device _app ->
         let nvm = Device.nvm device in
         let sched =
           Nvm.cell nvm ~region:Runtime ~name:"inkb.sched" ~bytes:3 0

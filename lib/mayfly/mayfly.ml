@@ -274,7 +274,7 @@ let backend =
       "Mayfly-style fused runtime (per-task expiration table, in-loop checks)";
     injection_sites = [];
     setup =
-      (fun ~model ~probe:_ device app ->
+      (fun ~model device app ->
         let nvm = Device.nvm device in
         let stamps =
           List.map

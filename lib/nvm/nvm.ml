@@ -13,18 +13,6 @@ let m_tx_commits = Obs.counter "nvm_tx_commits"
 let m_tx_aborts = Obs.counter "nvm_tx_aborts"
 let m_power_failures = Obs.counter "nvm_power_failures"
 
-(* Stable numbering contract for the fault-injection engine: sites are
-   listed in this order, before the runtime's own sites. *)
-let injection_sites =
-  [
-    "nvm.write.before";
-    "nvm.write.after";
-    "nvm.tx_write.before";
-    "nvm.tx_write.after";
-    "nvm.commit_tx.before";
-    "nvm.commit_tx.after";
-  ]
-
 (* Test-only chaos hooks (see test/test_oracle_sensitivity.ml): each
    re-introduces a known-bad behaviour the PR2 campaigns hardened away,
    so the mutation suite can prove the oracles still detect it. *)
@@ -79,9 +67,9 @@ type t = {
          power-failure rollback cost O(dirty cells), not O(all cells) *)
   mutable reverts : int;  (* aborts + power failures, see [revert_count] *)
   mutable tx_begin_us : int;  (* span start when tracing is enabled *)
-  mutable probe : (string -> unit) option;
-      (* fault-injection hook; fired around state-changing operations with
-         the site label, and allowed to raise [Injected_failure] *)
+  mutable probe : (Site.t -> unit) option;
+      (* the one fault-injection hook: every [fire] calls it with its
+         site, and it may raise [Injected_failure] *)
   mutable recorder : (access -> unit) option;
       (* access-set recorder for the static WAR-hazard pass (PR 7) *)
 }
@@ -198,9 +186,9 @@ let write c v =
   | (Fram | Ram), _ -> ());
   record_access c Write_op;
   Obs.incr c.store.obs m_writes;
-  fire c.store "nvm.write.before";
+  fire c.store Site.nvm_write_before;
   set_committed c v;
-  fire c.store "nvm.write.after"
+  fire c.store Site.nvm_write_after
 
 let begin_tx t =
   if t.tx_open then invalid_arg "Nvm.begin_tx: transaction already open";
@@ -222,7 +210,7 @@ let tx_write c v =
     invalid_arg (Printf.sprintf "Nvm.tx_write: cell %S is volatile" c.name);
   record_access c Tx_write_op;
   Obs.incr c.store.obs m_tx_writes;
-  fire c.store "nvm.tx_write.before";
+  fire c.store Site.nvm_tx_write_before;
   (if !Chaos.tx_write_through then set_committed c v
    else begin
      (match c.pending with
@@ -230,7 +218,7 @@ let tx_write c v =
      | Some _ -> ());
      c.pending <- Some v
    end);
-  fire c.store "nvm.tx_write.after"
+  fire c.store Site.nvm_tx_write_after
 
 (* Join the ambient transaction if one is open, else write through.  Used
    by code that must be durable in isolation but atomic when an enclosing
@@ -249,13 +237,13 @@ let discard (Cell c) = c.pending <- None
 
 let commit_tx t =
   if not t.tx_open then invalid_arg "Nvm.commit_tx: no open transaction";
-  fire t "nvm.commit_tx.before";
+  fire t Site.nvm_commit_tx_before;
   List.iter publish (List.rev t.tx_dirty);
   t.tx_dirty <- [];
   t.tx_open <- false;
   Obs.incr t.obs m_tx_commits;
   close_tx_span t "tx";
-  fire t "nvm.commit_tx.after"
+  fire t Site.nvm_commit_tx_after
 
 (* --- checkpoint-free (Alpaca-style) commit support (PR 10) ---
 

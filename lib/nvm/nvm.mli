@@ -39,14 +39,9 @@ type 'a cell
 
 exception Injected_failure of string
 (** Raised by a fault-injection probe (see {!set_probe}) to model a power
-    failure at the instrumented point whose label it carries.  The
+    failure at the site whose label ({!Site.label}) it carries.  The
     intermittent runtime catches it, runs the device's power-failure
     recovery, and resumes from persistent state. *)
-
-val injection_sites : string list
-(** The labels this module's probe can fire, in the canonical numbering
-    order used by the fault-injection engine: before/after each {!write},
-    {!tx_write} and {!commit_tx}. *)
 
 val create : ?obs:Artemis_obs.Obs.t -> unit -> t
 (** [obs] is the observability context this store records into; defaults
@@ -57,12 +52,19 @@ val obs : t -> Artemis_obs.Obs.t
     instrumented libraries ([lib/monitor], [lib/immortal], [lib/adapt])
     fetch it from here so one device's activity lands in one context. *)
 
-val set_probe : t -> (string -> unit) option -> unit
-(** Install (or clear) the fault-injection probe.  The probe is invoked
-    with the site label around every state-changing operation and may
-    raise {!Injected_failure} to crash the store's owner at that point.
-    Recovery paths ({!power_failure}, {!abort_tx}) and reads never fire
-    the probe. *)
+val set_probe : t -> (Site.t -> unit) option -> unit
+(** Install (or clear) the fault-injection probe: the one hook every
+    injection site of the store's owner reaches, by number.  The store
+    fires {!Site.nvm_write_before} and its siblings around every
+    {!write}, {!tx_write} and {!commit_tx}; the runtime, the adaptation
+    protocol and commit protocols such as Alpaca's fire their own sites
+    through {!fire}.  The probe may raise {!Injected_failure} to crash
+    the owner at that point.  Recovery paths ({!power_failure},
+    {!abort_tx}) and reads never fire it. *)
+
+val fire : t -> Site.t -> unit
+(** Call the installed probe with the site, if one is installed: one
+    branch otherwise. *)
 
 type access_op =
   | Read_op

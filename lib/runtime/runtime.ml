@@ -1,5 +1,6 @@
 open Artemis_util
 module Nvm = Artemis_nvm.Nvm
+module Site = Artemis_nvm.Site
 module Device = Artemis_device.Device
 module Cost_model = Artemis_device.Cost_model
 module Report = Artemis_device.Report
@@ -119,20 +120,6 @@ type mcall = {
   journal : journal_entry list;  (** newest first; [] when not instrumented *)
 }
 
-(* Numbered alongside Nvm.injection_sites by the fault-injection engine.
-   The adaptation sites are appended so the historic numbering (0-11)
-   stays stable. *)
-let injection_sites =
-  [
-    "rt.monitor_step.before";
-    "rt.monitor_step.after";
-    "rt.event_update.before";
-    "rt.event_update.after";
-    "rt.verdict.before";
-    "rt.verdict.after";
-  ]
-  @ Adapt.injection_sites
-
 (* One generation of the monitor deployment.  Live adaptation swaps the
    whole record at once: the suite, the deployment-ordered monitor array
    and the callMonitor thread always belong to the same generation. *)
@@ -178,6 +165,7 @@ type delivery = {
 
 type state = {
   device : Device.t;
+  nvm : Nvm.t;  (** the device's store, where every injection site fires *)
   app : Task.app;
   paths : Task.t array array;
   binst : Backend.instance;
@@ -194,7 +182,6 @@ type state = {
   suspended : bool Nvm.cell;  (** completePath: monitoring suspended *)
   round : int Nvm.cell;  (** reactive execution: current pass, 1-based *)
   prng : Prng.t;
-  probe : string -> unit;  (** fault-injection hook for runtime sites *)
   journaling : bool;  (** record the committed event prefix in [mcall] *)
   mutable iterations : int;
   mutable max_mcall_energy : Energy.energy;
@@ -242,7 +229,7 @@ let make_exec nvm ~gen suite event mcall_failures =
   let thread = Immortal.create nvm ~region:Monitor ~name ~steps in
   { gen; suite; monitors; thread }
 
-let make_state ?(probe = fun _ -> ()) ?(journaling = false) ?(adaptations = [])
+let make_state ?(journaling = false) ?(adaptations = [])
     ?(backend = Backend.immortal) ~config device app suite =
   (match Task.validate app with
   | Ok () -> ()
@@ -309,10 +296,11 @@ let make_state ?(probe = fun _ -> ()) ?(journaling = false) ?(adaptations = [])
      adaptation manager's, so every backend sees the same cell prefix and
      the footprint fingerprints stay deterministic per backend. *)
   let binst =
-    backend.Backend.setup ~model:config.cost_model ~probe device app
+    backend.Backend.setup ~model:config.cost_model device app
   in
   {
     device;
+    nvm;
     app;
     paths;
     binst;
@@ -327,7 +315,6 @@ let make_state ?(probe = fun _ -> ()) ?(journaling = false) ?(adaptations = [])
     suspended;
     round;
     prng = Prng.create ~seed:config.seed;
-    probe;
     journaling;
     iterations = 0;
     max_mcall_energy = Energy.zero;
@@ -381,10 +368,10 @@ let resume_monitor_call_inner st =
     && Monitor.watches_event st.exec.monitors.(i) (Nvm.read st.event)
   in
   let run_one_step () =
-    st.probe "rt.monitor_step.before";
+    Nvm.fire st.nvm Site.rt_monitor_step_before;
     (match Immortal.run_step st.exec.thread with
     | Immortal.Ran _ | Immortal.Done -> ());
-    st.probe "rt.monitor_step.after"
+    Nvm.fire st.nvm Site.rt_monitor_step_after
   in
   let rec steps () =
     if Immortal.completed st.exec.thread then begin
@@ -589,9 +576,9 @@ let apply_verdict_body st failures =
           proceed st ev.Interp.kind)
 
 let apply_verdict st failures =
-  st.probe "rt.verdict.before";
+  Nvm.fire st.nvm Site.rt_verdict_before;
   apply_verdict_body st failures;
-  st.probe "rt.verdict.after"
+  Nvm.fire st.nvm Site.rt_verdict_after
 
 (* Run the armed monitor call as far as this power cycle allows.  An
    interrupted call stays active, and the next loop iteration resumes it
@@ -653,7 +640,7 @@ let finish_delivery st (d : delivery) outcome =
 
 let apply_staged st =
   match
-    Adapt.apply ~probe:st.probe
+    Adapt.apply
       ~commit_extra:(fun (a : Adapt.applied) ->
         (* joins the flip transaction: the generation change and its
            journal entry commit atomically (the golden oracle replays the
@@ -705,7 +692,7 @@ let deliver st (d : delivery) =
       d.d_radio_time <- Time.add d.d_radio_time duration;
       d.d_radio_energy <-
         Energy.add d.d_radio_energy (Energy.consumed radio_power duration);
-      let staged = Adapt.stage ~probe:st.probe st.adapt d.d_update in
+      let staged = Adapt.stage st.adapt d.d_update in
       d.d_delivered <- true;
       Device.record st.device
         (Event.Adaptation_staged { id = d.d_update.Adapt.id; bytes = staged });
@@ -781,9 +768,9 @@ let event_phase st =
       (Interp.Start, c)
     end
   in
-  st.probe "rt.event_update.before";
+  Nvm.fire st.nvm Site.rt_event_update_before;
   Nvm.write st.event (make_event st kind c);
-  st.probe "rt.event_update.after";
+  Nvm.fire st.nvm Site.rt_event_update_after;
   match consume_runtime st with
   | Device.Interrupted | Device.Starved -> ()
   | Device.Completed ->
@@ -797,17 +784,17 @@ let event_phase st =
 
 let finish st outcome = Report.stats st.device ~outcome
 
-let run_internal ?probe ?journaling ?adaptations ?backend ~config device app
+let run_internal ?on_site ?journaling ?adaptations ?backend ~config device app
     suite =
   let st =
-    make_state ?probe ?journaling ?adaptations ?backend ~config device app suite
+    make_state ?journaling ?adaptations ?backend ~config device app suite
   in
   Device.record device Event.Boot;
   (* initial hard reset: resetMonitor (Figure 8, line 14) *)
   Suite.hard_reset st.exec.suite;
-  (* Route the probe to the NVM bookkeeping sites too: one controller
-     sees every numbered injection point. *)
-  Nvm.set_probe (Device.nvm device) probe;
+  (* Every injection site fires on the store, so this one hook sees them
+     all; the boot-time reset above is never probed. *)
+  Nvm.set_probe st.nvm on_site;
   let rec loop () =
     st.iterations <- st.iterations + 1;
     match
@@ -875,7 +862,7 @@ let run_internal ?probe ?journaling ?adaptations ?backend ~config device app
   in
   let stats =
     Fun.protect
-      ~finally:(fun () -> Nvm.set_probe (Device.nvm device) None)
+      ~finally:(fun () -> Nvm.set_probe st.nvm None)
       protected
   in
   (st, stats)
@@ -895,11 +882,18 @@ type instrumented = {
       (** worst single monitor-call attempt observed (Monitor_work) *)
 }
 
-let run_instrumented ?(config = default_config) ?adaptations ?backend ?probe
-    device app suite =
+let run_instrumented ?(config = default_config) ?adaptations ?backend ?on_site
+    ?probe device app suite =
+  let on_site =
+    match (on_site, probe) with
+    | Some _, Some _ ->
+        invalid_arg "Runtime.run_instrumented: both ~on_site and ~probe given"
+    | None, Some p -> Some (fun s -> p (Site.label s))
+    | on_site, None -> on_site
+  in
   let st, stats =
-    run_internal ?probe ~journaling:true ?adaptations ?backend ~config device
-      app suite
+    run_internal ?on_site ~journaling:true ?adaptations ?backend ~config
+      device app suite
   in
   (* the run may end between a committed flip and the next update window *)
   sync_exec st;

@@ -126,15 +126,10 @@ val runtime_fram_bytes : Device.t -> int
 
     Hooks used by [Artemis_faultsim] to drive deterministic power
     failures through the runtime's crash windows and to check its
-    invariants afterwards.  Normal runs pay nothing for them: the probe
-    defaults to a no-op and journaling is off. *)
-
-val injection_sites : string list
-(** Labels of the runtime-level injection points, in numbering order
-    (the engine numbers {!Artemis_nvm.Nvm.injection_sites} first, then
-    these).  Each site is probed with its label; a probe that raises
-    {!Artemis_nvm.Nvm.Injected_failure} models a power failure at that
-    instruction. *)
+    invariants afterwards.  The runtime fires its own sites
+    ([Site.rt_*], numbered in {!Artemis_nvm.Site}) through
+    {!Artemis_nvm.Nvm.fire} on the device's store.  Normal runs pay one
+    branch per site: no hook is installed and journaling is off. *)
 
 type journal_entry =
   | Stepped of Artemis_fsm.Interp.event
@@ -175,17 +170,24 @@ val run_instrumented :
   ?config:config ->
   ?adaptations:(int * Artemis_adapt.Adapt.update) list ->
   ?backend:Artemis_backend.Backend.b ->
+  ?on_site:(Artemis_nvm.Site.t -> unit) ->
   ?probe:(string -> unit) ->
   Device.t -> Task.app -> Artemis_monitor.Suite.t ->
   instrumented
 (** Like {!run}, with the monitor-call journal recorded, returning the
     final suite and the per-update records too: the entry point of the
-    fault-injection engine and of the adaptation study.  [probe], when
-    given, is installed on every injection site (both the NVM
-    bookkeeping sites and the runtime sites above).  A probe raising
-    {!Artemis_nvm.Nvm.Injected_failure} triggers
+    fault-injection engine and of the adaptation study.  [on_site], when
+    given, is the store's hook ({!Artemis_nvm.Nvm.set_probe}) for the
+    run: it sees every injection site by number (the NVM store's, the
+    runtime's, the adaptation protocol's and the backend's), from just
+    after the boot-time monitor reset until the run returns.  A hook
+    raising {!Artemis_nvm.Nvm.Injected_failure} triggers
     {!Device.force_power_failure} and the run resumes from persistent
-    state, exactly as after a capacitor brown-out. *)
+    state, exactly as after a capacitor brown-out.
+
+    [probe] is the same hook seen through site labels:
+    [fun s -> probe (Artemis_nvm.Site.label s)].
+    @raise Invalid_argument if both are given. *)
 
 (** Test-only chaos hooks for the oracle-sensitivity (mutation) suite:
     each flag re-introduces a known-bad behaviour hardened away by the

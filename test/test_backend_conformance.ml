@@ -44,11 +44,11 @@ struct
     Alcotest.(check int) "zero violations" 0 (F.total_violations c);
     Alcotest.(check bool) "no reproducer" true (c.F.shrunk = None);
     List.iter
-      (fun site ->
+      (fun (site : Site.t) ->
         Alcotest.(check bool)
-          ("protocol site covered: " ^ site)
+          ("protocol site covered: " ^ Site.label site)
           true
-          (List.mem (F.site_id site) c.F.covered))
+          (List.mem (site :> int) c.F.covered))
       B.b.Backend.injection_sites
 
   (* the semantic stream must equal the immortal reference's, on a
@@ -90,7 +90,7 @@ struct
     let before = Nvm.footprint nvm ~kind:Nvm.Fram ~region:Nvm.Runtime in
     let instance =
       B.b.Backend.setup ~model:built.Scenario.config.Runtime.cost_model
-        ~probe:ignore built.Scenario.device built.Scenario.app
+        built.Scenario.device built.Scenario.app
     in
     let after = Nvm.footprint nvm ~kind:Nvm.Fram ~region:Nvm.Runtime in
     Alcotest.(check int)

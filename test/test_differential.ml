@@ -427,30 +427,31 @@ let injected_verdicts scenario backend ~seed schedule =
        ~description:scenario.FScenario.description scenario)
       .FScenario.build ~engine:None ~seed
   in
-  let since = Array.make FS.site_count 0 in
+  let since = Array.make Site.count 0 in
   let remaining = ref schedule in
-  let probe label =
-    let id = FS.site_id label in
+  let on_site (site : Site.t) =
+    let id = (site :> int) in
     let occ = since.(id) in
     since.(id) <- occ + 1;
     match !remaining with
     | (s, o) :: rest when s = id && o = occ ->
         remaining := rest;
-        Array.fill since 0 FS.site_count 0;
-        raise (Nvm.Injected_failure label)
+        Array.fill since 0 Site.count 0;
+        raise (Nvm.Injected_failure (Site.label site))
     | _ -> ()
   in
   let result =
     Runtime.run_instrumented ~config:built.FScenario.config
       ~adaptations:built.FScenario.adaptations
-      ~backend:built.FScenario.backend ~probe built.FScenario.device
+      ~backend:built.FScenario.backend ~on_site built.FScenario.device
       built.FScenario.app built.FScenario.suite
   in
   (semantic_stream built.FScenario.device,
    (result.Runtime.stats.Stats.outcome = Stats.Completed))
 
-let rt_first = List.length Nvm.injection_sites
-let rt_count = List.length Runtime.injection_sites
+(* the runtime's and the update protocol's sites, rt.* *)
+let rt_first = (Site.rt_monitor_step_before :> int)
+let rt_count = (Site.rt_adapt_clear_after :> int) - rt_first + 1
 let clamp_entry (s, o) = (rt_first + (s mod rt_count), o mod 4)
 
 let backend_matrix_print ((s_i, e_i, seed), schedule) =

@@ -236,11 +236,11 @@ let check_dominates ~what bound (inst : Runtime.instrumented) =
       (Energy.to_uj inst.Runtime.max_call_energy)
       (Energy.to_uj bound)
 
-let run_scenario (sc : Scenario.t) engine ~probe =
+let run_scenario (sc : Scenario.t) engine ~on_site =
   let b = (Scenario.with_engine engine sc).Scenario.build ~engine:None ~seed:42 in
   let inst =
     Runtime.run_instrumented ~config:b.Scenario.config
-      ~adaptations:b.Scenario.adaptations ~probe b.Scenario.device
+      ~adaptations:b.Scenario.adaptations ~on_site b.Scenario.device
       b.Scenario.app b.Scenario.suite
   in
   (static_bound b, inst)
@@ -250,7 +250,7 @@ let test_bound_dominates_uninjected () =
     (fun (sc : Scenario.t) ->
       List.iter
         (fun engine ->
-          let bound, inst = run_scenario sc engine ~probe:(fun _ -> ()) in
+          let bound, inst = run_scenario sc engine ~on_site:ignore in
           check_dominates
             ~what:(Printf.sprintf "%s/%s" sc.Scenario.name (engine_name engine))
             bound inst;
@@ -271,31 +271,30 @@ let test_bound_dominates_uninjected () =
 let max_occurrences_per_site = 3
 
 let depth1_campaign (sc : Scenario.t) engine =
-  (* baseline hit counts per site label *)
-  let hits = Hashtbl.create 32 in
-  let counting label =
-    Hashtbl.replace hits label (1 + Option.value ~default:0 (Hashtbl.find_opt hits label))
-  in
-  let bound, inst = run_scenario sc engine ~probe:counting in
+  (* baseline hit counts per site *)
+  let hits = Array.make Site.count 0 in
+  let counting (s : Site.t) = hits.((s :> int)) <- hits.((s :> int)) + 1 in
+  let bound, inst = run_scenario sc engine ~on_site:counting in
   check_dominates
     ~what:(Printf.sprintf "%s/%s baseline" sc.Scenario.name (engine_name engine))
     bound inst;
-  Hashtbl.iter
-    (fun site n ->
+  Array.iteri
+    (fun i n ->
+      let site = Site.of_int i in
       for occ = 0 to Stdlib.min n max_occurrences_per_site - 1 do
         let seen = ref 0 in
-        let probe label =
-          if String.equal label site then begin
+        let on_site s =
+          if s = site then begin
             let k = !seen in
             incr seen;
-            if k = occ then raise (Nvm.Injected_failure site)
+            if k = occ then raise (Nvm.Injected_failure (Site.label site))
           end
         in
-        let bound, inst = run_scenario sc engine ~probe in
+        let bound, inst = run_scenario sc engine ~on_site in
         check_dominates
           ~what:
             (Printf.sprintf "%s/%s %s@%d" sc.Scenario.name (engine_name engine)
-               site occ)
+               (Site.label site) occ)
           bound inst
       done)
     hits
@@ -352,11 +351,11 @@ let fuzzed_bound_domination =
              (Suite.monitors suite))
       in
       let hits = ref 0 in
-      let probe _ =
+      let on_site _ =
         incr hits;
         if !hits = crash_at then raise (Nvm.Injected_failure "fuzz")
       in
-      match Runtime.run_instrumented ~config ~probe device app suite with
+      match Runtime.run_instrumented ~config ~on_site device app suite with
       | inst -> Energy.(inst.Runtime.max_call_energy <= with_float_slack bound)
       | exception Fsm.Interp.Runtime_error _ ->
           true (* fuzzed division by zero: no call committed to measure *))

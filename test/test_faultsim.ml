@@ -6,24 +6,61 @@ open Artemis
 module F = Artemis_faultsim.Faultsim
 module Scenario = Artemis_faultsim.Scenario
 
+(* The numbering, written out: replay lines and reports name sites by
+   these numbers, so moving one is a format change, not a refactor. *)
+let numbered_sites =
+  [
+    (Site.nvm_write_before, "nvm.write.before");
+    (Site.nvm_write_after, "nvm.write.after");
+    (Site.nvm_tx_write_before, "nvm.tx_write.before");
+    (Site.nvm_tx_write_after, "nvm.tx_write.after");
+    (Site.nvm_commit_tx_before, "nvm.commit_tx.before");
+    (Site.nvm_commit_tx_after, "nvm.commit_tx.after");
+    (Site.rt_monitor_step_before, "rt.monitor_step.before");
+    (Site.rt_monitor_step_after, "rt.monitor_step.after");
+    (Site.rt_event_update_before, "rt.event_update.before");
+    (Site.rt_event_update_after, "rt.event_update.after");
+    (Site.rt_verdict_before, "rt.verdict.before");
+    (Site.rt_verdict_after, "rt.verdict.after");
+    (Site.rt_adapt_stage_before, "rt.adapt.stage.before");
+    (Site.rt_adapt_stage_after, "rt.adapt.stage.after");
+    (Site.rt_adapt_validate_after, "rt.adapt.validate.after");
+    (Site.rt_adapt_migrate_before, "rt.adapt.migrate.before");
+    (Site.rt_adapt_migrate_after, "rt.adapt.migrate.after");
+    (Site.rt_adapt_flip_before, "rt.adapt.flip.before");
+    (Site.rt_adapt_flip_after, "rt.adapt.flip.after");
+    (Site.rt_adapt_clear_after, "rt.adapt.clear.after");
+    (Site.alpaca_log_before, "alpaca.log.before");
+    (Site.alpaca_log_after, "alpaca.log.after");
+    (Site.alpaca_swap_before, "alpaca.swap.before");
+    (Site.alpaca_swap_after, "alpaca.swap.after");
+  ]
+
 let test_site_numbering () =
-  Alcotest.(check int)
-    "nvm sites, runtime sites, then alpaca sites"
-    (List.length Nvm.injection_sites
-    + List.length Runtime.injection_sites
-    + List.length Alpaca.injection_sites)
-    F.site_count;
-  Alcotest.(check string) "site 0" "nvm.write.before" F.sites.(0);
-  Alcotest.(check string) "first alpaca site" "alpaca.log.before"
-    F.sites.(List.length Nvm.injection_sites
-             + List.length Runtime.injection_sites);
+  Alcotest.(check int) "Site.count" (List.length numbered_sites) Site.count;
+  Alcotest.(check int) "site_count" Site.count F.site_count;
+  Alcotest.(check (list string)) "F.sites, in numbering order"
+    (List.map snd numbered_sites) (Array.to_list F.sites);
   List.iteri
-    (fun i label ->
+    (fun i ((site : Site.t), label) ->
+      Alcotest.(check int) ("number of " ^ label) i (site :> int);
+      Alcotest.(check string) ("Site.label " ^ label) label (Site.label site);
+      Alcotest.(check string) ("Site.of_int " ^ label) label
+        (Site.label (Site.of_int i));
       Alcotest.(check int) ("id of " ^ label) i (F.site_id label);
       (* by content: a fresh copy is not physically the label *)
       let copy = String.init (String.length label) (String.get label) in
       Alcotest.(check int) ("id of a copy of " ^ label) i (F.site_id copy))
-    (Nvm.injection_sites @ Runtime.injection_sites @ Alpaca.injection_sites);
+    numbered_sites;
+  List.iter
+    (fun i ->
+      Alcotest.check_raises
+        (Printf.sprintf "Site.of_int %d" i)
+        (Invalid_argument
+           (Printf.sprintf "Site.of_int: %d outside [0,%d]" i
+              (Site.count - 1)))
+        (fun () -> ignore (Site.of_int i)))
+    [ -1; Site.count ];
   let label = F.sites.(0) in
   let n = String.length label in
   List.iter
@@ -58,8 +95,17 @@ let test_schedule_roundtrip () =
 
 (* the rt.adapt.* sites only fire in scenarios with a scheduled update;
    the alpaca.* sites only fire under the Alpaca backend *)
-let is_adapt_site i = List.mem F.sites.(i) Adapt.injection_sites
-let is_alpaca_site i = List.mem F.sites.(i) Alpaca.injection_sites
+let adapt_sites =
+  Site.
+    [
+      rt_adapt_stage_before; rt_adapt_stage_after; rt_adapt_validate_after;
+      rt_adapt_migrate_before; rt_adapt_migrate_after; rt_adapt_flip_before;
+      rt_adapt_flip_after; rt_adapt_clear_after;
+    ]
+
+let alpaca_sites = Alpaca.backend.Backend.injection_sites
+let is_adapt_site i = List.mem (Site.of_int i) adapt_sites
+let is_alpaca_site i = List.mem (Site.of_int i) alpaca_sites
 
 let test_baseline_clean () =
   let r = F.run_schedule Scenario.quickstart ~seed:42 [] in
@@ -87,9 +133,7 @@ let test_depth1_exhaustive_coverage () =
   Alcotest.(check int) "one run per dynamic instant" instants
     (List.length c.F.runs);
   Alcotest.(check int) "every fireable site injected"
-    (F.site_count
-    - List.length Adapt.injection_sites
-    - List.length Alpaca.injection_sites)
+    (F.site_count - List.length adapt_sites - List.length alpaca_sites)
     (List.length c.F.covered);
   Alcotest.(check int) "zero violations" 0 (F.total_violations c);
   Alcotest.(check bool) "no reproducer" true (c.F.shrunk = None);
@@ -243,6 +287,76 @@ let test_pinned_bytes () =
   Alcotest.(check string) "quickstart-alpaca depth-2 report bytes"
     "970d4bbcead43078d495cd392bda0652" (md5 (F.campaign_to_json c))
 
+(* The depth-1 reports of the benchmark's health workload and of the
+   scenario that fires all eight update sites, pinned at seed 42. *)
+let test_pinned_reports () =
+  List.iter
+    (fun ((sc : Scenario.t), digest) ->
+      let c = F.exhaustive sc ~seed:42 ~depth:1 in
+      Alcotest.(check string)
+        (sc.Scenario.name ^ " depth-1 report bytes")
+        digest
+        (md5 (F.campaign_to_json c)))
+    [
+      (Scenario.health, "8c68b0a416e3d67550b175e0b386bef9");
+      (Scenario.quickstart_adapt, "afeb833cc84fe13b627ffda82245dfd1");
+    ]
+
+(* [~probe] is the numbered hook seen through [Site.label]: both views
+   fire the same sites in the same order, as often as a campaign's
+   uninjected baseline counts them, and a run takes one or the other. *)
+let test_views_fire_the_same_sites () =
+  List.iter
+    (fun ((sc : Scenario.t), own_sites) ->
+      let name = sc.Scenario.name in
+      let run ?on_site ?probe () =
+        let b = sc.Scenario.build ~engine:None ~seed:42 in
+        ignore
+          (Runtime.run_instrumented ~config:b.Scenario.config
+             ~adaptations:b.Scenario.adaptations ~backend:b.Scenario.backend
+             ?on_site ?probe b.Scenario.device b.Scenario.app
+             b.Scenario.suite);
+        Device.nvm b.Scenario.device
+      in
+      let numbered = ref [] and labelled = ref [] in
+      let nvm = run ~on_site:(fun s -> numbered := s :: !numbered) () in
+      ignore (run ~probe:(fun l -> labelled := l :: !labelled) ());
+      let fired = List.length !numbered in
+      Nvm.fire nvm Site.nvm_write_before;
+      Alcotest.(check int) (name ^ ": the hook is cleared on exit") fired
+        (List.length !numbered);
+      Alcotest.(check (list string))
+        (name ^ ": labels = Site.label of the numbers")
+        (List.rev_map Site.label !numbered)
+        (List.rev !labelled);
+      let counts = Array.make Site.count 0 in
+      List.iter
+        (fun (s : Site.t) -> counts.((s :> int)) <- counts.((s :> int)) + 1)
+        !numbered;
+      Alcotest.(check (array int))
+        (name ^ ": per-site counts = the baseline's hits")
+        (F.run_schedule sc ~seed:42 []).F.hits counts;
+      List.iter
+        (fun (s : Site.t) ->
+          Alcotest.(check bool)
+            (name ^ " fires " ^ Site.label s)
+            true
+            (counts.((s :> int)) > 0))
+        own_sites;
+      let b = sc.Scenario.build ~engine:None ~seed:42 in
+      Alcotest.check_raises (name ^ ": both views")
+        (Invalid_argument
+           "Runtime.run_instrumented: both ~on_site and ~probe given")
+        (fun () ->
+          ignore
+            (Runtime.run_instrumented ~config:b.Scenario.config
+               ~on_site:ignore ~probe:ignore b.Scenario.device b.Scenario.app
+               b.Scenario.suite)))
+    [
+      (Scenario.quickstart_adapt, adapt_sites);
+      (Scenario.quickstart_alpaca, alpaca_sites);
+    ]
+
 (* Builds share the scenario's lowering and nothing else: two health
    builds hold the same tables, deploy them on stores of their own, and
    stepping one build's suite leaves the other's monitors untouched. *)
@@ -303,4 +417,8 @@ let suite =
       test_footprint_matches_baseline);
     ("JSON report keys", `Quick, test_json_report_shape);
     ("trace, footprint and report bytes are pinned", `Quick, test_pinned_bytes);
+    ("health and quickstart-adapt depth-1 reports are pinned", `Quick,
+      test_pinned_reports);
+    ("on_site and probe fire the same sites", `Quick,
+      test_views_fire_the_same_sites);
   ]
