@@ -1,13 +1,16 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Section 5) on the simulated testbed, then micro-benchmarks
-   each experiment kernel with Bechamel (one Test.make per table/figure).
+   evaluation (Section 5) on the simulated testbed, times the parallel
+   campaign runner's wall clock at 1/2/4/8 jobs, then times the kernels
+   behind the figures - monitor engines, the observability and
+   freshness contracts, OTA adaptation, the runtime matrix - with one
+   sampler, [paired_medians].
 
    Absolute numbers come from the simulator's calibrated cost model; the
    reproduction target is the paper's shape: who wins, by how much, where
    the crossovers are.  EXPERIMENTS.md records paper-vs-measured.
 
    Usage: main.exe [--fast] [--json FILE] [--skip-reproduce]
-     --fast            trim bechamel quota and sweep sizes (CI smoke run)
+     --fast            trim rounds, iterations and sweep sizes (CI smoke run)
      --json FILE       write machine-readable results (kernel timings,
                        engine speedups, scalability sweeps) to FILE
      --skip-reproduce  skip the figure/table regeneration *)
@@ -57,7 +60,6 @@ let reproduce_all () =
    the deployed flat-table engine) --- *)
 
 module A = Artemis
-module F = A.Fsm.Ast
 module Interp = A.Fsm.Interp
 module Table = A.Fsm.Table
 
@@ -165,15 +167,15 @@ let obs_kernels () =
   in
   (off, on)
 
-(* The contract numbers are *ratios* of same-scale kernels, and the
-   ratio of two independently fitted OLS estimates drifts more than the
-   quantities under test: sequential bechamel runs reported 5-22%
-   phantom obs overhead on a delta that interleaving shows is under 2%,
-   and swung one engine's fsm-step by 40% between runs while another
-   held still.  So every ratio in the report is measured as a
-   set: alternating rounds over the same kernels, median across rounds
-   - frequency and GC drift then land on all sides of each comparison
-   equally.  Bechamel's per-kernel estimates stay in kernels_ns. *)
+(* The bench's one timer.  The contract numbers are *ratios* of
+   same-scale kernels, and the ratio of two independently fitted
+   per-kernel estimates drifts more than the quantities under test:
+   sequential OLS fits reported 5-22% phantom obs overhead on a delta
+   that interleaving shows is under 2%, and swung one engine's fsm-step
+   by 40% between runs while another held still.  So every kernel is
+   timed in a set: alternating rounds over the same kernels, median
+   across rounds - frequency and GC drift then land on all sides of each
+   comparison equally.  Each kernel belongs to exactly one set. *)
 let paired_medians ~rounds ~iters kernels =
   let n = Array.length kernels in
   let sample f =
@@ -287,6 +289,28 @@ let energy_bound_kernel () =
       (A.Energy_analysis.suite_call_bound ~model
          (List.map (A.Energy_analysis.property_bound ~model) tables))
 
+(* the runtime matrix: quickstart under all five task backends with
+   verdict-stream comparison - the differential conformance check a
+   release pays per scenario.  Agreement is asserted, so a semantic
+   divergence fails the bench rather than skewing the number. *)
+let matrix_compare_kernel () =
+  let r =
+    Artemis_faultsim.Matrix.run Artemis_faultsim.Scenario.quickstart ~seed:42
+  in
+  assert r.Artemis_faultsim.Matrix.agreement
+
+(* the kernels no contract compares, timed as one set: an OTA update
+   pays adapt-apply and the energy bound, a release the matrix *)
+let measure_release_paired ~fast () =
+  let rounds = if fast then 5 else 11 in
+  let iters = if fast then 50 else 300 in
+  match
+    paired_medians ~rounds ~iters
+      [| adapt_apply_kernel (); energy_bound_kernel (); matrix_compare_kernel |]
+  with
+  | [| adapt; energy; matrix |] -> (adapt, energy, matrix)
+  | _ -> assert false
+
 (* --- parallel campaign runner (PR 5): wall-clock of the depth-2
    quickstart exhaustive campaign at 1/2/4/8 worker domains.  Every
    jobs setting must produce a report byte-identical to sequential -
@@ -343,197 +367,8 @@ let print_par_campaign (depth, nruns, rows) =
   end;
   flush stdout
 
-(* --- fleet runner (PR 8): wall-clock of a quickstart device fleet at
-   jobs 1 vs auto, byte-identity asserted like the campaign kernel.
-   Devices fan out through the same [Obs.par_map] as the campaign
-   kernel's runs. *)
-
-type fleet_row = { fjobs : int; fwall_s : float; fidentical : bool }
-
-let fleet_bench ~fast () =
-  let seeds = if fast then 64 else 5_000 in
-  let spec =
-    match
-      Fleet.spec_of_json
-        (Printf.sprintf
-           {|{"name": "bench", "scenarios": ["quickstart"],
-              "seeds": {"count": %d}, "harvesters": ["default", "fixed:5s"]}|}
-           seeds)
-    with
-    | Ok s -> s
-    | Error e -> failwith e
-  in
-  let report_bytes report =
-    let path = Filename.temp_file "fleet_bench" ".json" in
-    Fun.protect
-      ~finally:(fun () -> Sys.remove path)
-      (fun () ->
-        Out_channel.with_open_bin path (fun oc ->
-            Fleet.output_report_json ~devices:true oc report);
-        In_channel.with_open_bin path In_channel.input_all)
-  in
-  let timed jobs =
-    let t0 = Unix.gettimeofday () in
-    let r = Fleet.run ~jobs spec in
-    (r, Unix.gettimeofday () -. t0)
-  in
-  let r1, w1 = timed 1 in
-  let base = report_bytes r1 in
-  let auto = Artemis.Par.recommended_jobs () in
-  let rows =
-    { fjobs = 1; fwall_s = w1; fidentical = true }
-    :: List.map
-         (fun jobs ->
-           let r, w = timed jobs in
-           { fjobs = jobs; fwall_s = w;
-             fidentical = String.equal base (report_bytes r) })
-         (List.sort_uniq compare [ 2; auto ] |> List.filter (fun j -> j > 1))
-  in
-  (Fleet.spec_size spec, rows)
-
-let print_fleet_bench (devices, rows) =
-  Printf.printf "\n=== fleet: quickstart x %d devices, %d core(s) ===\n" devices
-    (Artemis.Par.recommended_jobs ());
-  let w1 = (List.hd rows).fwall_s in
-  List.iter
-    (fun r ->
-      Printf.printf "jobs %d: %6.3f s  (%.2fx)%s\n" r.fjobs r.fwall_s
-        (if r.fwall_s > 0. then w1 /. r.fwall_s else 0.)
-        (if r.fidentical then "" else "  REPORT MISMATCH"))
-    rows;
-  if List.for_all (fun r -> r.fidentical) rows then
-    print_endline "fleet report byte-identical across all job counts"
-  else begin
-    prerr_endline "fleet: parallel report differs from sequential";
-    exit 1
-  end;
-  flush stdout
-
-(* --- Bechamel micro-benchmarks --- *)
-
-open Bechamel
-open Toolkit
-
-let stagedf f = Staged.stage f
-
-let experiment_tests =
-  Test.make_grouped ~name:"experiments"
-    [
-      Test.make ~name:"fig12-one-delay"
-        (stagedf (fun () -> ignore (Fig12.run ~delays:[ 2 ] ())));
-      Test.make ~name:"fig13-timeline"
-        (stagedf (fun () -> ignore (Fig13.run ~delay_min:6 ())));
-      Test.make ~name:"fig14-fig15-continuous"
-        (stagedf (fun () -> ignore (Fig14.run ())));
-      Test.make ~name:"fig16-energy-2min"
-        (stagedf (fun () ->
-             ignore
-               (Fig16.run
-                  ~scenarios:
-                    [
-                      {
-                        Fig16.label = "2 min";
-                        supply = Config.Intermittent (Artemis.Time.of_min 2);
-                      };
-                    ]
-                  ())));
-      Test.make ~name:"table2-memory" (stagedf (fun () -> ignore (Table2.run ())));
-      Test.make ~name:"ablation-deployments"
-        (stagedf (fun () -> ignore (Ablation.deployments ())));
-      Test.make ~name:"ablation-collect"
-        (stagedf (fun () -> ignore (Ablation.collect_semantics ())));
-      Test.make ~name:"baseline-checkpoint"
-        (stagedf (fun () -> ignore (Baseline_checkpoint.run ~delays:[ 1 ] ())));
-      Test.make ~name:"timekeeper-sweep"
-        (stagedf (fun () -> ignore (Timekeeper_sweep.run ())));
-      Test.make ~name:"harvester-study"
-        (stagedf (fun () -> ignore (Harvester_study.run ~rates_uw:[ 200. ] ())));
-      Test.make ~name:"scalability"
-        (stagedf (fun () -> ignore (Scalability.run ~factors:[ 2 ] ())));
-      Test.make ~name:"yield-study"
-        (stagedf (fun () -> ignore (Yield_study.run ~rounds:3 ~rates_uw:[ 100. ] ())));
-      Test.make ~name:"table3-features" (stagedf (fun () -> ignore (Table3.render ())));
-    ]
-
-let engine_tests =
-  let fsm_i, fsm_t = fsm_step_kernels () in
-  let d8_i, d8_t = dispatch8_kernels () in
-  let obs_off, obs_on = obs_kernels () in
-  Test.make_grouped ~name:"engine"
-    [
-      Test.make ~name:"fsm-step-interpreted" (stagedf fsm_i);
-      Test.make ~name:"fsm-step-table" (stagedf fsm_t);
-      Test.make ~name:"dispatch8-interpreted" (stagedf d8_i);
-      Test.make ~name:"dispatch8-table" (stagedf d8_t);
-      Test.make ~name:"obs-dispatch8-off" (stagedf obs_off);
-      Test.make ~name:"obs-dispatch8-on" (stagedf obs_on);
-      (* the fault-injection engine's hot loop: a full depth-1 exhaustive
-         campaign (12 injected runs + baseline + oracles) on quickstart *)
-      Test.make ~name:"faultsim-depth1-exhaustive"
-        (stagedf (fun () ->
-             ignore
-               (Artemis_faultsim.Faultsim.exhaustive
-                  Artemis_faultsim.Scenario.quickstart ~seed:42 ~depth:1)));
-      (* the same campaign with the input-freshness tracker attached *)
-      Test.make ~name:"faultsim-depth1-fresh"
-        (stagedf (fun () ->
-             ignore
-               (Artemis_faultsim.Faultsim.exhaustive
-                  Artemis_faultsim.Scenario.quickstart_fresh ~seed:42 ~depth:1)));
-      Test.make ~name:"adapt-apply" (stagedf (adapt_apply_kernel ()));
-      Test.make ~name:"energy-bound-health" (stagedf (energy_bound_kernel ()));
-      (* the PR 10 runtime matrix: quickstart under all five task
-         backends with verdict-stream comparison - the differential
-         conformance check a release pays per scenario.  Agreement is
-         asserted, so a semantic divergence fails the bench rather than
-         skewing the number. *)
-      Test.make ~name:"matrix-compare"
-        (stagedf (fun () ->
-             let r =
-               Artemis_faultsim.Matrix.run Artemis_faultsim.Scenario.quickstart
-                 ~seed:42
-             in
-             assert r.Artemis_faultsim.Matrix.agreement));
-    ]
-
-let run_bechamel ~fast tests =
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let quota = Time.second (if fast then 0.1 else 0.5) in
-  let cfg = Benchmark.cfg ~limit:200 ~quota ~kde:(Some 100) () in
-  let raw = Benchmark.all cfg instances tests in
-  Analyze.all ols Instance.monotonic_clock raw
-
-let estimate_ns results name =
-  match Hashtbl.find_opt results name with
-  | None -> None
-  | Some ols -> (
-      match Analyze.OLS.estimates ols with Some [ e ] -> Some e | _ -> None)
-
-let print_results header results =
-  Printf.printf "\n=== %s (ns per kernel run) ===\n" header;
-  let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results [] in
-  List.iter
-    (fun (name, ols) ->
-      let estimate =
-        match Analyze.OLS.estimates ols with
-        | Some [ e ] -> Printf.sprintf "%.0f ns" e
-        | Some _ | None -> "n/a"
-      in
-      let r2 =
-        match Analyze.OLS.r_square ols with
-        | Some r -> Printf.sprintf " (r2=%.3f)" r
-        | None -> ""
-      in
-      Printf.printf "%-32s %s%s\n" name estimate r2)
-    (List.sort (fun (a, _) (b, _) -> String.compare a b) rows);
-  flush stdout
-
 (* --- machine-readable output (hand-rolled JSON; no deps) --- *)
 
-(* both engine numbers come from the paired measurement, not bechamel *)
 let json_of_engine (e : engine_paired) =
   Printf.sprintf
     {|    %S: { "interpreted_ns": %.0f, "table_ns": %.0f, "speedup": %.2f }|}
@@ -560,15 +395,26 @@ let json_of_non_watching rows =
            r.Scalability.nw_monitor_ms r.Scalability.nw_monitor_fram)
        rows)
 
-(* Every kernel estimate, sorted by name: hash-table iteration order must
-   never leak into the report, so identical runs diff cleanly. *)
-let json_of_kernels results =
-  Hashtbl.fold (fun name _ acc -> name :: acc) results []
-  |> List.sort String.compare
-  |> List.map (fun name ->
-         match estimate_ns results name with
-         | Some e -> Printf.sprintf {|    %S: %.0f|} name e
-         | None -> Printf.sprintf {|    %S: null|} name)
+(* Every timed kernel under its [engine/] name, sorted: identical runs
+   diff cleanly and readers of older snapshots find the same keys. *)
+let json_of_kernels ~engines ~obs:(off, on) ~freshness:(plain, fresh)
+    ~release:(adapt, energy, matrix) =
+  List.concat_map
+    (fun e ->
+      [ (e.pair ^ "-interpreted", e.interpreted_ns);
+        (e.pair ^ "-table", e.table_ns) ])
+    engines
+  @ [
+      ("engine/obs-dispatch8-off", off);
+      ("engine/obs-dispatch8-on", on);
+      ("engine/faultsim-depth1-exhaustive", plain);
+      ("engine/faultsim-depth1-fresh", fresh);
+      ("engine/adapt-apply", adapt);
+      ("engine/energy-bound-health", energy);
+      ("engine/matrix-compare", matrix);
+    ]
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  |> List.map (fun (name, ns) -> Printf.sprintf {|    %S: %.0f|} name ns)
   |> String.concat ",\n"
 
 let json_of_obs (off, on) =
@@ -611,32 +457,8 @@ let json_of_par (depth, nruns, rows) =
     (Artemis.Par.recommended_jobs ())
     jobs_json
 
-let json_of_fleet (devices, rows) =
-  let w1 = (List.hd rows).fwall_s in
-  let jobs_json =
-    String.concat ",\n"
-      (List.map
-         (fun r ->
-           Printf.sprintf
-             {|      { "jobs": %d, "wall_s": %.3f, "speedup": %.2f, "identical": %b }|}
-             r.fjobs r.fwall_s
-             (if r.fwall_s > 0. then w1 /. r.fwall_s else 0.)
-             r.fidentical)
-         rows)
-  in
-  Printf.sprintf
-    {|  "fleet": {
-    "scenario": "quickstart", "devices": %d, "cores": %d,
-    "jobs": [
-%s
-    ]
-  }|}
-    devices
-    (Artemis.Par.recommended_jobs ())
-    jobs_json
-
-let write_json ~file results ~obs ~freshness ~engines ~scalability
-    ~non_watching ~par ~fleet =
+let write_json ~file ~obs ~freshness ~release ~engines ~scalability
+    ~non_watching ~par =
   let oc = open_out file in
   Printf.fprintf oc
     {|{
@@ -644,7 +466,6 @@ let write_json ~file results ~obs ~freshness ~engines ~scalability
   "kernels_ns": {
 %s
   },
-%s,
 %s,
 %s,
 %s,
@@ -659,11 +480,10 @@ let write_json ~file results ~obs ~freshness ~engines ~scalability
   ]
 }
 |}
-    (json_of_kernels results)
+    (json_of_kernels ~engines ~obs ~freshness ~release)
     (json_of_obs obs)
     (json_of_freshness freshness)
     (json_of_par par)
-    (json_of_fleet fleet)
     (String.concat ",\n" (List.map json_of_engine engines))
     (json_of_scalability scalability)
     (json_of_non_watching non_watching);
@@ -691,12 +511,8 @@ let () =
   in
   parse (List.tl (Array.to_list Sys.argv));
   if not (!fast || !skip_reproduce) then reproduce_all ();
-  let engine_results = run_bechamel ~fast:!fast engine_tests in
-  print_results "Engine comparison: interpreted vs table" engine_results;
   let par = par_campaign ~fast:!fast () in
   print_par_campaign par;
-  let fleet = fleet_bench ~fast:!fast () in
-  print_fleet_bench fleet;
   let engines = measure_engines_paired ~fast:!fast () in
   List.iter
     (fun e ->
@@ -715,15 +531,12 @@ let () =
    Printf.printf "freshness paired plain/fresh campaign: %.0f / %.0f ns (%+.2f%%)\n"
      plain fresh
      ((fresh -. plain) /. plain *. 100.));
-  let experiment_results =
-    if !fast then None
-    else begin
-      let r = run_bechamel ~fast:false experiment_tests in
-      print_results "Bechamel micro-benchmarks" r;
-      Some r
-    end
-  in
-  ignore experiment_results;
+  let release = measure_release_paired ~fast:!fast () in
+  (let adapt, energy, matrix = release in
+   Printf.printf
+     "release paired adapt-apply/energy-bound-health/matrix-compare: %.0f / \
+      %.0f / %.0f ns\n"
+     adapt energy matrix);
   match !json with
   | None -> ()
   | Some file ->
@@ -731,5 +544,5 @@ let () =
       let extras = if !fast then [ 0; 8 ] else [ 0; 8; 32; 128 ] in
       let scalability = Scalability.run ~factors () in
       let non_watching = Scalability.run_non_watching ~extras () in
-      write_json ~file engine_results ~obs ~freshness ~engines ~scalability
-        ~non_watching ~par ~fleet
+      write_json ~file ~obs ~freshness ~release ~engines ~scalability
+        ~non_watching ~par

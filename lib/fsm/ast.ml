@@ -160,48 +160,3 @@ let pp_value ppf = function
   | Vbool b -> Format.fprintf ppf "%b" b
   | Vfloat f -> Format.fprintf ppf "%g" f
   | Vtime t -> Time.pp ppf t
-
-let unop_to_string = function Neg -> "-" | Not -> "!"
-
-let binop_to_string = function
-  | Add -> "+" | Sub -> "-" | Mul -> "*" | Div -> "/" | Mod -> "%"
-  | Eq -> "==" | Ne -> "!=" | Lt -> "<" | Le -> "<=" | Gt -> ">" | Ge -> ">="
-  | And -> "&&" | Or -> "||"
-
-let rec pp_expr ppf = function
-  | Lit v -> pp_value ppf v
-  | Var x -> Format.pp_print_string ppf x
-  | Timestamp -> Format.pp_print_string ppf "t"
-  | Event_path -> Format.pp_print_string ppf "path"
-  | Dep_data x -> Format.fprintf ppf "data(%s)" x
-  | Energy_level -> Format.pp_print_string ppf "energyLevel"
-  | Unop (op, e) -> Format.fprintf ppf "%s(%a)" (unop_to_string op) pp_expr e
-  | Binop (op, a, b) ->
-      Format.fprintf ppf "(%a %s %a)" pp_expr a (binop_to_string op) pp_expr b
-
-let pp_trigger ppf = function
-  | On_start t -> Format.fprintf ppf "startTask(%s)" t
-  | On_end t -> Format.fprintf ppf "endTask(%s)" t
-  | On_any -> Format.pp_print_string ppf "anyEvent"
-
-let pp_machine ppf m =
-  Format.fprintf ppf "@[<v>machine %s (initial %s)@ " m.machine_name m.initial;
-  List.iter
-    (fun v ->
-      Format.fprintf ppf "%svar %s : %s = %a@ "
-        (if v.persistent then "persistent " else "")
-        v.var_name (ty_to_string v.ty) pp_value v.init)
-    m.vars;
-  List.iter
-    (fun s ->
-      Format.fprintf ppf "state %s:@ " s.state_name;
-      List.iter
-        (fun tr ->
-          Format.fprintf ppf "  on %a%a -> %s@ " pp_trigger tr.trigger
-            (fun ppf -> function
-              | None -> ()
-              | Some g -> Format.fprintf ppf " when %a" pp_expr g)
-            tr.guard tr.target)
-        s.transitions)
-    m.states;
-  Format.fprintf ppf "@]"

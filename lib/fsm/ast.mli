@@ -96,6 +96,5 @@ val find_state : machine -> string -> state option
 val find_var : machine -> string -> var_decl option
 
 val pp_value : Format.formatter -> value -> unit
-val pp_expr : Format.formatter -> expr -> unit
-val pp_machine : Format.formatter -> machine -> unit
-(** Debug printers; {!Printer} emits parseable concrete syntax. *)
+(** Runtime-error messages and violation details print values through
+    this; {!Printer} emits parseable concrete syntax. *)

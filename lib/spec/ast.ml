@@ -130,44 +130,3 @@ let equal_task_block a b =
 
 let equal a b =
   List.length a = List.length b && List.for_all2 equal_task_block a b
-
-let pp_action ppf a = Format.pp_print_string ppf (action_to_string a)
-
-let pp_path ppf = function
-  | None -> ()
-  | Some p -> Format.fprintf ppf " Path: %d" p
-
-let pp_max_attempt ppf = function
-  | None -> ()
-  | Some { attempts; exhausted } ->
-      Format.fprintf ppf " maxAttempt: %d onFail: %a" attempts pp_action exhausted
-
-let pp_property ppf = function
-  | Max_tries { n; on_fail; path } ->
-      Format.fprintf ppf "maxTries: %d onFail: %a%a" n pp_action on_fail pp_path path
-  | Max_duration { limit; on_fail; path } ->
-      Format.fprintf ppf "maxDuration: %a onFail: %a%a" Time.pp limit pp_action
-        on_fail pp_path path
-  | Mitd { limit; dp_task; on_fail; max_attempt; path } ->
-      Format.fprintf ppf "MITD: %a dpTask: %s onFail: %a%a%a" Time.pp limit
-        dp_task pp_action on_fail pp_max_attempt max_attempt pp_path path
-  | Collect { n; dp_task; on_fail; path } ->
-      Format.fprintf ppf "collect: %d dpTask: %s onFail: %a%a" n dp_task
-        pp_action on_fail pp_path path
-  | Period { interval; on_fail; max_attempt; path } ->
-      Format.fprintf ppf "period: %a onFail: %a%a%a" Time.pp interval pp_action
-        on_fail pp_max_attempt max_attempt pp_path path
-  | Dp_data { var; low; high; on_fail; path } ->
-      Format.fprintf ppf "dpData: %s Range: [%g, %g] onFail: %a%a" var low high
-        pp_action on_fail pp_path path
-  | Min_energy { uj; on_fail; path } ->
-      Format.fprintf ppf "minEnergy: %guJ onFail: %a%a" uj pp_action on_fail
-        pp_path path
-
-let pp ppf t =
-  let pp_block ppf { task; properties } =
-    Format.fprintf ppf "@[<v 2>%s: {@ %a@]@ }" task
-      (Format.pp_print_list pp_property)
-      properties
-  in
-  Format.fprintf ppf "@[<v>%a@]" (Format.pp_print_list pp_block) t

@@ -69,7 +69,3 @@ val equal_action : action -> action -> bool
 val equal_property : property -> property -> bool
 val equal : t -> t -> bool
 
-val pp_action : Format.formatter -> action -> unit
-val pp_property : Format.formatter -> property -> unit
-val pp : Format.formatter -> t -> unit
-(** Debug printers (not concrete syntax; see {!Printer} for that). *)

@@ -52,62 +52,6 @@ let log_to_csv log =
 
 let log_digest log = Digest.to_hex (Digest.string (Log.render_timeline log))
 
-(* The single source of truth for the stats schema: the JSON keys, the
-   CSV header and the CSV row order all derive from this one list, so
-   they cannot desync (the header used to rebuild a dummy record by
-   hand, which silently drifted whenever a field was added). *)
-let stats_field_specs :
-    (string * (Stats.t -> [ `S of string | `I of int | `F of float ])) list =
-  [
-    ("outcome", fun s -> `S (Stats.outcome_string s));
-    ("total_time_us", fun s -> `I (Time.to_us s.Stats.total_time));
-    ("off_time_us", fun s -> `I (Time.to_us s.Stats.off_time));
-    ("app_time_us", fun s -> `I (Time.to_us s.Stats.app_time));
-    ("runtime_overhead_us", fun s -> `I (Time.to_us s.Stats.runtime_overhead));
-    ("monitor_overhead_us", fun s -> `I (Time.to_us s.Stats.monitor_overhead));
-    ("energy_total_uj", fun s -> `F (Energy.to_uj s.Stats.energy_total));
-    ("energy_app_uj", fun s -> `F (Energy.to_uj s.Stats.energy_app));
-    ("energy_runtime_uj", fun s -> `F (Energy.to_uj s.Stats.energy_runtime));
-    ("energy_monitor_uj", fun s -> `F (Energy.to_uj s.Stats.energy_monitor));
-    ("power_failures", fun s -> `I s.Stats.power_failures);
-    ("reboots", fun s -> `I s.Stats.reboots);
-    ("task_executions", fun s -> `I s.Stats.task_executions);
-    ("task_completions", fun s -> `I s.Stats.task_completions);
-    ("path_restarts", fun s -> `I s.Stats.path_restarts);
-    ("path_skips", fun s -> `I s.Stats.path_skips);
-  ]
-
-let stats_fields s = List.map (fun (key, get) -> (key, get s)) stats_field_specs
-
-(* [Json.float_lit] renders non-finite values as [null]: a bare %.3f
-   turned a nan/inf stat (e.g. a zero-length run's derived ratio fed
-   back in) into an unparseable document. *)
-let float_lit = Json.float_lit
-
-let stats_to_json s =
-  let field (key, v) =
-    let value =
-      match v with
-      | `S s -> Json.quote s
-      | `I n -> string_of_int n
-      | `F f -> float_lit f
-    in
-    Printf.sprintf "  \"%s\": %s" key value
-  in
-  "{\n" ^ String.concat ",\n" (List.map field (stats_fields s)) ^ "\n}\n"
-
-let stats_csv_header = String.concat "," (List.map fst stats_field_specs)
-
-let stats_to_csv_row s =
-  String.concat ","
-    (List.map
-       (fun (_, v) ->
-         match v with
-         | `S str -> csv_quote str
-         | `I n -> string_of_int n
-         | `F f -> float_lit f)
-       (stats_fields s))
-
 (* --- metrics/stats reconciliation --- *)
 
 (* The observability counters are bumped at the [Device.record]

@@ -1,5 +1,5 @@
-(** Machine-readable exports of traces and run statistics, for plotting
-    the reproduced figures outside the harness. *)
+(** Machine-readable exports of traces, for plotting the reproduced
+    figures outside the harness, and the metrics/stats cross-check. *)
 
 val log_to_csv : Log.t -> string
 (** Columns: [time_us,event,task,path,detail]; one row per event, header
@@ -8,17 +8,6 @@ val log_to_csv : Log.t -> string
 val log_digest : Log.t -> string
 (** Hex MD5 of the rendered timeline: two runs are byte-identical iff
     their digests are equal (the fault-injection replay check). *)
-
-val stats_to_json : Stats.t -> string
-(** A flat JSON object (hand-rendered; keys are stable and documented by
-    the implementation).  Always valid JSON: non-finite floats render as
-    [null] via {!Artemis_util.Json.float_lit}. *)
-
-val stats_to_csv_row : Stats.t -> string
-val stats_csv_header : string
-(** Matching header/row pair for aggregating many runs into one CSV.
-    Both derive from the same field-spec list as {!stats_to_json}, so
-    header, row and JSON keys cannot desync. *)
 
 val reconcile_metrics :
   Artemis_obs.Obs.t -> Stats.t -> (string * int * int) list

@@ -6,7 +6,9 @@ module Typecheck = Fsm.Typecheck
 module Interp = Fsm.Interp
 
 let machine_t =
-  Alcotest.testable Ast.pp_machine Ast.equal_machine
+  Alcotest.testable
+    (fun ppf m -> Format.pp_print_string ppf (Printer.to_string m))
+    Ast.equal_machine
 
 let parse = Parser.parse_machine_exn
 

@@ -3,7 +3,10 @@ module Ast = Spec.Ast
 module Parser = Spec.Parser
 module Printer = Spec.Printer
 
-let spec_t = Alcotest.testable Ast.pp Ast.equal
+let spec_t =
+  Alcotest.testable
+    (fun ppf spec -> Format.pp_print_string ppf (Printer.to_string spec))
+    Ast.equal
 
 let parse s =
   match Parser.parse s with
