@@ -178,6 +178,25 @@ let test_progress_ticks () =
     (report_bytes (Fleet.run ~jobs:1 spec))
     (report_bytes report)
 
+(* The five backends' output bytes: this is the fleet
+   `artemis_fleet --name backends --scenario quickstart --scenario health
+   --scenario stale-read --seeds 2 --harvester default --harvester fixed:30s
+   --backend immortal --backend checkpoint --backend ink --backend mayfly
+   --backend alpaca --json --devices --jobs 1` reports.  Health's energy
+   differs by backend, so any change to what a backend's task attempt
+   consumes, writes or records moves this digest. *)
+let test_backends_pinned () =
+  let spec =
+    parse_ok
+      {|{"name": "backends",
+         "scenarios": ["quickstart", "health", "stale-read"],
+         "seeds": {"count": 2}, "harvesters": ["default", "fixed:30s"],
+         "backends": ["immortal", "checkpoint", "ink", "mayfly", "alpaca"]}|}
+  in
+  Alcotest.(check string)
+    "report MD5" "612ddee4c98efb5ae47bbc519325578b"
+    (Digest.to_hex (Digest.string (report_bytes (Fleet.run ~jobs:1 spec))))
+
 (* --- roll-up arithmetic on hand-built fixtures --- *)
 
 let device ?(outcome = "completed") ?(fresh = 0) ?(failures = 0)
@@ -268,6 +287,8 @@ let suite =
     ("run: progress ticks once per device", `Quick, test_progress_ticks);
     ("run: recorded trace and metrics are jobs-invariant", `Quick,
       test_recording_jobs_invariant);
+    ("run: five-backend report bytes are pinned", `Quick,
+      test_backends_pinned);
     ("rollup: worst-device ranking is total", `Quick, test_worst_ranking);
     ("rollup: nearest-rank percentiles", `Quick, test_percentile);
     ("rollup: groups and histograms reconcile", `Quick, test_rollups);
