@@ -81,54 +81,40 @@ let setup ~model device _app =
             Nvm.fire nvm Site.alpaca_swap_after;
             true)
   in
+  (* Alpaca's close.  Privatization: the open transaction's pending views
+     are the task's scratch buffers - reads see them, committed state does
+     not, and a power failure anywhere before the log seals discards them
+     wholesale.  Phase one freezes the write set and seals it behind the
+     single durable [log] write - the commit point. *)
+  let log_then_swap (task : Task.t) =
+    let entries = Nvm.capture_tx nvm in
+    match
+      consume_cycles ~during:"alpaca.log"
+        (log_base_cycles + (log_cycles_per_cell * List.length entries))
+    with
+    | Device.Interrupted | Device.Starved ->
+        (* the power failure aborted the open transaction; the log never
+           sealed, so the captured set is void *)
+        Backend.Interrupted
+    | Device.Completed ->
+        Nvm.fire nvm Site.alpaca_log_before;
+        redo := entries;
+        Nvm.write log
+          (Some (task.Task.name, List.map (fun (n, _, _) -> n) entries));
+        Nvm.fire nvm Site.alpaca_log_after;
+        (* the scratch buffers are spent: the sealed log is now the
+           authoritative carrier of the write set *)
+        Nvm.drop_tx nvm;
+        if swap ~recovery:false then Backend.Committed else Backend.Interrupted
+  in
   {
     Backend.recover = (fun () -> ignore (swap ~recovery:true));
-    execute =
-      (fun ~task ~context ~commit ->
-        (* Privatization: the open transaction's pending views are the
-           task's scratch buffers - reads see them, committed state
-           does not, and a power failure anywhere before the log seals
-           discards them wholesale. *)
-        Nvm.begin_tx nvm;
-        match
-          Device.consume device Device.App ~during:task.Task.name
-            ~power:task.Task.power ~duration:task.Task.duration ()
-        with
-        | Device.Interrupted | Device.Starved -> Backend.Interrupted
-        | Device.Completed -> (
-            task.Task.body (context ());
-            commit ();
-            (* Phase one: freeze the write set and seal it behind the
-               single durable [log] write - the commit point. *)
-            let entries = Nvm.capture_tx nvm in
-            match
-              consume_cycles ~during:"alpaca.log"
-                (log_base_cycles + (log_cycles_per_cell * List.length entries))
-            with
-            | Device.Interrupted | Device.Starved ->
-                (* the power failure aborted the open transaction; the
-                   log never sealed, so the captured set is void *)
-                Backend.Interrupted
-            | Device.Completed ->
-                Nvm.fire nvm Site.alpaca_log_before;
-                redo := entries;
-                Nvm.write log
-                  (Some (task.Task.name, List.map (fun (n, _, _) -> n) entries));
-                Nvm.fire nvm Site.alpaca_log_after;
-                (* the scratch buffers are spent: the sealed log is now
-                   the authoritative carrier of the write set *)
-                Nvm.drop_tx nvm;
-                if swap ~recovery:false then Backend.Committed
-                else Backend.Interrupted));
-    fram_bytes = (fun () -> 16);
+    execute = Backend.attempt ~close:log_then_swap device;
   }
 
 let backend =
   {
     Backend.name = "alpaca";
-    description =
-      "checkpoint-free task privatization with two-phase (log-then-swap) \
-       commit";
     (* the four crash windows of the two-phase commit *)
     injection_sites =
       Site.[ alpaca_log_before; alpaca_log_after; alpaca_swap_before;

@@ -41,10 +41,8 @@ type annotation = {
 }
 
 type segment = {
-  name : string;
-  duration : Time.t;
-  power : Energy.power;
-  body : Task.context -> unit;
+  task : Task.t;
+      (** the code between two checkpoints, run as one task attempt *)
   snapshot_bytes : int;  (** volatile state captured by its checkpoint *)
   freshness : annotation option;
 }
@@ -59,7 +57,8 @@ val segment :
   unit ->
   segment
 (** [snapshot_bytes] defaults to 64 (registers + a small stack frame).
-    @raise Invalid_argument on an empty name or negative duration. *)
+    @raise Invalid_argument on an empty name or negative duration (from
+    {!Task.make}) or a negative snapshot size. *)
 
 type program = { program_name : string; segments : segment list }
 

@@ -9,13 +9,9 @@ open Artemis
 
 type row = {
   backend : string;
-  description : string;
   outcome : string;
   power_failures : int;
-  reboots : int;
   task_executions : int;
-  total_time : Time.t;
-  energy_total : Energy.energy;
   energy_app : Energy.energy;
   energy_runtime : Energy.energy;
   energy_monitor : Energy.energy;
@@ -58,13 +54,9 @@ let run_backend (scenario : Scenario.t) ~seed bk =
   let verdicts = verdict_stream (Device.log b.Scenario.device) in
   {
     backend = bk.Backend.name;
-    description = bk.Backend.description;
     outcome = Stats.outcome_string stats;
     power_failures = stats.Stats.power_failures;
-    reboots = stats.Stats.reboots;
     task_executions = stats.Stats.task_executions;
-    total_time = stats.Stats.total_time;
-    energy_total = stats.Stats.energy_total;
     energy_app = stats.Stats.energy_app;
     energy_runtime = stats.Stats.energy_runtime;
     energy_monitor = stats.Stats.energy_monitor;

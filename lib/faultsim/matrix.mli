@@ -14,13 +14,9 @@ open Artemis
 
 type row = {
   backend : string;
-  description : string;
   outcome : string;  (** ["completed"] or ["dnf:<reason>"] *)
   power_failures : int;
-  reboots : int;
   task_executions : int;
-  total_time : Time.t;
-  energy_total : Energy.energy;
   energy_app : Energy.energy;
   energy_runtime : Energy.energy;
   energy_monitor : Energy.energy;

@@ -64,15 +64,19 @@ let find_task a name =
   in
   in_paths a.paths
 
-let task_names a =
+(* The one "distinct by name, first appearance" rule: [validate] binds a
+   name to one task value, so the first body seen under a name is the
+   body. *)
+let distinct_bodies tasks =
   let seen = Hashtbl.create 16 in
-  List.concat_map (fun p -> p.tasks) a.paths
-  |> List.filter_map (fun t ->
-         if Hashtbl.mem seen t.name then None
-         else begin
-           Hashtbl.add seen t.name ();
-           Some t.name
-         end)
+  List.filter_map
+    (fun t ->
+      if Hashtbl.mem seen t.name then None
+      else begin
+        Hashtbl.add seen t.name ();
+        Some (t.name, t.body)
+      end)
+    tasks
 
 let find_path a index = List.find_opt (fun p -> p.index = index) a.paths
 let path_count a = List.length a.paths
@@ -80,13 +84,7 @@ let path_count a = List.length a.paths
 (* The WAR-analysis surface (PR 7): every distinct task body, named, in
    first-appearance order.  This is the execution surface of the ARTEMIS
    runtime and of the Mayfly baseline (both run Task.app values); InK
-   and the checkpoint runtime expose their own [bodies]. *)
-let bodies a =
-  let seen = Hashtbl.create 16 in
-  List.concat_map (fun p -> p.tasks) a.paths
-  |> List.filter_map (fun t ->
-         if Hashtbl.mem seen t.name then None
-         else begin
-           Hashtbl.add seen t.name ();
-           Some (t.name, t.body)
-         end)
+   and the checkpoint runtime apply [distinct_bodies] to their own task
+   lists. *)
+let bodies a = distinct_bodies (List.concat_map (fun p -> p.tasks) a.paths)
+let task_names a = List.map fst (bodies a)

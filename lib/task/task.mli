@@ -60,3 +60,8 @@ val bodies : app -> (string * (context -> unit)) list
     access-recording surface the static WAR-hazard analysis
     ({!Artemis_consistency.War}) runs over.  This is the execution
     surface of both the ARTEMIS runtime and the Mayfly baseline. *)
+
+val distinct_bodies : t list -> (string * (context -> unit)) list
+(** The named bodies of [tasks], distinct by name, in first-appearance
+    order: the rule behind {!bodies} and {!task_names}, shared by the
+    InK and checkpoint baselines' analysis surfaces. *)

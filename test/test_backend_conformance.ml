@@ -11,8 +11,6 @@
      backend-independent;
    - WAR cleanliness: the backend's unit-of-re-execution surface has no
      write-after-read hazards on the shipped scenarios;
-   - honest footprint: the FRAM bytes a backend declares equal the
-     Runtime-region FRAM its [setup] actually allocates;
    - determinism: two identical runs produce byte-identical trace
      digests and cell fingerprints. *)
 
@@ -82,22 +80,6 @@ struct
           (List.map (fun h -> h.War.haz_cell) report.War.hazards))
       [ Scenario.quickstart; Scenario.health ]
 
-  (* declared footprint = measured footprint: setup's Runtime-region
-     FRAM allocation must match what the instance reports *)
-  let test_declared_footprint () =
-    let built = scenario.Scenario.build ~engine:None ~seed:42 in
-    let nvm = Device.nvm built.Scenario.device in
-    let before = Nvm.footprint nvm ~kind:Nvm.Fram ~region:Nvm.Runtime in
-    let instance =
-      B.b.Backend.setup ~model:built.Scenario.config.Runtime.cost_model
-        built.Scenario.device built.Scenario.app
-    in
-    let after = Nvm.footprint nvm ~kind:Nvm.Fram ~region:Nvm.Runtime in
-    Alcotest.(check int)
-      "fram_bytes matches allocated Runtime FRAM"
-      (after - before)
-      (instance.Backend.fram_bytes ())
-
   (* same seed, same schedule: byte-identical trace digest and cell
      fingerprint *)
   let test_deterministic () =
@@ -113,8 +95,6 @@ struct
       (name ^ ": verdict stream equals immortal", `Quick,
        test_verdict_equality);
       (name ^ ": WAR-clean re-execution units", `Quick, test_war_clean);
-      (name ^ ": declared FRAM footprint is honest", `Quick,
-       test_declared_footprint);
       (name ^ ": identical runs are byte-identical", `Quick,
        test_deterministic);
     ]
