@@ -59,5 +59,4 @@ val analyze_steps :
     (named ["<name>#<i>"]), matching {!Artemis_immortal.Immortal}'s
     one-transaction-per-step execution. *)
 
-val hazard_to_string : hazard -> string
 val report_to_string : report -> string

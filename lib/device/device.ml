@@ -105,7 +105,7 @@ let default_capacitor () =
     ~off_threshold:(Energy.mj 10.)
     ()
 
-let create ?capacitor ?policy ?clock ?horizon ?obs () =
+let create ?capacitor ?policy ?clock ?horizon () =
   let capacitor =
     match capacitor with Some c -> c | None -> default_capacitor ()
   in
@@ -116,14 +116,14 @@ let create ?capacitor ?policy ?clock ?horizon ?obs () =
   in
   let clock = match clock with Some c -> c | None -> Clock.create () in
   let horizon = match horizon with Some h -> h | None -> Time.of_min 360 in
-  let obs = match obs with Some o -> o | None -> Obs.current () in
+  let obs = Obs.current () in
   (* Hand the observability layer this device's simulated clock so spans
      and instants are stamped in simulated microseconds.  The last
      created device on a context wins; each context's devices run
      sequentially. *)
   Obs.set_clock obs (fun () -> Time.to_us (Clock.elapsed_ground_truth clock));
   {
-    nvm = Nvm.create ~obs ();
+    nvm = Nvm.create ();
     obs;
     clock;
     capacitor;

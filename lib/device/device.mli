@@ -33,15 +33,14 @@ val create :
   ?policy:Artemis_energy.Charging_policy.t ->
   ?clock:Artemis_clock.Persistent_clock.t ->
   ?horizon:Time.t ->
-  ?obs:Artemis_obs.Obs.t ->
   unit ->
   t
 (** Defaults: a 100 mJ capacitor with 90 mJ usable budget, a fixed
     1-minute charging delay, a 1 ms-granularity drift-free clock, and a
-    6-hour simulation horizon.  [obs] is the observability context the
-    device (and everything built on it: nvm, runtime, monitors) records
-    into; it defaults to the calling domain's current context and
-    receives this device's simulated clock. *)
+    6-hour simulation horizon.  The device (and everything built on it:
+    nvm, runtime, monitors) records into the calling domain's current
+    observability context, which receives this device's simulated
+    clock. *)
 
 val nvm : t -> Artemis_nvm.Nvm.t
 

@@ -42,8 +42,6 @@ type deployment =
   | Inlined
   | External_wireless of { radio_power : Energy.power; round_trip : Time.t }
 
-val deployment_label : deployment -> string
-
 val dispatch_cost : Cost_model.t -> deployment -> Energy.power * Time.t
 (** What the simulator charges once per monitor call. *)
 
@@ -92,7 +90,6 @@ val budget_of_device : Device.t -> budget
 type classification = Progresses | Marginal | May_livelock
 
 val classify : budget -> bound -> classification
-val classification_label : classification -> string
 
 (** {2 Admission} *)
 

@@ -23,7 +23,6 @@ type study = {
   reprogram_energy : Energy.energy;
 }
 
-val firmware_image_bytes : int
 val updates : (string * Adapt.update) list
 (** The studied updates: a compatible replacement (persistent state
     migrated) and a removal-plus-addition. *)
@@ -31,9 +30,6 @@ val updates : (string * Adapt.update) list
 val run : ?at:int -> unit -> study
 (** Run the health benchmark once per update, delivering it at scheduler
     iteration [at] (default 40) under intermittent power. *)
-
-val latency : row -> Time.t
-(** First delivery attempt to committed generation flip. *)
 
 val applied : row -> bool
 val energy_ratio : study -> row -> float

@@ -15,10 +15,6 @@ type power_supply =
 
 val device : ?horizon:Time.t -> ?clock:Persistent_clock.t -> power_supply -> Device.t
 
-val benchmark_capacitor : unit -> Capacitor.t
-(** A fresh instance of the calibrated 17.5 mJ-usable capacitor, for
-    experiments that build their own devices (harvester studies). *)
-
 type system = Artemis_runtime | Mayfly_runtime
 
 type run = {

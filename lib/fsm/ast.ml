@@ -1,6 +1,8 @@
 open Artemis_util
 
 type ty = Tint | Tbool | Tfloat | Ttime
+
+let ty_bytes = function Tint -> 4 | Tbool -> 1 | Tfloat -> 4 | Ttime -> 8
 type value = Vint of int | Vbool of bool | Vfloat of float | Vtime of Time.t
 
 type action =

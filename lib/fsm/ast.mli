@@ -12,6 +12,11 @@ open Artemis_util
 
 type ty = Tint | Tbool | Tfloat | Ttime
 
+val ty_bytes : ty -> int
+(** FRAM bytes of one variable of the type, as the generated C lays it
+    out and the deployed monitor's cells declare it: int 4, bool 1,
+    float 4, time 8. *)
+
 type value = Vint of int | Vbool of bool | Vfloat of float | Vtime of Time.t
 
 type action =

@@ -23,12 +23,6 @@ type snapshot = { state : string; vars : (string * Ast.value) list }
 
 val initial : Ast.machine -> snapshot
 
-val step_pure :
-  Ast.machine -> snapshot -> Interp.event ->
-  (snapshot * Interp.failure list, string) result
-(** One interpreter step without shared mutable state; [Error] carries a
-    {!Interp.Runtime_error} message. *)
-
 type violation = {
   trace : Interp.event list;  (** the offending sequence, in order *)
   message : string;  (** runtime error text or "invariant violated" *)

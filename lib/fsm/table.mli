@@ -119,10 +119,6 @@ val load_var : t -> inst -> int -> Ast.value -> unit
 (** Poke a value into slot [i]'s register without invoking the sink
     (used to refresh registers from the durable FRAM copy). *)
 
-val reset_vars : t -> inst -> unit
-(** Registers back to declared initial values and the initial state;
-    sinks are not invoked. *)
-
 (** {2 Static trigger information} *)
 
 val watched_tasks : t -> string list

@@ -61,9 +61,6 @@ let typed ~var_ty e =
   | ty -> Ok ty
   | exception Type_error msg -> Error msg
 
-let expr_type ~vars e =
-  typed ~var_ty:(fun x -> match vars x with Some ty -> ty | None -> undeclared x) e
-
 let check m =
   let errors = ref [] in
   let err fmt = Format.kasprintf (fun s -> errors := s :: !errors) fmt in

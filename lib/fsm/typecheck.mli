@@ -19,6 +19,3 @@ val check : Ast.machine -> (unit, string list) result
 val check_exn : Ast.machine -> unit
 (** @raise Failure with all messages joined by newlines. *)
 
-val expr_type :
-  vars:(string -> Ast.ty option) -> Ast.expr -> (Ast.ty, string) result
-(** Exposed for the parser's tests. *)

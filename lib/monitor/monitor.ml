@@ -5,12 +5,6 @@ module Obs = Artemis_obs.Obs
 let m_steps = Obs.counter "monitor_steps"
 let m_failures = Obs.counter "monitor_failures"
 
-let ty_bytes = function
-  | Ast.Tint -> 4
-  | Ast.Tbool -> 1
-  | Ast.Tfloat -> 4
-  | Ast.Ttime -> 8
-
 type engine = Interpreted | Table
 
 let engines = [ ("interpreted", Interpreted); ("table", Table) ]
@@ -54,7 +48,7 @@ let create ?(engine = Table) ?cell_prefix nvm table =
       (fun (v : Ast.var_decl) ->
         Nvm.cell nvm ~region:Monitor
           ~name:(prefix ^ "." ^ v.Ast.var_name)
-          ~bytes:(ty_bytes v.Ast.ty) v.Ast.init)
+          ~bytes:(Ast.ty_bytes v.Ast.ty) v.Ast.init)
       (Table.var_decls table)
   in
   (* The generated C keeps each property's parameters (limits, dependent

@@ -121,9 +121,9 @@ let digest_committed c =
   end;
   c.digest
 
-let create ?obs () =
+let create () =
   {
-    obs = (match obs with Some o -> o | None -> Obs.current ());
+    obs = Obs.current ();
     regions = Array.make 4 [];
     region_versions = Array.make 4 0;
     snapshots = Array.make 4 [];

@@ -43,9 +43,9 @@ exception Injected_failure of string
     intermittent runtime catches it, runs the device's power-failure
     recovery, and resumes from persistent state. *)
 
-val create : ?obs:Artemis_obs.Obs.t -> unit -> t
-(** [obs] is the observability context this store records into; defaults
-    to the calling domain's current context ([Obs.current ()]). *)
+val create : unit -> t
+(** The store records into the calling domain's current observability
+    context ([Obs.current ()]). *)
 
 val obs : t -> Artemis_obs.Obs.t
 (** The recording surface shared by the store's owning device; the

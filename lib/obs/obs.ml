@@ -94,7 +94,7 @@ type t = {
   mutable track_order : string list;  (* reverse first-use order *)
 }
 
-let create ?like () =
+let create () =
   let sizes =
     locked (fun () ->
         ( Hashtbl.length counters_reg,
@@ -103,8 +103,8 @@ let create ?like () =
   in
   let nc, ng, nh = sizes in
   {
-    metrics_on = (match like with Some c -> c.metrics_on | None -> false);
-    tracing_on = (match like with Some c -> c.tracing_on | None -> false);
+    metrics_on = false;
+    tracing_on = false;
     clock = (fun () -> 0);
     base_us = 0;
     cvals = Array.make (max nc 1) 0;
@@ -423,7 +423,9 @@ let par_map ~jobs n f =
     Artemis_util.Par.map ~jobs n f
   else
     Artemis_util.Par.map ~jobs n (fun i ->
-        let ctx = create ~like:parent () in
+        let ctx = create () in
+        ctx.metrics_on <- parent.metrics_on;
+        ctx.tracing_on <- parent.tracing_on;
         (with_ctx ctx (fun () -> f i), ctx))
     |> Array.map (fun (r, ctx) ->
            absorb ~into:parent ctx;

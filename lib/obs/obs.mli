@@ -69,11 +69,9 @@ type t
     and timeline base.  Single-owner: a context may be handed from one
     domain to another, but must never be mutated concurrently. *)
 
-val create : ?like:t -> unit -> t
+val create : unit -> t
 (** A fresh quiet context (clock [fun () -> 0], zero metrics, empty
-    trace).  [?like] copies the metrics/tracing on-off switches, which
-    is how {!par_map}'s per-item contexts inherit the caller's
-    settings. *)
+    trace). *)
 
 val current : unit -> t
 (** This domain's current context.  Every domain starts with a private

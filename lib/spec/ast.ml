@@ -1,6 +1,6 @@
 open Artemis_util
 
-type action =
+type action = Artemis_fsm.Ast.action =
   | Restart_path
   | Skip_path
   | Restart_task
@@ -37,21 +37,6 @@ type property =
 
 type task_block = { task : string; properties : property list }
 type t = task_block list
-
-let action_to_string = function
-  | Restart_path -> "restartPath"
-  | Skip_path -> "skipPath"
-  | Restart_task -> "restartTask"
-  | Skip_task -> "skipTask"
-  | Complete_path -> "completePath"
-
-let action_of_string = function
-  | "restartPath" -> Some Restart_path
-  | "skipPath" -> Some Skip_path
-  | "restartTask" -> Some Restart_task
-  | "skipTask" -> Some Skip_task
-  | "completePath" -> Some Complete_path
-  | _ -> None
 
 let property_kind = function
   | Max_tries _ -> "maxTries"

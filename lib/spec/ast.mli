@@ -3,7 +3,9 @@
 
 open Artemis_util
 
-type action =
+(** The corrective actions of the intermediate language, re-exported:
+    one vocabulary, one string table ({!Artemis_fsm.Ast.action_to_string}). *)
+type action = Artemis_fsm.Ast.action =
   | Restart_path
   | Skip_path
   | Restart_task
@@ -56,16 +58,11 @@ type task_block = { task : string; properties : property list }
 
 type t = task_block list
 
-val action_to_string : action -> string
-val action_of_string : string -> action option
-
 val property_kind : property -> string
 (** The concrete-syntax keyword ("maxTries", "MITD", ...). *)
 
 val property_task_path : property -> int option
 val property_on_fail : property -> action
 
-val equal_action : action -> action -> bool
-val equal_property : property -> property -> bool
 val equal : t -> t -> bool
 

@@ -42,5 +42,4 @@ val check :
     optional [usable_budget] enables the energy-budget rule. *)
 
 val errors : finding list -> finding list
-val pp_finding : Format.formatter -> finding -> unit
 val to_string : finding list -> string

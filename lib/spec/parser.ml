@@ -46,7 +46,7 @@ let expect_number s =
 let expect_action s =
   let t = peek s in
   let name = expect_ident s in
-  match Ast.action_of_string name with
+  match Artemis_fsm.Ast.action_of_string name with
   | Some a -> a
   | None -> fail_at t "unknown action %S" name
 

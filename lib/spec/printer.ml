@@ -1,6 +1,7 @@
 open Artemis_util
 
 let duration = Time.to_literal
+let action = Artemis_fsm.Ast.action_to_string
 
 let float_lit f =
   (* Keep integral floats parseable as plain numbers (36, not 36.);
@@ -23,37 +24,37 @@ let clause_max_attempt = function
   | None -> ""
   | Some { Ast.attempts; exhausted } ->
       Printf.sprintf " maxAttempt: %d onFail: %s" attempts
-        (Ast.action_to_string exhausted)
+        (action exhausted)
 
 let property_to_string = function
   | Ast.Max_tries { n; on_fail; path } ->
       Printf.sprintf "maxTries: %d onFail: %s%s;" n
-        (Ast.action_to_string on_fail) (clause_path path)
+        (action on_fail) (clause_path path)
   | Ast.Max_duration { limit; on_fail; path } ->
       Printf.sprintf "maxDuration: %s onFail: %s%s;" (duration limit)
-        (Ast.action_to_string on_fail) (clause_path path)
+        (action on_fail) (clause_path path)
   | Ast.Mitd { limit; dp_task; on_fail; max_attempt; path } ->
       Printf.sprintf "MITD: %s dpTask: %s onFail: %s%s%s;" (duration limit)
         dp_task
-        (Ast.action_to_string on_fail)
+        (action on_fail)
         (clause_max_attempt max_attempt)
         (clause_path path)
   | Ast.Collect { n; dp_task; on_fail; path } ->
       Printf.sprintf "collect: %d dpTask: %s onFail: %s%s;" n dp_task
-        (Ast.action_to_string on_fail) (clause_path path)
+        (action on_fail) (clause_path path)
   | Ast.Period { interval; on_fail; max_attempt; path } ->
       Printf.sprintf "period: %s onFail: %s%s%s;" (duration interval)
-        (Ast.action_to_string on_fail)
+        (action on_fail)
         (clause_max_attempt max_attempt)
         (clause_path path)
   | Ast.Dp_data { var; low; high; on_fail; path } ->
       Printf.sprintf "dpData: %s Range: [%s, %s] onFail: %s%s;" var
         (float_lit low) (float_lit high)
-        (Ast.action_to_string on_fail)
+        (action on_fail)
         (clause_path path)
   | Ast.Min_energy { uj; on_fail; path } ->
       Printf.sprintf "minEnergy: %suJ onFail: %s%s;" (float_lit uj)
-        (Ast.action_to_string on_fail) (clause_path path)
+        (action on_fail) (clause_path path)
 
 let block_to_string { Ast.task; properties } =
   let props =

@@ -7,5 +7,4 @@ val duration : Artemis_util.Time.t -> string
 (** Exact concrete-syntax duration: the largest unit that divides the
     value evenly ("5min", "100ms", "1500us"). *)
 
-val property_to_string : Ast.property -> string
 val to_string : Ast.t -> string

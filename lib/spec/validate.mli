@@ -15,5 +15,4 @@ val check : Artemis_task.Task.app -> Ast.t -> (unit, issue list) result
       several paths (the paper's path-merging rule, Section 3.2);
     - a [dpData] variable is exposed by the task's [monitored] list. *)
 
-val pp_issue : Format.formatter -> issue -> unit
 val issues_to_string : issue list -> string

@@ -13,9 +13,6 @@
     golden-tested structurally, and Table 2's [.text] column is estimated
     from the emitted source size (DESIGN.md decision 6). *)
 
-val prelude : string
-(** Event/result/action declarations shared by all monitors. *)
-
 val machine : Artemis_fsm.Ast.machine -> string
 (** The C for one monitor (enum, persistent variables, step function). *)
 

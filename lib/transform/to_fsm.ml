@@ -6,13 +6,6 @@ type options = { collect_reset_on_fail : bool }
 
 let default_options = { collect_reset_on_fail = false }
 
-let action = function
-  | S.Restart_path -> F.Restart_path
-  | S.Skip_path -> F.Skip_path
-  | S.Restart_task -> F.Restart_task
-  | S.Skip_task -> F.Skip_task
-  | S.Complete_path -> F.Complete_path
-
 (* Conjoin the [path == p] filter of a Path-qualified property. *)
 let with_path_filter path guard =
   match path with
@@ -27,7 +20,7 @@ let int_lit n = F.Lit (F.Vint n)
 let time_lit t = F.Lit (F.Vtime t)
 let ivar name = F.Var name
 
-let fail act path = F.Fail (action act, path)
+let fail act path = F.Fail (act, path)
 
 (* Figure 7, first machine. *)
 let max_tries ~task ~name ~n ~on_fail ~path =
@@ -199,68 +192,48 @@ let collect ~options ~task ~name ~n ~dp_task ~on_fail ~path =
       ];
   }
 
-(* Figure 7, fourth machine.  With maxAttempt m, the first m-1 violations
-   raise the primary action and the m-th the exhausted action. *)
+(* maxAttempt, lowered once for MITD and period: the late-start
+   transitions into [target], each body closed by [extra].  Without
+   maxAttempt a late start raises [on_fail]; with maxAttempt m a
+   persistent [attempts] counter (returned as the extra variable) lets
+   the first m-1 raise [on_fail] and the m-th raise the exhausted
+   action, resetting the count. *)
+let late_starts ~task ~late ~on_fail ~max_attempt ~path ~target ~extra =
+  let start guard body =
+    {
+      F.trigger = F.On_start task;
+      guard = with_path_filter path (Some guard);
+      body = body @ extra;
+      target;
+    }
+  in
+  match max_attempt with
+  | None -> ([], [ start late [ fail on_fail path ] ])
+  | Some { S.attempts = m; exhausted } ->
+      let attempts cmp =
+        F.Binop (F.And, late, F.Binop (cmp, ivar "attempts", int_lit (m - 1)))
+      in
+      ( [ { F.var_name = "attempts"; ty = F.Tint; init = F.Vint 0;
+            persistent = true } ],
+        [
+          start (attempts F.Lt)
+            [
+              F.Assign ("attempts", F.Binop (F.Add, ivar "attempts", int_lit 1));
+              fail on_fail path;
+            ];
+          start (attempts F.Ge)
+            [ F.Assign ("attempts", int_lit 0); fail exhausted path ];
+        ] )
+
+(* Figure 7, fourth machine, with [late_starts]' maxAttempt; an on-time
+   start resets the attempt count. *)
 let mitd ~task ~name ~limit ~dp_task ~on_fail ~max_attempt ~path =
   let elapsed = F.Binop (F.Sub, F.Timestamp, ivar "endB") in
   let on_time = F.Binop (F.Le, elapsed, time_lit limit) in
   let late = F.Binop (F.Gt, elapsed, time_lit limit) in
-  let vars =
-    {
-      F.var_name = "endB";
-      ty = F.Ttime;
-      init = F.Vtime Time.zero;
-      persistent = false;
-    }
-    ::
-    (match max_attempt with
-    | None -> []
-    | Some _ ->
-        [
-          {
-            F.var_name = "attempts";
-            ty = F.Tint;
-            init = F.Vint 0;
-            persistent = true;
-          };
-        ])
-  in
-  let violation_transitions =
-    match max_attempt with
-    | None ->
-        [
-          {
-            F.trigger = F.On_start task;
-            guard = with_path_filter path (Some late);
-            body = [ fail on_fail path ];
-            target = "WaitEndB";
-          };
-        ]
-    | Some { S.attempts = m; exhausted } ->
-        [
-          {
-            F.trigger = F.On_start task;
-            guard =
-              with_path_filter path
-                (Some
-                   (F.Binop (F.And, late, F.Binop (F.Lt, ivar "attempts", int_lit (m - 1)))));
-            body =
-              [
-                F.Assign ("attempts", F.Binop (F.Add, ivar "attempts", int_lit 1));
-                fail on_fail path;
-              ];
-            target = "WaitEndB";
-          };
-          {
-            F.trigger = F.On_start task;
-            guard =
-              with_path_filter path
-                (Some
-                   (F.Binop (F.And, late, F.Binop (F.Ge, ivar "attempts", int_lit (m - 1)))));
-            body = [ F.Assign ("attempts", int_lit 0); fail exhausted path ];
-            target = "WaitEndB";
-          };
-        ]
+  let attempt_vars, violations =
+    late_starts ~task ~late ~on_fail ~max_attempt ~path ~target:"WaitEndB"
+      ~extra:[]
   in
   let reset_attempts =
     match max_attempt with
@@ -269,7 +242,14 @@ let mitd ~task ~name ~limit ~dp_task ~on_fail ~max_attempt ~path =
   in
   {
     F.machine_name = name;
-    vars;
+    vars =
+      {
+        F.var_name = "endB";
+        ty = F.Ttime;
+        init = F.Vtime Time.zero;
+        persistent = false;
+      }
+      :: attempt_vars;
     initial = "WaitEndB";
     states =
       [
@@ -294,7 +274,7 @@ let mitd ~task ~name ~limit ~dp_task ~on_fail ~max_attempt ~path =
                body = reset_attempts;
                target = "WaitEndB";
              }
-            :: violation_transitions)
+            :: violations)
             @ [
                 (* a fresh completion of B re-anchors the window *)
                 {
@@ -309,73 +289,26 @@ let mitd ~task ~name ~limit ~dp_task ~on_fail ~max_attempt ~path =
   }
 
 (* Periodicity: anchored on the previous instance's start; power-failure
-   re-starts are absorbed in [Running]. *)
+   re-starts are absorbed in [Running].  Late starts re-anchor too. *)
 let period ~task ~name ~interval ~on_fail ~max_attempt ~path =
   let elapsed = F.Binop (F.Sub, F.Timestamp, ivar "last") in
   let on_time = F.Binop (F.Le, elapsed, time_lit interval) in
   let late = F.Binop (F.Gt, elapsed, time_lit interval) in
-  let vars =
-    {
-      F.var_name = "last";
-      ty = F.Ttime;
-      init = F.Vtime Time.zero;
-      persistent = false;
-    }
-    ::
-    (match max_attempt with
-    | None -> []
-    | Some _ ->
-        [
-          {
-            F.var_name = "attempts";
-            ty = F.Tint;
-            init = F.Vint 0;
-            persistent = true;
-          };
-        ])
-  in
   let anchor = F.Assign ("last", F.Timestamp) in
-  let violation_transitions =
-    match max_attempt with
-    | None ->
-        [
-          {
-            F.trigger = F.On_start task;
-            guard = with_path_filter path (Some late);
-            body = [ fail on_fail path; anchor ];
-            target = "Running";
-          };
-        ]
-    | Some { S.attempts = m; exhausted } ->
-        [
-          {
-            F.trigger = F.On_start task;
-            guard =
-              with_path_filter path
-                (Some
-                   (F.Binop (F.And, late, F.Binop (F.Lt, ivar "attempts", int_lit (m - 1)))));
-            body =
-              [
-                F.Assign ("attempts", F.Binop (F.Add, ivar "attempts", int_lit 1));
-                fail on_fail path;
-                anchor;
-              ];
-            target = "Running";
-          };
-          {
-            F.trigger = F.On_start task;
-            guard =
-              with_path_filter path
-                (Some
-                   (F.Binop (F.And, late, F.Binop (F.Ge, ivar "attempts", int_lit (m - 1)))));
-            body = [ F.Assign ("attempts", int_lit 0); fail exhausted path; anchor ];
-            target = "Running";
-          };
-        ]
+  let attempt_vars, violations =
+    late_starts ~task ~late ~on_fail ~max_attempt ~path ~target:"Running"
+      ~extra:[ anchor ]
   in
   {
     F.machine_name = name;
-    vars;
+    vars =
+      {
+        F.var_name = "last";
+        ty = F.Ttime;
+        init = F.Vtime Time.zero;
+        persistent = false;
+      }
+      :: attempt_vars;
     initial = "First";
     states =
       [
@@ -407,7 +340,7 @@ let period ~task ~name ~interval ~on_fail ~max_attempt ~path =
               body = [ anchor ];
               target = "Running";
             }
-            :: violation_transitions;
+            :: violations;
         };
       ];
   }

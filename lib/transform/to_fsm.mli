@@ -22,11 +22,6 @@
 
 type options = { collect_reset_on_fail : bool }
 
-val default_options : options
-(** [{ collect_reset_on_fail = false }]. *)
-
-val action : Artemis_spec.Ast.action -> Artemis_fsm.Ast.action
-
 val property :
   ?options:options ->
   task:string ->
