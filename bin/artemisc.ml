@@ -63,8 +63,9 @@ let check_scenarios names allow_hazard =
     | name :: rest -> (
         match Scenario.lookup name with
         | Error msg ->
+            (* a usage error, distinct from the verdict's exit 1 *)
             Printf.eprintf "%s\n" msg;
-            1
+            2
         | Ok sc ->
             let b = sc.Scenario.build ~engine:None ~seed:42 in
             let report =
@@ -97,8 +98,9 @@ let energy_report names as_json =
     | name :: rest -> (
         match Scenario.lookup name with
         | Error msg ->
+            (* a usage error, distinct from the verdict's exit 1 *)
             Printf.eprintf "%s\n" msg;
-            1
+            2
         | Ok sc -> (
             let b = sc.Scenario.build ~engine:None ~seed:42 in
             let model = b.Scenario.config.Artemis.Runtime.cost_model in
@@ -286,7 +288,8 @@ let check_arg =
         ~doc:"Run the static WAR-hazard pass over the named faultsim \
               scenario's task surface instead of compiling a \
               specification.  Repeatable.  Exits 1 if any hazard is \
-              found, unless $(b,--allow-hazard) is also given.")
+              found, unless $(b,--allow-hazard) is also given, and 2 on \
+              an unknown scenario.")
 
 let allow_hazard_arg =
   Arg.(
@@ -303,7 +306,8 @@ let energy_report_arg =
               faultsim scenario: per-property worst-case monitor-call \
               bounds against the device's usable charge budget, for the \
               deployed suite and every scheduled OTA payload.  Repeatable. \
-              Exits 1 if any property classifies \"may livelock\".")
+              Exits 1 if any property classifies \"may livelock\", and 2 \
+              on an unknown scenario.")
 
 let energy_json_arg =
   Arg.(

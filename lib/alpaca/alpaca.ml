@@ -1,6 +1,7 @@
 module Nvm = Artemis_nvm.Nvm
 module Site = Artemis_nvm.Site
 module Device = Artemis_device.Device
+module Cost_model = Artemis_device.Cost_model
 module Event = Artemis_trace.Event
 module Task = Artemis_task.Task
 module Backend = Artemis_backend.Backend
@@ -45,7 +46,7 @@ let setup ~model device _app =
      power failures; the durable [log] cell is what decides whether
      they are authoritative. *)
   let redo = ref [] in
-  let consume_cycles = Backend.consume_cycles model device in
+  let consume = Cost_model.consume model device in
   (* Phase two: publish a sealed log onto committed state and clear the
      seal.  Idempotent - the redo thunks carry frozen values - so every
      reboot inside the window simply re-runs it.  [recovery] marks calls
@@ -57,7 +58,7 @@ let setup ~model device _app =
     | Some (task_name, names) -> (
         Nvm.fire nvm Site.alpaca_swap_before;
         match
-          consume_cycles ~during:"alpaca.swap"
+          consume ~during:"alpaca.swap"
             (swap_base_cycles + (swap_cycles_per_cell * List.length names))
         with
         | Device.Starved -> false
@@ -73,9 +74,9 @@ let setup ~model device _app =
             List.iter (fun (_, _, apply) -> apply ()) entries;
             Nvm.write log None;
             redo := [];
-            (* Clear strictly before the completion record, like the
-               reference backend's commit: a crash between the two loses
-               only the event. *)
+            (* Clear strictly before the completion record, as
+               [Backend.attempt] commits before its own: a crash between
+               the two loses only the event. *)
             if recovery then
               Device.record device (Event.Task_completed { task = task_name });
             Nvm.fire nvm Site.alpaca_swap_after;
@@ -89,7 +90,7 @@ let setup ~model device _app =
   let log_then_swap (task : Task.t) =
     let entries = Nvm.capture_tx nvm in
     match
-      consume_cycles ~during:"alpaca.log"
+      consume ~during:"alpaca.log"
         (log_base_cycles + (log_cycles_per_cell * List.length entries))
     with
     | Device.Interrupted | Device.Starved ->

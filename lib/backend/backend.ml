@@ -3,6 +3,7 @@ module Nvm = Artemis_nvm.Nvm
 module Site = Artemis_nvm.Site
 module Device = Artemis_device.Device
 module Cost_model = Artemis_device.Cost_model
+module Event = Artemis_trace.Event
 module Task = Artemis_task.Task
 
 type outcome = Committed | Interrupted
@@ -22,12 +23,6 @@ type b = {
     instance;
 }
 
-let consume_cycles model device ?during cycles =
-  Device.consume device Device.Runtime_work ?during
-    ~power:(Cost_model.overhead_power model)
-    ~duration:(Cost_model.cycles_to_time model cycles)
-    ()
-
 (* One all-or-nothing task attempt (Section 3.1): the body runs inside one
    NVM transaction that commits at task end.  The body's context is built
    only after the task's energy was consumed, so [now] is the completion
@@ -45,14 +40,27 @@ let attempt ?(seal = fun () -> Device.Completed) ?close device ~task ~prng
   | Device.Completed -> (
       task.Task.body { Task.nvm; now = Device.now device; prng };
       commit ();
-      match close with
-      | Some close -> close task
-      | None -> (
-          match seal () with
-          | Device.Interrupted | Device.Starved -> Interrupted
-          | Device.Completed ->
-              Nvm.commit_tx nvm;
-              Committed))
+      let closed =
+        match close with
+        | Some close -> close task
+        | None -> (
+            match seal () with
+            | Device.Interrupted | Device.Starved -> Interrupted
+            | Device.Completed ->
+                Nvm.commit_tx nvm;
+                Committed)
+      in
+      match closed with
+      | Interrupted -> Interrupted
+      | Committed ->
+          (* Commit strictly before the completion record: the record
+             chokepoint feeds observers like the input-freshness tracker
+             (Consistency.Freshness via Device.set_on_record), whose
+             stamps must describe durable data.  A crash between the
+             two loses only the event - the tracker recovers it from the
+             task's earlier Task_started (its pending-stamp protocol). *)
+          Device.record device (Event.Task_completed { task = task.Task.name });
+          Committed)
 
 (* The reference backend: the paper's ARTEMIS task-transaction protocol
    (task body inside one NVM transaction that also flips the scheduler

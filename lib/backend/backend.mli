@@ -71,11 +71,6 @@ type b = {
           run's cost [model].  Called once per run. *)
 }
 
-val consume_cycles :
-  Cost_model.t -> Device.t -> ?during:string -> int -> Device.consume_result
-(** Run [cycles] MCU cycles of protocol work as [Runtime_work] at the
-    model's overhead power, converted by {!Cost_model.cycles_to_time}. *)
-
 val attempt :
   ?seal:(unit -> Device.consume_result) ->
   ?close:(Task.t -> outcome) ->
@@ -92,7 +87,9 @@ val attempt :
     [commit] (writes that join the transaction), then close.  The
     default close pays [seal] (a protocol cost that must complete
     before the commit becomes durable; none by default) and commits the
-    transaction; [close] replaces it, as Alpaca's log-then-swap does. *)
+    transaction; [close] replaces it, as Alpaca's log-then-swap does.
+    Once the close returns [Committed], and not before, the attempt
+    records [Task_completed]. *)
 
 val immortal : b
 (** The reference backend: the paper's ARTEMIS task-transaction

@@ -109,18 +109,13 @@ type state = {
      power failure, which is how the runtime knows it must restore *)
   live : bool Nvm.cell;
   prng : Prng.t;
-  mutable iterations : int;
 }
-
-(* the standalone loop is priced by the default calibration *)
-let consume_runtime st cycles =
-  Backend.consume_cycles Cost_model.default st.device cycles
 
 (* A cold entry (after boot or failure) pays the restore cost: [live] is
    a volatile marker that a power failure resets.  True once warm. *)
-let warm consume live =
+let warm model device live =
   (if not (Nvm.read live) then
-     match consume restore_cycles with
+     match Cost_model.consume model device restore_cycles with
      | Device.Completed -> Nvm.write live true
      | Device.Interrupted | Device.Starved -> ());
   Nvm.read live
@@ -155,7 +150,6 @@ let make_state device p =
     completed_at;
     live;
     prng = Prng.create ~seed:42;
-    iterations = 0;
   }
 
 let expired st (s : segment) =
@@ -169,74 +163,54 @@ let expired st (s : segment) =
             Some annotation
           else None)
 
+(* The standalone loop is priced by the default calibration. *)
 let run device p =
   let st = make_state device p in
-  Device.record device Event.Boot;
-  let rec loop () =
-    st.iterations <- st.iterations + 1;
-    match
-      Report.guard device ~iterations:st.iterations
-        ~limit:Report.max_loop_iterations
-    with
-    | Some outcome -> Report.stats device ~outcome
-    | None -> (
-        let i = Nvm.read st.position in
-        if i >= Array.length st.segments then begin
-          Device.record device Event.App_completed;
-          Report.stats device ~outcome:Stats.Completed
-        end
-        else begin
-          let s = st.segments.(i) in
-          if not (warm (consume_runtime st) st.live) then loop ()
-          else begin
-            match expired st s with
-            | Some { on_expire; data_from; _ } -> (
-                Device.record device
-                  (Event.Runtime_action
-                     {
-                       action =
-                         (match on_expire with
-                         | Restart_from target -> "restartFrom " ^ target
-                         | Skip_segment -> "skipSegment");
-                       task = name s;
-                     });
-                match on_expire with
-                | Restart_from target ->
-                    let j = Option.get (index_of p.segments target) in
-                    Device.record device
-                      (Event.Path_restarted
-                         { path = 1; reason = "stale data from " ^ data_from });
-                    Nvm.write st.position j;
-                    loop ()
-                | Skip_segment ->
-                    Nvm.write st.position (i + 1);
-                    loop ())
-            | None -> (
-                Device.record device
-                  (Event.Task_started { task = name s; attempt = 1 });
-                (* the segment's data and its checkpoint commit atomically
-                   (double-buffered snapshot): a failure during the
-                   checkpoint discards the data too, so re-execution
-                   cannot duplicate effects *)
-                match
-                  Backend.attempt device ~task:s.task ~prng:st.prng
-                    ~commit:(fun () ->
-                      Nvm.tx_write
-                        (List.assoc (name s) st.completed_at)
-                        (Some (Device.now device));
-                      Nvm.tx_write st.position (i + 1))
-                    ~seal:(fun () -> consume_runtime st checkpoint_cycles)
-                with
-                | Backend.Interrupted ->
-                    (* rolled back to the checkpoint; [live] was reset *)
-                    loop ()
-                | Backend.Committed ->
-                    Device.record device (Event.Task_completed { task = name s });
-                    loop ())
-          end
-        end)
-  in
-  loop ()
+  let model = Cost_model.default in
+  let seal () = Cost_model.consume model device checkpoint_cycles in
+  Report.run device @@ fun _ ->
+  let i = Nvm.read st.position in
+  if i >= Array.length st.segments then Some Stats.Completed
+  else begin
+    let s = st.segments.(i) in
+    (if warm model device st.live then
+       match expired st s with
+       | Some { on_expire; data_from; _ } -> (
+           Device.record device
+             (Event.Runtime_action
+                {
+                  action =
+                    (match on_expire with
+                    | Restart_from target -> "restartFrom " ^ target
+                    | Skip_segment -> "skipSegment");
+                  task = name s;
+                });
+           match on_expire with
+           | Restart_from target ->
+               let j = Option.get (index_of p.segments target) in
+               Device.record device
+                 (Event.Path_restarted
+                    { path = 1; reason = "stale data from " ^ data_from });
+               Nvm.write st.position j
+           | Skip_segment -> Nvm.write st.position (i + 1))
+       | None ->
+           Device.record device
+             (Event.Task_started { task = name s; attempt = 1 });
+           (* the segment's data and its checkpoint commit atomically
+              (double-buffered snapshot): a failure during the
+              checkpoint discards the data too, so re-execution cannot
+              duplicate effects; an interrupted attempt rolled back to
+              the checkpoint and reset [live] *)
+           ignore
+             (Backend.attempt device ~task:s.task ~prng:st.prng
+                ~commit:(fun () ->
+                  Nvm.tx_write
+                    (List.assoc (name s) st.completed_at)
+                    (Some (Device.now device));
+                  Nvm.tx_write st.position (i + 1))
+                ~seal));
+    None
+  end
 
 (* --- the unified-backend adapter (PR 10) ---
 
@@ -259,15 +233,14 @@ let backend =
         (* the double-buffered snapshot area (fixed: the shared runtime's
            cursor+event state, not per-segment payloads) *)
         ignore (Nvm.cell nvm ~region:Runtime ~name:"cpb.snapshot" ~bytes:128 ());
-        let consume_cycles = Backend.consume_cycles model device in
         (* the task's data and its checkpoint commit atomically: a failure
            during the snapshot discards the data too *)
-        let seal () = consume_cycles checkpoint_cycles in
+        let seal () = Cost_model.consume model device checkpoint_cycles in
         {
           Backend.recover = (fun () -> ());
           execute =
             (fun ~task ~prng ~commit ->
-              if warm consume_cycles live then
+              if warm model device live then
                 Backend.attempt ~seal device ~task ~prng ~commit
               else Backend.Interrupted);
         });

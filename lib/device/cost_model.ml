@@ -33,11 +33,8 @@ let cycles_to_time t cycles =
      a static bound built from the same constants. *)
   Time.of_us ((cycles * 1_000_000 + t.mcu_frequency_hz - 1) / t.mcu_frequency_hz)
 
-let artemis_runtime_overhead t = cycles_to_time t t.artemis_runtime_cycles_per_event
-
-let mayfly_runtime_overhead t = cycles_to_time t t.mayfly_runtime_cycles_per_event
-
-let mayfly_check_overhead t ~properties =
-  cycles_to_time t (t.mayfly_cycles_per_property * properties)
-
 let overhead_power t = t.mcu_active_power
+
+let consume t device ?during cycles =
+  Device.consume device Device.Runtime_work ?during ~power:(overhead_power t)
+    ~duration:(cycles_to_time t cycles) ()

@@ -42,11 +42,11 @@ val cycles_to_time : t -> int -> Time.t
     [cycles * 1_000_000 mod mcu_frequency_hz = 0] - in particular at
     the 1 MHz default. *)
 
-val artemis_runtime_overhead : t -> Time.t
-(** Per task event (start or end). *)
-
-val mayfly_runtime_overhead : t -> Time.t
-val mayfly_check_overhead : t -> properties:int -> Time.t
-
 val overhead_power : t -> Energy.power
 (** Overhead work draws only the MCU baseline (no peripherals). *)
+
+val consume :
+  t -> Device.t -> ?during:string -> int -> Device.consume_result
+(** The one cycle charge: run [cycles] MCU cycles of runtime or protocol
+    bookkeeping on the device as [Runtime_work] at {!overhead_power},
+    for {!cycles_to_time} [cycles]. *)

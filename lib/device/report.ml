@@ -27,11 +27,22 @@ let stats d ~outcome =
 
 let max_loop_iterations = 200_000
 
-let guard d ~iterations ~limit =
-  let stop reason =
-    Device.record d (Event.Horizon_reached { reason });
-    Some (Stats.Did_not_finish reason)
+let stop d reason =
+  Device.record d (Event.Horizon_reached { reason });
+  Stats.Did_not_finish reason
+
+let run ?(limit = max_loop_iterations) d step =
+  Device.record d Event.Boot;
+  let rec loop i =
+    if i > limit then stop d "iteration limit (no progress)"
+    else if Device.horizon_exceeded d then stop d "simulation time horizon"
+    else
+      match step i with
+      | None -> loop (i + 1)
+      | Some Stats.Completed ->
+          Device.record d Event.App_completed;
+          Stats.Completed
+      | Some outcome -> outcome
   in
-  if iterations > limit then stop "iteration limit (no progress)"
-  else if Device.horizon_exceeded d then stop "simulation time horizon"
-  else None
+  let outcome = loop 1 in
+  stats d ~outcome

@@ -29,17 +29,18 @@ let dispatch_cost model = function
   | Inlined -> (Cost_model.overhead_power model, Time.zero)
   | External_wireless { radio_power; round_trip } -> (radio_power, round_trip)
 
+(* The flat on-device cycles of one watching property's step: inlined
+   checks halve the separate module's per-property cycles, and an
+   external monitor evaluates off-device, spending none. *)
+let step_cycles model = function
+  | Separate_module -> model.Cost_model.artemis_monitor_cycles_per_property
+  | Inlined -> model.Cost_model.artemis_monitor_cycles_per_property / 2
+  | External_wireless _ -> 0
+
 (* (power, duration) the simulator charges per watching property step. *)
-let step_cost model = function
-  | Separate_module ->
-      ( Cost_model.overhead_power model,
-        Cost_model.cycles_to_time model
-          model.Cost_model.artemis_monitor_cycles_per_property )
-  | Inlined ->
-      ( Cost_model.overhead_power model,
-        Cost_model.cycles_to_time model
-          (model.Cost_model.artemis_monitor_cycles_per_property / 2) )
-  | External_wireless _ -> (Cost_model.overhead_power model, Time.zero)
+let step_cost model deployment =
+  ( Cost_model.overhead_power model,
+    Cost_model.cycles_to_time model (step_cycles model deployment) )
 
 (* ------------------------------------------------------------------ *)
 (* Per-property worst-case single-call bound *)
@@ -87,22 +88,17 @@ let worst_structure model table =
 
 let property_bound ?(deployment = Separate_module) ~model table =
   let guard_cy, body_cy, write_cy, state, kind = worst_structure model table in
-  let off_device = match deployment with External_wireless _ -> true | _ -> false in
-  let flat_cycles =
-    match deployment with
-    | Separate_module -> model.Cost_model.artemis_monitor_cycles_per_property
-    | Inlined -> model.Cost_model.artemis_monitor_cycles_per_property / 2
-    | External_wireless _ -> 0
-  in
+  let flat_cycles = step_cycles model deployment in
+  (* an external monitor runs no guard or body code on the device *)
   let guard_cy, body_cy, write_cy =
-    if off_device then (0, 0, 0) else (guard_cy, body_cy, write_cy)
+    match deployment with
+    | External_wireless _ -> (0, 0, 0)
+    | Separate_module | Inlined -> (guard_cy, body_cy, write_cy)
   in
   let step_power, _ = step_cost model deployment in
   let step_time =
-    if off_device then Time.zero
-    else
-      Cost_model.cycles_to_time model
-        (flat_cycles + guard_cy + body_cy + write_cy)
+    Cost_model.cycles_to_time model
+      (flat_cycles + guard_cy + body_cy + write_cy)
   in
   let step_energy = Energy.consumed step_power step_time in
   let dispatch_power, dispatch_time = dispatch_cost model deployment in
@@ -169,10 +165,13 @@ let budget_of_device device =
 
 type classification = Progresses | Marginal | May_livelock
 
-let classify budget bound =
-  if Energy.(budget.usable < bound.b_call_energy) then May_livelock
-  else if Energy.(budget.reboot < bound.b_call_energy) then Marginal
+(* The one classification rule: one call of [energy] against a charge. *)
+let classify_energy budget energy =
+  if Energy.(budget.usable < energy) then May_livelock
+  else if Energy.(budget.reboot < energy) then Marginal
   else Progresses
+
+let classify budget bound = classify_energy budget bound.b_call_energy
 
 let classification_label = function
   | Progresses -> "progresses"
@@ -240,12 +239,10 @@ let render_human ~scenario ~deployment ~model ~budget:b entries buf =
          else bd.b_worst_state ^ "/" ^ bd.b_worst_kind)
         (Time.to_us bd.b_call_time)
         (uj bd.b_call_energy)
-        (classification_label (classify b bd)))
+        (classification_label e.e_class))
     entries;
   add "  deployed-suite call bound: %.3f uJ (%s)\n" (uj suite_bound)
-    (if Energy.(b.usable < suite_bound) then "may livelock"
-     else if Energy.(b.reboot < suite_bound) then "marginal"
-     else "progresses")
+    (classification_label (classify_energy b suite_bound))
 
 let render_json ~scenario ~deployment ~model ~budget:b entries buf =
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in

@@ -62,7 +62,6 @@ type state = {
   cells : progress Nvm.cell array;
   prng : Prng.t;
   mutable completion_order : string list;  (* reverse order *)
-  mutable iterations : int;
 }
 
 let make_state device armed_list =
@@ -86,12 +85,7 @@ let make_state device armed_list =
     cells;
     prng = Prng.create ~seed:42;
     completion_order = [];
-    iterations = 0;
   }
-
-(* the standalone loop is priced by the default calibration *)
-let consume_kernel st =
-  Backend.consume_cycles Cost_model.default st.device kernel_cycles_per_event
 
 (* Highest priority among alive threads whose event has arrived; FIFO by
    arrival, then index, among equals. *)
@@ -132,7 +126,10 @@ let run_thread_step st i =
   let task = List.nth a.thread.tasks progress.next_task in
   Device.record st.device
     (Event.Task_started { task = task.Task.name; attempt = 1 });
-  match consume_kernel st with
+  (* the standalone loop is priced by the default calibration *)
+  match
+    Cost_model.consume Cost_model.default st.device kernel_cycles_per_event
+  with
   | Device.Interrupted | Device.Starved -> ()
   | Device.Completed -> (
       (* fixed reaction: evict the whole thread when the triggering
@@ -158,15 +155,12 @@ let run_thread_step st i =
               Nvm.tx_write st.cells.(i)
                 { next_task; state = (if finished then Finished else Alive) })
         with
-        | Backend.Interrupted -> ()
-        | Backend.Committed ->
-            Device.record st.device (Event.Task_completed { task = task.Task.name });
-            if finished then
-              st.completion_order <- a.thread.thread_name :: st.completion_order
+        | Backend.Committed when finished ->
+            st.completion_order <- a.thread.thread_name :: st.completion_order
+        | Backend.Committed | Backend.Interrupted -> ()
       end)
 
-let finish st ~outcome =
-  let stats = Report.stats st.device ~outcome in
+let finish st stats =
   let evicted =
     Array.to_list st.armed
     |> List.mapi (fun i a -> (i, a))
@@ -201,9 +195,7 @@ let backend =
           Backend.recover = (fun () -> ());
           execute =
             (fun ~task ~prng ~commit ->
-              match
-                Backend.consume_cycles model device kernel_cycles_per_event
-              with
+              match Cost_model.consume model device kernel_cycles_per_event with
               | Device.Interrupted | Device.Starved -> Backend.Interrupted
               | Device.Completed ->
                   Backend.attempt device ~task ~prng ~commit:(fun () ->
@@ -217,30 +209,19 @@ let backend =
 
 let run device armed_list =
   let st = make_state device armed_list in
-  Device.record device Event.Boot;
-  let rec loop () =
-    st.iterations <- st.iterations + 1;
-    match
-      Report.guard device ~iterations:st.iterations
-        ~limit:Report.max_loop_iterations
-    with
-    | Some outcome -> finish st ~outcome
-    | None -> (
-        match pick st with
-        | Some i ->
-            run_thread_step st i;
-            loop ()
-        | None -> (
-            match earliest_pending st with
-            | Some arrival ->
-                (* idle (deep sleep) until the next event arrives *)
-                let wait = Time.sub arrival (Device.now st.device) in
-                ignore
-                  (Device.consume st.device Device.Runtime_work
-                     ~power:(Energy.uw 0.) ~duration:wait ());
-                loop ()
-            | None ->
-                Device.record device Event.App_completed;
-                finish st ~outcome:Stats.Completed))
-  in
-  loop ()
+  finish st @@ Report.run device
+  @@ fun _ ->
+  match pick st with
+  | Some i ->
+      run_thread_step st i;
+      None
+  | None -> (
+      match earliest_pending st with
+      | Some arrival ->
+          (* idle (deep sleep) until the next event arrives *)
+          let wait = Time.sub arrival (Device.now st.device) in
+          ignore
+            (Device.consume st.device Device.Runtime_work
+               ~power:(Energy.uw 0.) ~duration:wait ());
+          None
+      | None -> Some Stats.Completed)

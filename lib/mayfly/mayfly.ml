@@ -48,7 +48,6 @@ type state = {
   producer_end : (string * Time.t option Nvm.cell) list;
   producer_count : (string * int Nvm.cell) list;
   prng : Prng.t;
-  mutable iterations : int;
 }
 
 let producers annotations =
@@ -110,7 +109,6 @@ let make_state device app annotations =
     producer_end;
     producer_count;
     prng = Prng.create ~seed:42;
-    iterations = 0;
   }
 
 let current_task st (c : cursor) = st.paths.(c.path - 1).(c.index)
@@ -128,20 +126,7 @@ let task_annotations st ~task ~path =
         anns
 
 (* The standalone loop is priced by the default calibration. *)
-let consume_runtime st =
-  let model = Cost_model.default in
-  Device.consume st.device Device.Runtime_work
-    ~power:(Cost_model.overhead_power model)
-    ~duration:(Cost_model.mayfly_runtime_overhead model)
-    ()
-
-(* fused in-loop property checks are charged to the runtime, not to a
-   monitor: Mayfly has no separate monitor component *)
-let consume_checks model device ~properties =
-  Device.consume device Device.Runtime_work
-    ~power:(Cost_model.overhead_power model)
-    ~duration:(Cost_model.mayfly_check_overhead model ~properties)
-    ()
+let model = Cost_model.default
 
 (* --- cursor movements --- *)
 
@@ -198,12 +183,7 @@ let execute_task st =
       (task_annotations st ~task:task.Task.name ~path:c.path);
     Nvm.tx_write st.cursor { c with finished = true; end_ts = now }
   in
-  match
-    Backend.attempt st.device ~task ~prng:st.prng ~commit
-  with
-  | Backend.Interrupted -> ()
-  | Backend.Committed ->
-      Device.record st.device (Event.Task_completed { task = task.Task.name })
+  ignore (Backend.attempt st.device ~task ~prng:st.prng ~commit)
 
 let start_phase st =
   let c = Nvm.read st.cursor in
@@ -214,13 +194,18 @@ let start_phase st =
   let task = current_task st c in
   Device.record st.device
     (Event.Task_started { task = task.Task.name; attempt = c.attempt });
-  match consume_runtime st with
+  match
+    Cost_model.consume model st.device
+      model.Cost_model.mayfly_runtime_cycles_per_event
+  with
   | Device.Interrupted | Device.Starved -> ()
   | Device.Completed -> (
       let anns = task_annotations st ~task:task.Task.name ~path:c.path in
+      (* fused in-loop property checks are charged to the runtime, not
+         to a monitor: Mayfly has no separate monitor component *)
       match
-        consume_checks Cost_model.default st.device
-          ~properties:(List.length anns)
+        Cost_model.consume model st.device
+          (model.Cost_model.mayfly_cycles_per_property * List.length anns)
       with
       | Device.Interrupted | Device.Starved -> ()
       | Device.Completed ->
@@ -230,32 +215,22 @@ let start_phase st =
           else execute_task st)
 
 let end_phase st =
-  match consume_runtime st with
+  match
+    Cost_model.consume model st.device
+      model.Cost_model.mayfly_runtime_cycles_per_event
+  with
   | Device.Interrupted | Device.Starved -> ()
   | Device.Completed -> advance st
 
 let run device app annotations =
   let st = make_state device app annotations in
-  Device.record device Event.Boot;
-  let rec loop () =
-    st.iterations <- st.iterations + 1;
-    match
-      Report.guard device ~iterations:st.iterations
-        ~limit:Report.max_loop_iterations
-    with
-    | Some outcome -> Report.stats device ~outcome
-    | None ->
-        let c = Nvm.read st.cursor in
-        if c.path > Array.length st.paths then begin
-          Device.record device Event.App_completed;
-          Report.stats device ~outcome:Stats.Completed
-        end
-        else begin
-          if c.finished then end_phase st else start_phase st;
-          loop ()
-        end
-  in
-  loop ()
+  Report.run device @@ fun _ ->
+  let c = Nvm.read st.cursor in
+  if c.path > Array.length st.paths then Some Stats.Completed
+  else begin
+    if c.finished then end_phase st else start_phase st;
+    None
+  end
 
 (* --- the unified-backend adapter (PR 10) ---
 
@@ -281,7 +256,10 @@ let backend =
         in
         (* the fused in-loop check runs before the commit becomes
            durable: an interruption rolls the whole attempt back *)
-        let seal () = consume_checks model device ~properties:1 in
+        let seal () =
+          Cost_model.consume model device
+            model.Cost_model.mayfly_cycles_per_property
+        in
         {
           Backend.recover = (fun () -> ());
           execute =

@@ -183,7 +183,6 @@ type state = {
   round : int Nvm.cell;  (** reactive execution: current pass, 1-based *)
   prng : Prng.t;
   journaling : bool;  (** record the committed event prefix in [mcall] *)
-  mutable iterations : int;
   mutable max_mcall_energy : Energy.energy;
       (** worst observed Monitor_work energy of a single
           [resume_monitor_call] attempt (the energy-admissibility
@@ -316,19 +315,11 @@ let make_state ?(journaling = false) ?(adaptations = [])
     round;
     prng = Prng.create ~seed:config.seed;
     journaling;
-    iterations = 0;
     max_mcall_energy = Energy.zero;
   }
 
 let path_count st = Array.length st.paths
 let current_task st (c : cursor) = st.paths.(c.path - 1).(c.index)
-
-let overhead_power st = Cost_model.overhead_power st.config.cost_model
-
-let consume_runtime st =
-  Device.consume st.device Device.Runtime_work ~power:(overhead_power st)
-    ~duration:(Cost_model.artemis_runtime_overhead st.config.cost_model)
-    ()
 
 let consume_monitor st ~power ~duration =
   Device.consume st.device Device.Monitor_work ~power ~duration ()
@@ -509,23 +500,14 @@ let execute_task st =
   @@ fun () ->
   (* The commit protocol is the backend's, every one of them a
      [Backend.attempt]: the task body inside one NVM transaction whose
-     commit also flips the cursor (Alpaca logs-then-swaps instead).
-     [commit] is the runtime's cursor write, made durable atomically
-     with the task's own effects. *)
+     commit also flips the cursor (Alpaca logs-then-swaps instead), and
+     the completion record after it.  [commit] is the runtime's cursor
+     write, made durable atomically with the task's own effects. *)
   let commit () =
     Nvm.tx_write st.cursor
       { c with finished = true; end_ts = Device.now st.device }
   in
-  match st.binst.Backend.execute ~task ~prng:st.prng ~commit with
-  | Backend.Interrupted -> ()
-  | Backend.Committed ->
-      (* Commit strictly before the completion record: the record
-         chokepoint feeds observers like the input-freshness tracker
-         (Consistency.Freshness via Device.set_on_record), whose stamps
-         must describe durable data.  A crash between these two lines
-         loses only the event - the tracker recovers it from the task's
-         earlier Task_started (its pending-stamp protocol). *)
-      Device.record st.device (Event.Task_completed { task = task.Task.name })
+  ignore (st.binst.Backend.execute ~task ~prng:st.prng ~commit)
 
 (* The Proceed case of checkTask: a start event runs the task, an end
    event moves the cursor past it. *)
@@ -695,7 +677,7 @@ let deliver st (d : delivery) =
         (Event.Adaptation_staged { id = d.d_update.Adapt.id; bytes = staged });
       apply_staged st
 
-let update_window st =
+let update_window st ~iteration =
   (* cheap when idle: one cell read and an int compare *)
   sync_exec st;
   if
@@ -720,7 +702,7 @@ let update_window st =
             (Event.Adaptation_applied { id = d.d_update.Adapt.id; generation });
           finish_delivery st d (Update_applied { generation; migrations = [] })
         end
-        else if (not d.d_delivered) && st.iterations >= d.d_iteration then
+        else if (not d.d_delivered) && iteration >= d.d_iteration then
           deliver st d)
       st.deliveries
   end
@@ -768,7 +750,10 @@ let event_phase st =
   Nvm.fire st.nvm Site.rt_event_update_before;
   Nvm.write st.event (make_event st kind c);
   Nvm.fire st.nvm Site.rt_event_update_after;
-  match consume_runtime st with
+  match
+    Cost_model.consume st.config.cost_model st.device
+      st.config.cost_model.Cost_model.artemis_runtime_cycles_per_event
+  with
   | Device.Interrupted | Device.Starved -> ()
   | Device.Completed ->
       if Nvm.read st.suspended then proceed st kind
@@ -777,90 +762,78 @@ let event_phase st =
         monitor_call st
       end
 
-(* --- main loop and reporting --- *)
+(* --- the scheduler loop's step --- *)
 
-let finish st outcome = Report.stats st.device ~outcome
+(* An injected fault behaves exactly like a capacitor brown-out at the
+   probed instruction: the device aborts volatile/transactional state,
+   recharges and reboots, and the next iteration resumes from persistent
+   state. *)
+let injected_failure st site =
+  if !Chaos.leak_on_recovery then
+    (* mutation-suite variant: the recovery path allocates a fresh
+       uniquely-named cell, violating the stable-footprint contract *)
+    ignore
+      (Nvm.cell (Device.nvm st.device) ~region:Runtime
+         ~name:(Printf.sprintf "rt.leak%d" (Device.power_failures st.device))
+         ~bytes:4 0);
+  match Device.force_power_failure st.device ~during:("fault:" ^ site) () with
+  | Device.Starved ->
+      Device.record st.device
+        (Event.Horizon_reached { reason = "harvester starved" });
+      Some (Stats.Did_not_finish "harvester starved")
+  | Device.Completed | Device.Interrupted -> None
+
+let step st iteration =
+  try
+    (* Reboot-time repair first: a backend whose commit was interrupted
+       mid-protocol (e.g. an Alpaca swap with a sealed log) finishes it
+       before the scheduler reads the cursor - the redo may be exactly
+       what advances it.  One cell read when there is nothing to
+       repair. *)
+    st.binst.Backend.recover ();
+    let c = Nvm.read st.cursor in
+    if c.path > path_count st then begin
+      let completed_round = Nvm.read st.round in
+      if completed_round < st.config.rounds then begin
+        (* reactive execution: start the next pass; monitor state
+           persists across rounds (periodicity spans them) *)
+        Device.record st.device
+          (Event.Round_completed { round = completed_round });
+        Nvm.write st.round (completed_round + 1);
+        Nvm.write st.cursor (path_start 1);
+        None
+      end
+      else Some Stats.Completed
+    end
+    else begin
+      if (Nvm.read st.mcall).active then
+        (* monitorFinalize: progress the interrupted monitor call *)
+        monitor_call st
+      else begin
+        (* Between monitor calls: finish or stage live property updates
+           (no-op without scheduled adaptations or a staged update). *)
+        update_window st ~iteration;
+        event_phase st
+      end;
+      None
+    end
+  with Nvm.Injected_failure site -> injected_failure st site
 
 let run_internal ?on_site ?journaling ?adaptations ?backend ~config device app
     suite =
   let st =
     make_state ?journaling ?adaptations ?backend ~config device app suite
   in
-  Device.record device Event.Boot;
-  (* initial hard reset: resetMonitor (Figure 8, line 14) *)
+  (* initial hard reset: resetMonitor (Figure 8, line 14).  Every
+     injection site fires on the store, so the one hook installed next
+     sees them all; the reset is never probed. *)
   Suite.hard_reset st.exec.suite;
-  (* Every injection site fires on the store, so this one hook sees them
-     all; the boot-time reset above is never probed. *)
   Nvm.set_probe st.nvm on_site;
-  let rec loop () =
-    st.iterations <- st.iterations + 1;
-    match
-      Report.guard device ~iterations:st.iterations
-        ~limit:config.max_loop_iterations
-    with
-    | Some outcome -> finish st outcome
-    | None -> (
-        (* Reboot-time repair first: a backend whose commit was
-           interrupted mid-protocol (e.g. an Alpaca swap with a sealed
-           log) finishes it before the scheduler reads the cursor - the
-           redo may be exactly what advances it.  One cell read when
-           there is nothing to repair. *)
-        st.binst.Backend.recover ();
-        let c = Nvm.read st.cursor in
-        if c.path > path_count st then begin
-          let completed_round = Nvm.read st.round in
-          if completed_round < config.rounds then begin
-            (* reactive execution: start the next pass; monitor state
-               persists across rounds (periodicity spans them) *)
-            Device.record device
-              (Event.Round_completed { round = completed_round });
-            Nvm.write st.round (completed_round + 1);
-            Nvm.write st.cursor (path_start 1);
-            loop ()
-          end
-          else begin
-            Device.record device Event.App_completed;
-            finish st Stats.Completed
-          end
-        end
-        else if (Nvm.read st.mcall).active then begin
-          (* monitorFinalize: progress the interrupted monitor call *)
-          monitor_call st;
-          loop ()
-        end
-        else begin
-          (* Between monitor calls: finish or stage live property updates
-             (no-op without scheduled adaptations or a staged update). *)
-          update_window st;
-          event_phase st;
-          loop ()
-        end)
-  in
-  (* An injected fault behaves exactly like a capacitor brown-out at the
-     probed instruction: the device aborts volatile/transactional state,
-     recharges and reboots, and the loop resumes from persistent state. *)
-  let rec protected () =
-    try loop () with
-    | Nvm.Injected_failure site -> (
-        if !Chaos.leak_on_recovery then
-          (* mutation-suite variant: the recovery path allocates a fresh
-             uniquely-named cell, violating the stable-footprint contract *)
-          ignore
-            (Nvm.cell (Device.nvm st.device) ~region:Runtime
-               ~name:
-                 (Printf.sprintf "rt.leak%d" (Device.power_failures st.device))
-               ~bytes:4 0);
-        match Device.force_power_failure st.device ~during:("fault:" ^ site) () with
-        | Device.Starved ->
-            Device.record device
-              (Event.Horizon_reached { reason = "harvester starved" });
-            finish st (Stats.Did_not_finish "harvester starved")
-        | Device.Completed | Device.Interrupted -> protected ())
-  in
   let stats =
     Fun.protect
       ~finally:(fun () -> Nvm.set_probe st.nvm None)
-      protected
+      (fun () ->
+        Report.run ~limit:config.max_loop_iterations device (step st))
   in
   (st, stats)
 

@@ -13,6 +13,10 @@
     golden-tested structurally, and Table 2's [.text] column is estimated
     from the emitted source size (DESIGN.md decision 6). *)
 
+val sanitize : string -> string
+(** The one C-identifier rule: every character outside [A-Za-z0-9]
+    becomes [_]. *)
+
 val machine : Artemis_fsm.Ast.machine -> string
 (** The C for one monitor (enum, persistent variables, step function). *)
 

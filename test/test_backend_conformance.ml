@@ -138,6 +138,22 @@ let test_alpaca_priced_by_run_model () =
     (2 * (cycles_us (60 + 40) + cycles_us (40 + 30)))
     (protocol_work_us Alpaca.backend)
 
+let test_ink_priced_by_run_model () =
+  (* one kernel dispatch before each task transaction *)
+  Alcotest.(check int) "2 x 320-cycle dispatch" 80
+    (protocol_work_us Ink.backend)
+
+let test_mayfly_priced_by_run_model () =
+  (* one fused in-loop check (one property) sealing each commit: 150
+     cycles at 8 MHz is 18.75 us, rounded up to 19 *)
+  Alcotest.(check int) "2 x 150-cycle check" 38
+    (protocol_work_us Mayfly.backend)
+
+let test_runtime_priced_by_run_model () =
+  (* the runtime's own bookkeeping: a start and an end event per task *)
+  Alcotest.(check int) "4 x 400-cycle event" 200
+    (runtime_work_us Backend.immortal)
+
 (* every backend the registry knows answers the same battery; if a PR
    registers a sixth backend it is conformance-tested automatically *)
 let suite =
@@ -153,6 +169,12 @@ let suite =
        test_checkpoint_priced_by_run_model);
       ("alpaca: priced by the run's cost model", `Quick,
        test_alpaca_priced_by_run_model);
+      ("ink: priced by the run's cost model", `Quick,
+       test_ink_priced_by_run_model);
+      ("mayfly: priced by the run's cost model", `Quick,
+       test_mayfly_priced_by_run_model);
+      ("immortal: runtime bookkeeping priced by the run's cost model",
+       `Quick, test_runtime_priced_by_run_model);
     ]
 
 let () =
