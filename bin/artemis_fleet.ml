@@ -11,18 +11,19 @@ let load_spec spec_path name scenarios seeds seed_first harvesters engines
   match spec_path with
   | Some path -> Fleet.spec_of_json (Cli.read_file ~prog path)
   | None ->
-      (* Inline flags build the same document the spec file would hold. *)
-      let arr names =
-        Printf.sprintf "[%s]"
-          (String.concat ", " (List.map Artemis.Json.quote names))
+      (* the inline flags are the spec's fields; the first bad harvester
+         profile is the error *)
+      let profiles =
+        List.fold_right
+          (fun h acc ->
+            Result.bind (Fleet.profile_of_string h) (fun p ->
+                Result.map (List.cons p) acc))
+          harvesters (Ok [])
       in
-      Fleet.spec_of_json
-        (Printf.sprintf
-           "{\"name\": %s, \"scenarios\": %s, \"seeds\": {\"first\": %d, \
-            \"count\": %d}, \"harvesters\": %s, \"engines\": %s, \
-            \"backends\": %s}"
-           (Artemis.Json.quote name) (arr scenarios) seed_first seeds
-           (arr harvesters) (arr engines) (arr backends))
+      Result.bind profiles (fun profiles ->
+          Fleet.validate_spec
+            { Fleet.fleet_name = name; scenarios; seed_first;
+              seed_count = seeds; profiles; engines; backends })
 
 (* --progress: completion ticks with a wall-clock ETA on stderr.  Rendered
    from completion order, so it never touches the (deterministic) report. *)
@@ -50,34 +51,31 @@ let progress_printer total =
 
 let run spec_path name scenarios seeds seed_first harvesters engines backends
     jobs json devices out progress =
-  match Artemis.Par.jobs_of_flag ~prog jobs with
+  match
+    load_spec spec_path name scenarios seeds seed_first harvesters engines
+      backends
+  with
   | Error msg ->
-      prerr_endline msg;
-      2
-  | Ok jobs -> (
-      match
-        load_spec spec_path name scenarios seeds seed_first harvesters engines
-          backends
-      with
-      | Error msg ->
-          Printf.eprintf "artemis_fleet: %s\n" msg;
-          1
-      | Ok spec ->
-          let on_progress =
-            if progress then Some (progress_printer (Fleet.spec_size spec))
-            else None
-          in
-          let report = Fleet.run ~jobs ?on_progress spec in
-          let emit oc =
-            if json then Fleet.output_report_json ~devices oc report
-            else output_string oc (Fleet.report_summary report)
-          in
-          (match out with
-          | None -> emit stdout
-          | Some path ->
-              Cli.write_file ~prog path emit;
-              Printf.printf "fleet report written to %s\n" path);
-          0)
+      Printf.eprintf "%s: %s\n" prog msg;
+      1
+  | Ok spec ->
+      (* opened before the sweep, so a bad path fails before the work *)
+      let out = Option.map (Cli.open_out ~prog) out in
+      let on_progress =
+        if progress then Some (progress_printer (Fleet.spec_size spec))
+        else None
+      in
+      let report = Fleet.run ~jobs ?on_progress spec in
+      let emit oc =
+        if json then Fleet.output_report_json ~devices oc report
+        else output_string oc (Fleet.report_summary report)
+      in
+      (match out with
+      | None -> emit stdout
+      | Some ((path, _) as out) ->
+          Cli.finish_out ~prog out emit;
+          Printf.printf "fleet report written to %s\n" path);
+      0
 
 let spec_arg =
   Arg.(
@@ -144,12 +142,10 @@ let backend_arg =
            $(b,checkpoint), $(b,ink), $(b,mayfly) or $(b,alpaca).")
 
 let jobs_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "jobs" ] ~docv:"N"
-        ~doc:
-          "Shard devices over $(docv) domains (default 0 = auto: one worker \
-           per core).  The report is byte-identical for every $(docv).")
+  Cli.jobs ~prog ~default:0
+    ~doc:
+      "Shard devices over $(docv) domains (default 0 = auto: one worker \
+       per core).  The report is byte-identical for every $(docv)."
 
 let json_arg =
   Arg.(value & flag & info [ "json" ] ~doc:"Emit the report as JSON.")

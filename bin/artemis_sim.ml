@@ -57,80 +57,63 @@ let load_adapt_script = function
 (* --matrix SCENARIO: run the scenario under every registered backend
    (immortal, checkpoint, ink, mayfly, alpaca) with the same monitors
    and compare the verdict streams; exit 1 on divergence. *)
-let run_matrix name json seed =
-  match Artemis_faultsim.Scenario.lookup name with
-  | Error msg ->
-      Printf.eprintf "artemis_sim: %s\n" msg;
-      2
-  | Ok scenario ->
-      let report = Artemis_faultsim.Matrix.run scenario ~seed in
-      print_string
-        (if json then Artemis_faultsim.Matrix.to_json report
-         else Artemis_faultsim.Matrix.summary report);
-      if report.Artemis_faultsim.Matrix.agreement then 0 else 1
+let run_matrix scenario json seed =
+  let report = Artemis_faultsim.Matrix.run scenario ~seed in
+  print_string
+    (if json then Artemis_faultsim.Matrix.to_json report
+     else Artemis_faultsim.Matrix.summary report);
+  if report.Artemis_faultsim.Matrix.agreement then 0 else 1
 
-(* --experiment NAME: run one of the lib/experiments sweeps (optionally
+(* --experiment NAME: one of the lib/experiments sweeps (optionally
    fanned out over --jobs domains) instead of a single simulation. *)
-let run_experiment name jobs =
-  match name with
-  | "scalability" ->
-      print_string (Scalability.render (Scalability.run ~jobs ()));
-      0
-  | "non-watching" ->
-      print_string
-        (Scalability.render_non_watching (Scalability.run_non_watching ~jobs ()));
-      0
-  | "harvester" ->
-      print_string (Harvester_study.render (Harvester_study.run ~jobs ()));
-      0
-  | "timekeeper" ->
-      print_string (Timekeeper_sweep.render (Timekeeper_sweep.run ~jobs ()));
-      0
-  | "ablation" ->
-      print_string (Ablation.render_deployments (Ablation.deployments ~jobs ()));
-      print_string
-        (Ablation.render_collect (Ablation.collect_semantics ~jobs ()));
-      0
-  | other ->
-      Printf.eprintf
-        "artemis_sim: unknown experiment %S \
-         (scalability|non-watching|harvester|timekeeper|ablation)\n"
-        other;
-      2
+let experiments =
+  [ ("scalability", fun jobs -> Scalability.render (Scalability.run ~jobs ()));
+    ( "non-watching",
+      fun jobs ->
+        Scalability.render_non_watching (Scalability.run_non_watching ~jobs ()) );
+    ("harvester", fun jobs -> Harvester_study.render (Harvester_study.run ~jobs ()));
+    ("timekeeper", fun jobs -> Timekeeper_sweep.render (Timekeeper_sweep.run ~jobs ()));
+    ( "ablation",
+      fun jobs ->
+        let deployments = Ablation.render_deployments (Ablation.deployments ~jobs ()) in
+        deployments ^ Ablation.render_collect (Ablation.collect_semantics ~jobs ()) ) ]
 
 let run system_name engine delay_min continuous temp_base show_trace trace_limit show_summary csv_path trace_out metrics_out show_metrics adapt_path experiment matrix matrix_json seed jobs =
-  match
-    ( Artemis.Par.jobs_of_flag ~prog jobs,
-      Cli.check_ints ~prog
-        [ ("delay", 0, delay_min); ("trace-limit", 0, trace_limit) ] )
-  with
-  | Error msg, _ | _, Error msg ->
-      prerr_endline msg;
-      2
-  | Ok jobs, Ok () ->
-  match (matrix, experiment) with
-  | Some name, _ -> run_matrix name matrix_json seed
-  | None, Some name -> run_experiment name jobs
-  | None, None ->
+  Cli.check_ints ~prog
+    [ ("delay", 0, delay_min); ("trace-limit", 0, trace_limit) ];
+  match (Cli.scenarios ~prog (Option.to_list matrix), experiment) with
+  | scenario :: _, _ -> run_matrix scenario matrix_json seed
+  | [], Some name -> (
+      match List.assoc_opt name experiments with
+      | Some run ->
+          print_string (run jobs);
+          0
+      | None ->
+          Cli.usage ~prog
+            (Printf.sprintf "unknown experiment %S (%s)" name
+               (String.concat "|" (List.map fst experiments))))
+  | [], None ->
   let system =
     match system_name with
-    | "artemis" -> Ok Config.Artemis_runtime
-    | "mayfly" -> Ok Config.Mayfly_runtime
-    | other -> Error (Printf.sprintf "unknown system %S (artemis|mayfly)" other)
+    | "artemis" -> Config.Artemis_runtime
+    | "mayfly" -> Config.Mayfly_runtime
+    | other ->
+        Cli.usage ~prog (Printf.sprintf "unknown system %S (artemis|mayfly)" other)
   in
-  let system =
-    match (system, adapt_path) with
-    | Ok Config.Mayfly_runtime, Some _ ->
-        Error "--adapt requires the artemis runtime"
-    | Ok Config.Mayfly_runtime, None when engine <> None ->
-        Error "--engine requires the artemis runtime"
-    | s, _ -> s
-  in
-  match (system, load_adapt_script adapt_path) with
-  | Error msg, _ | _, Error msg ->
+  if system = Config.Mayfly_runtime then begin
+    if adapt_path <> None then
+      Cli.usage ~prog "--adapt requires the artemis runtime";
+    if engine <> None then Cli.usage ~prog "--engine requires the artemis runtime"
+  end;
+  match load_adapt_script adapt_path with
+  | Error msg ->
       prerr_endline msg;
       1
-  | Ok system, Ok adaptations ->
+  | Ok adaptations ->
+      (* opened before the run, so a bad path fails before any output *)
+      let csv = Option.map (Cli.open_out ~prog) csv_path in
+      let trace_out = Option.map (Cli.open_out ~prog) trace_out in
+      let metrics_out = Option.map (Cli.open_out ~prog) metrics_out in
       let supply =
         if continuous then Config.Continuous
         else Config.Intermittent (Artemis.Time.of_min delay_min)
@@ -172,34 +155,34 @@ let run system_name engine delay_min continuous temp_base show_trace trace_limit
           (Artemis.Log.render_timeline ~limit:trace_limit
              (Artemis.Device.log device))
       end;
-      (match csv_path with
-      | None -> ()
-      | Some path ->
-          Cli.write_file ~prog path (fun oc ->
-              output_string oc (Artemis.Export.log_to_csv (Artemis.Device.log device)));
-          Printf.printf "trace CSV written to %s\n" path);
+      Option.iter
+        (fun ((path, _) as out) ->
+          Cli.finish_out ~prog out (fun oc ->
+              output_string oc
+                (Artemis.Export.log_to_csv (Artemis.Device.log device)));
+          Printf.printf "trace CSV written to %s\n" path)
+        csv;
       if show_metrics then begin
         print_endline "--- metrics ---";
         print_string (Artemis.Obs.metrics_dump obs)
       end;
       let failures = ref 0 in
-      (match trace_out with
-      | None -> ()
-      | Some path -> (
+      Option.iter
+        (fun ((path, _) as out) ->
           let text = Artemis.Obs.trace_json obs in
-          Cli.write_file ~prog path (fun oc -> output_string oc text);
+          Cli.finish_out ~prog out (fun oc -> output_string oc text);
           match check_trace_json text with
           | Ok () ->
               Printf.printf "trace written to %s (valid JSON, balanced spans)\n"
                 path
           | Error e ->
               Printf.eprintf "trace written to %s FAILED validation: %s\n" path e;
-              incr failures));
-      (match metrics_out with
-      | None -> ()
-      | Some path -> (
+              incr failures)
+        trace_out;
+      Option.iter
+        (fun ((path, _) as out) ->
           let text = Artemis.Obs.metrics_json obs in
-          Cli.write_file ~prog path (fun oc -> output_string oc text);
+          Cli.finish_out ~prog out (fun oc -> output_string oc text);
           match
             ( Artemis.Json.parse text,
               Artemis.Export.reconcile_metrics obs stats )
@@ -218,7 +201,8 @@ let run system_name engine delay_min continuous temp_base show_trace trace_limit
                 (fun (name, expected, got) ->
                   Printf.eprintf "  %s: stats=%d counter=%d\n" name expected got)
                 mismatches;
-              incr failures));
+              incr failures)
+        metrics_out;
       if !failures > 0 then 1 else 0
 
 let system_arg =
@@ -336,13 +320,11 @@ let matrix_json_arg =
 let seed_arg = Cli.seed ~doc:"Scenario seed for $(b,--matrix) runs (default 42)."
 
 let jobs_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "jobs" ] ~docv:"N"
-        ~doc:
-          "Worker domains for $(b,--experiment) sweeps (default 1; 0 means \
-           auto: one worker per core).  Rows are distributed over $(docv) \
-           domains; the output is identical for every job count.")
+  Cli.jobs ~prog ~default:1
+    ~doc:
+      "Worker domains for $(b,--experiment) sweeps (default 1; 0 means \
+       auto: one worker per core).  Rows are distributed over $(docv) \
+       domains; the output is identical for every job count."
 
 let cmd =
   let doc = "simulate the health-monitoring benchmark on intermittent power" in

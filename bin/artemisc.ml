@@ -9,6 +9,7 @@
 open Cmdliner
 
 let prog = "artemisc"
+module Scenario = Artemis_faultsim.Scenario
 
 type emit = Spec | Fsm | C | Lint | Project
 
@@ -52,114 +53,79 @@ let engine_report engine machines =
       adds "total: %d words\n" !total);
   Buffer.contents buf
 
-(* --check: rebuild a faultsim scenario from the catalogue and run the
-   static WAR-hazard pass (Artemis.Consistency.War) over its task
-   surface.  The scenario is built fresh (seed 42) purely to be
-   recorded, so the pass's committed-write side effects are harmless. *)
-let check_scenarios names allow_hazard =
-  let module Scenario = Artemis_faultsim.Scenario in
-  let rec go worst = function
-    | [] -> worst
-    | name :: rest -> (
-        match Scenario.lookup name with
-        | Error msg ->
-            (* a usage error, distinct from the verdict's exit 1 *)
-            Printf.eprintf "%s\n" msg;
-            2
-        | Ok sc ->
-            let b = sc.Scenario.build ~engine:None ~seed:42 in
-            let report =
-              Artemis.Consistency.War.analyze_app
-                (Artemis.Device.nvm b.Scenario.device)
-                b.Scenario.app
-            in
-            Printf.printf "scenario %s: %s" name
-              (Artemis.Consistency.War.report_to_string report);
-            let worst =
-              if Artemis.Consistency.War.has_hazards report && not allow_hazard
-              then max worst 1
-              else worst
-            in
-            go worst rest)
+(* --check: the static WAR-hazard pass (Artemis.Consistency.War) over a
+   scenario's task surface.  The build exists only to be recorded, so
+   the pass's committed-write side effects are harmless.  1 on a hazard
+   not allowed. *)
+let check_scenario allow_hazard name (b : Scenario.built) =
+  let report =
+    Artemis.Consistency.War.analyze_app
+      (Artemis.Device.nvm b.Scenario.device)
+      b.Scenario.app
   in
-  go 0 names
+  Printf.printf "scenario %s: %s" name
+    (Artemis.Consistency.War.report_to_string report);
+  if Artemis.Consistency.War.has_hazards report && not allow_hazard then 1
+  else 0
 
-(* --energy-report: rebuild a faultsim scenario and run the static
-   energy-admissibility analysis over its deployed suite's own tables and
-   every scheduled OTA payload, decoded and lowered as the device's
-   validate step does it.  Exits 1 when anything classifies "may
-   livelock" - the same condition under which the runtime's adaptation
-   validate step refuses the update as energy-inadmissible. *)
-let energy_report names as_json =
-  let module Scenario = Artemis_faultsim.Scenario in
+(* --energy-report: the static energy-admissibility analysis over a
+   scenario's deployed suite's own tables and every scheduled OTA
+   payload, decoded and lowered as the device's validate step does it.
+   1 when anything classifies "may livelock" - the same condition under
+   which the runtime's adaptation validate step refuses the update as
+   energy-inadmissible. *)
+let energy_report as_json name (b : Scenario.built) =
   let module Ea = Artemis.Energy_analysis in
-  let rec go worst = function
-    | [] -> worst
-    | name :: rest -> (
-        match Scenario.lookup name with
-        | Error msg ->
-            (* a usage error, distinct from the verdict's exit 1 *)
-            Printf.eprintf "%s\n" msg;
-            2
-        | Ok sc -> (
-            let b = sc.Scenario.build ~engine:None ~seed:42 in
-            let model = b.Scenario.config.Artemis.Runtime.cost_model in
-            let deployment = b.Scenario.config.Artemis.Runtime.deployment in
-            let budget = Ea.budget_of_device b.Scenario.device in
-            let deployed =
-              Ea.analyze ~deployment ~model ~budget ~origin:"deployed"
-                (List.map Artemis.Monitor.table
-                   (Artemis.Suite.monitors b.Scenario.suite))
-            in
-            (* each scheduled update with its payload's tables; a bad
-               payload is reported once and left out *)
-            let updates =
-              List.filter_map
-                (fun (_at, (u : Artemis.Adapt.update)) ->
-                  match
-                    Option.fold ~none:(Ok [])
-                      ~some:(Artemis.Adapt.payload_tables ~app:b.Scenario.app)
-                      u.Artemis.Adapt.payload
-                  with
-                  | Ok tables -> Some (u.Artemis.Adapt.id, tables)
-                  | Error e ->
-                      Printf.eprintf "scenario %s: bad update payload: %s\n"
-                        name e;
-                      None)
-                b.Scenario.adaptations
-            in
-            let entries =
-              deployed
-              @ List.concat_map
-                  (fun (id, tables) ->
-                    Ea.analyze ~deployment ~model ~budget
-                      ~origin:(Printf.sprintf "update #%d" id)
-                      tables)
-                  updates
-            in
-            let buf = Buffer.create 1024 in
-            if as_json then
-              Ea.render_json ~scenario:name ~deployment ~model ~budget entries
-                buf
-            else begin
-              Ea.render_human ~scenario:name ~deployment ~model ~budget
-                entries buf;
-              (* surface the adapt-time admission verdict for every
-                 scheduled update: exactly what Adapt.validate will say *)
-              List.iter
-                (fun (id, tables) ->
-                  Printf.bprintf buf "  update #%d: %s\n" id
-                    (match Ea.admit ~deployment ~model ~budget tables with
-                    | Ok () -> "admissible (validate will accept)"
-                    | Error reason -> "rejected by validate: " ^ reason))
-                updates
-            end;
-            print_string (Buffer.contents buf);
-            if List.exists (fun e -> e.Ea.e_class = Ea.May_livelock) entries
-            then go (max worst 1) rest
-            else go worst rest))
+  let model = b.Scenario.config.Artemis.Runtime.cost_model in
+  let deployment = b.Scenario.config.Artemis.Runtime.deployment in
+  let budget = Ea.budget_of_device b.Scenario.device in
+  let deployed =
+    Ea.analyze ~deployment ~model ~budget ~origin:"deployed"
+      (List.map Artemis.Monitor.table (Artemis.Suite.monitors b.Scenario.suite))
   in
-  go 0 names
+  (* each scheduled update with its payload's tables; a bad payload is
+     reported once and left out *)
+  let updates =
+    List.filter_map
+      (fun (_at, (u : Artemis.Adapt.update)) ->
+        match
+          Option.fold ~none:(Ok [])
+            ~some:(Artemis.Adapt.payload_tables ~app:b.Scenario.app)
+            u.Artemis.Adapt.payload
+        with
+        | Ok tables -> Some (u.Artemis.Adapt.id, tables)
+        | Error e ->
+            Printf.eprintf "scenario %s: bad update payload: %s\n" name e;
+            None)
+      b.Scenario.adaptations
+  in
+  let entries =
+    deployed
+    @ List.concat_map
+        (fun (id, tables) ->
+          Ea.analyze ~deployment ~model ~budget
+            ~origin:(Printf.sprintf "update #%d" id)
+            tables)
+        updates
+  in
+  let buf = Buffer.create 1024 in
+  if as_json then
+    Ea.render_json ~scenario:name ~deployment ~model ~budget entries buf
+  else begin
+    Ea.render_human ~scenario:name ~deployment ~model ~budget entries buf;
+    (* surface the adapt-time admission verdict for every scheduled
+       update: exactly what Adapt.validate will say *)
+    List.iter
+      (fun (id, tables) ->
+        Printf.bprintf buf "  update #%d: %s\n" id
+          (match Ea.admit ~deployment ~model ~budget tables with
+          | Ok () -> "admissible (validate will accept)"
+          | Error reason -> "rejected by validate: " ^ reason))
+      updates
+  end;
+  print_string (Buffer.contents buf);
+  if List.exists (fun e -> e.Ea.e_class = Ea.May_livelock) entries then 1
+  else 0
 
 let run_compile emit engine reset_on_fail input output =
   let text =
@@ -247,8 +213,18 @@ let run_compile emit engine reset_on_fail input output =
 
 let run emit engine reset_on_fail check allow_hazard energy energy_json input
     output =
-  if check <> [] then check_scenarios check allow_hazard
-  else if energy <> [] then energy_report energy energy_json
+  (* --check and --energy-report: a fresh build (seed 42) per scenario,
+     every name resolved before the first; the worst exit code wins *)
+  let each names body =
+    List.fold_left
+      (fun worst (sc : Scenario.t) ->
+        max worst
+          (body sc.Scenario.name (sc.Scenario.build ~engine:None ~seed:42)))
+      0
+      (Cli.scenarios ~prog names)
+  in
+  if check <> [] then each check (check_scenario allow_hazard)
+  else if energy <> [] then each energy (energy_report energy_json)
   else run_compile emit engine reset_on_fail input output
 
 let emit_arg =

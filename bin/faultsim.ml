@@ -43,9 +43,7 @@ let campaign ~obs ~jobs scenario engine depth random max_depth seed replay
   match replay with
   | Some line -> (
       match F.replay scenario ~line with
-      | Error msg ->
-          Printf.eprintf "bad replay line: %s\n" msg;
-          2
+      | Error _ -> assert false (* [run] parsed the line *)
       | Ok (result, reproducible) ->
           Printf.printf "replay %s: %s, %d violations, %s\n" line
             result.F.outcome
@@ -79,47 +77,35 @@ let campaign ~obs ~jobs scenario engine depth random max_depth seed replay
       then 0
       else 1
 
-let find_scenario name = Result.map Option.some (Scenario.lookup name)
-
 let run scenario_name engine list depth random max_depth seed replay json
     skip_verify trace_out jobs =
-  (* Usage errors exit before the trace writer is installed, so a
-     rejected invocation never creates or overwrites --trace-out. *)
-  let counts =
-    Cli.check_ints ~prog
-      (("depth", 1, depth) :: ("max-depth", 1, max_depth)
-      :: Option.fold random ~none:[] ~some:(fun n -> [ ("random", 1, n) ]))
+  (* Usage errors exit before the trace file is opened, so a rejected
+     invocation never creates or overwrites --trace-out. *)
+  Cli.check_ints ~prog
+    (("depth", 1, depth) :: ("max-depth", 1, max_depth)
+    :: Option.fold random ~none:[] ~some:(fun n -> [ ("random", 1, n) ]));
+  let scenarios = if list then [] else Cli.scenarios ~prog [ scenario_name ] in
+  (match Option.map F.parse_replay replay with
+  | Some (Error msg) -> Cli.usage ~prog ("bad replay line: " ^ msg)
+  | None | Some (Ok _) -> ());
+  let trace = Option.map (Cli.open_out ~prog) trace_out in
+  (* every campaign run's device records into this context *)
+  let obs = Artemis.Obs.current () in
+  Artemis.Obs.set_tracing obs (trace <> None);
+  let code =
+    match scenarios with
+    | [] -> list_sites ()
+    | scenario :: _ ->
+        campaign ~obs ~jobs scenario engine depth random max_depth seed replay
+          json skip_verify
   in
-  match
-    ( Artemis.Par.jobs_of_flag ~prog jobs,
-      counts,
-      if list then Ok None else find_scenario scenario_name )
-  with
-  | Error msg, _, _ | _, Error msg, _ | _, _, Error msg ->
-      prerr_endline msg;
-      2
-  | Ok jobs, Ok (), Ok scenario ->
-      (* opened before the campaign runs, so a bad path fails fast *)
-      let trace =
-        Option.map (fun path -> (path, Cli.open_out ~prog path)) trace_out
-      in
-      (* every campaign run's device records into this context *)
-      let obs = Artemis.Obs.current () in
-      Artemis.Obs.set_tracing obs (trace <> None);
-      let code =
-        match scenario with
-        | None -> list_sites ()
-        | Some scenario ->
-            campaign ~obs ~jobs scenario engine depth random max_depth seed
-              replay json skip_verify
-      in
-      (match trace with
-      | None -> ()
-      | Some (path, oc) ->
-          Cli.finish_out ~prog path oc (fun oc ->
-              output_string oc (Artemis.Obs.trace_json obs));
-          Printf.eprintf "trace written to %s\n" path);
-      code
+  Option.iter
+    (fun ((path, _) as out) ->
+      Cli.finish_out ~prog out (fun oc ->
+          output_string oc (Artemis.Obs.trace_json obs));
+      Printf.eprintf "trace written to %s\n" path)
+    trace;
+  code
 
 let scenario_arg =
   Arg.(
@@ -192,14 +178,12 @@ let trace_out_arg =
            instant events at each oracle violation.")
 
 let jobs_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "jobs" ] ~docv:"N"
-        ~doc:
-          "Fan campaign runs, and the replay check's re-runs, out over \
-           $(docv) domains (default 1); 0 means auto: one worker per core. \
-           The report and any exported trace are byte-identical for every \
-           $(docv).")
+  Cli.jobs ~prog ~default:1
+    ~doc:
+      "Fan campaign runs, and the replay check's re-runs, out over \
+       $(docv) domains (default 1); 0 means auto: one worker per core. \
+       The report and any exported trace are byte-identical for every \
+       $(docv)."
 
 let cmd =
   let doc =

@@ -13,15 +13,32 @@ let duty_cycle ~avg_uw =
       rate = Energy.uw (2. *. avg_uw);
     }
 
+let duty_on_len period on_fraction =
+  Time.of_us
+    (int_of_float (Float.round (float_of_int (Time.to_us period) *. on_fraction)))
+
+(* A rate, or a duty cycle's energy per period, past the float range
+   makes [integral] NaN (infinity times zero whole cycles), and
+   [time_to_harvest]'s search never reaches its target. *)
+let check_rate what p =
+  let uw = Energy.to_uw p in
+  if uw < 0. then Error (what ^ " rate is negative")
+  else if not (Float.is_finite uw) then Error (what ^ " rate is not finite")
+  else Ok ()
+
 let validate = function
-  | Constant p ->
-      if Energy.to_uw p < 0. then Error "constant rate is negative" else Ok ()
+  | Constant p -> check_rate "constant" p
   | Duty_cycle { period; on_fraction; rate } ->
       if Time.(period <= zero) then Error "duty-cycle period must be positive"
       else if on_fraction < 0. || on_fraction > 1. then
         Error "on_fraction must be within [0, 1]"
-      else if Energy.to_uw rate < 0. then Error "duty-cycle rate is negative"
-      else Ok ()
+      else
+        Result.bind (check_rate "duty-cycle" rate) (fun () ->
+            let per_period =
+              Energy.consumed rate (duty_on_len period on_fraction)
+            in
+            if Float.is_finite (Energy.to_uj per_period) then Ok ()
+            else Error "duty-cycle energy per period is not finite")
   | Trace arr ->
       if Array.length arr = 0 then Error "empty trace"
       else if not (Time.equal (fst arr.(0)) Time.zero) then
@@ -29,17 +46,13 @@ let validate = function
       else
         let rec check i =
           if i >= Array.length arr then Ok ()
-          else if Time.(fst arr.(i - 1) >= fst arr.(i)) then
+          else if i > 0 && Time.(fst arr.(i - 1) >= fst arr.(i)) then
             Error "trace times must be strictly increasing"
-          else if Energy.to_uw (snd arr.(i)) < 0. then
-            Error "trace rate is negative"
-          else check (i + 1)
+          else
+            Result.bind (check_rate "trace" (snd arr.(i))) (fun () ->
+                check (i + 1))
         in
-        check 1
-
-let duty_on_len period on_fraction =
-  Time.of_us
-    (int_of_float (Float.round (float_of_int (Time.to_us period) *. on_fraction)))
+        check 0
 
 (* --- Trace lookup --- *)
 

@@ -24,6 +24,10 @@ val duty_cycle : avg_uw:float -> t
     [avg_uw] µW. *)
 
 val validate : t -> (unit, string) result
+(** Refuses a rate that is negative or not finite, a duty cycle whose
+    period is not positive, whose on-fraction lies outside [0, 1] or
+    whose energy per period is not finite, and a trace that is empty,
+    does not start at 0 or is not strictly increasing. *)
 
 val rate_at : t -> Time.t -> Energy.power
 (** Incoming power at absolute time [t]. *)

@@ -38,21 +38,25 @@ let parse_time s =
     String.sub s 0 (String.length s - String.length suffix)
   in
   (* a delay is a whole number of microseconds: one that rounds to
-     nothing would charge instantly and label itself unparseably *)
-  let scaled suffix to_time =
+     nothing would charge instantly and label itself unparseably, and
+     one of [max_int] microseconds or more has no [Time.t] *)
+  let scaled suffix to_us =
     Result.bind (parse_positive "delay" (num suffix)) (fun v ->
-        let t = to_time v in
-        if Time.to_us t >= 1 then Ok t
-        else Error (Printf.sprintf "delay must be at least 1us (got %S)" s))
+        let us = Float.round (to_us v) in
+        if us >= Float.of_int max_int then
+          Error (Printf.sprintf "delay out of range (got %S)" s)
+        else if us < 1. then
+          Error (Printf.sprintf "delay must be at least 1us (got %S)" s)
+        else Ok (Time.of_us (int_of_float us)))
   in
   if String.length s > 2 && Filename.check_suffix s "min" then
-    scaled "min" (fun v -> Time.of_sec_f (v *. 60.))
+    scaled "min" (fun v -> v *. 60. *. 1e6)
   else if String.length s > 2 && Filename.check_suffix s "ms" then
-    scaled "ms" (fun v -> Time.of_us (int_of_float (Float.round (v *. 1000.))))
+    scaled "ms" (fun v -> v *. 1000.)
   else if String.length s > 2 && Filename.check_suffix s "us" then
-    scaled "us" (fun v -> Time.of_us (int_of_float (Float.round v)))
+    scaled "us" Fun.id
   else if String.length s > 1 && Filename.check_suffix s "s" then
-    scaled "s" Time.of_sec_f
+    scaled "s" (fun v -> v *. 1e6)
   else Error (Printf.sprintf "delay needs a unit suffix (us|ms|s|min): %S" s)
 
 let parse_uw what s =
@@ -60,7 +64,7 @@ let parse_uw what s =
     parse_positive what (String.sub s 0 (String.length s - 2))
   else Error (Printf.sprintf "%s needs a uw suffix (e.g. 200uw): %S" what s)
 
-let profile_of_string s =
+let parse_profile s =
   match String.index_opt s ':' with
   | None ->
       if s = "default" then Ok Scenario_default
@@ -84,6 +88,18 @@ let profile_of_string s =
           Error
             (Printf.sprintf
                "unknown harvester profile kind %S (fixed|duty|constant)" kind))
+
+(* A profile's harvester must pass [Harvester.validate]: a rate or an
+   energy per period past the float range would stall the charging
+   search. *)
+let profile_of_string s =
+  Result.bind (parse_profile s) (fun p ->
+      match policy_of_profile p with
+      | Some (Charging_policy.From_harvester h) ->
+          Result.map_error
+            (Printf.sprintf "harvester profile %S: %s" s)
+            (Result.map (fun () -> p) (Harvester.validate h))
+      | _ -> Ok p)
 
 let uw_label v =
   if Float.is_integer v then Printf.sprintf "%.0fuw" v
@@ -128,48 +144,38 @@ let backend_of_string name =
         (Printf.sprintf "unknown backend %S (%s)" name
            (String.concat "|" Backends.names))
 
-let validate_spec spec =
+(* [f] over [xs] in order; the first error wins *)
+let rec map_ok f = function
+  | [] -> Ok []
+  | x :: xs -> Result.bind (f x) (fun y -> Result.map (List.cons y) (map_ok f xs))
+
+(* The one resolver for the spec's names: [validate_spec] reports the
+   first that does not resolve, and [run] expands the matrix from the
+   values. *)
+let resolve spec =
   let ( let* ) = Result.bind in
-  let* () =
-    if spec.scenarios = [] then Error "spec needs at least one scenario"
-    else Ok ()
+  let* scenarios = map_ok Scenario.lookup spec.scenarios in
+  let* engines =
+    map_ok
+      (fun name -> Result.map (fun e -> (name, e)) (engine_of_string name))
+      spec.engines
   in
-  let* () =
-    if spec.seed_count < 1 then Error "seeds.count must be positive" else Ok ()
-  in
-  let* () =
-    if spec.profiles = [] then Error "spec needs at least one harvester profile"
-    else Ok ()
-  in
-  let* () =
-    if spec.engines = [] then Error "spec needs at least one engine" else Ok ()
-  in
-  let* () =
-    if spec.backends = [] then Error "spec needs at least one backend"
-    else Ok ()
-  in
-  let* () =
-    List.fold_left
-      (fun acc name ->
-        let* () = acc in
-        Result.map ignore (Scenario.lookup name))
-      (Ok ()) spec.scenarios
-  in
-  let* () =
-    List.fold_left
-      (fun acc name ->
-        let* () = acc in
-        Result.map ignore (engine_of_string name))
-      (Ok ()) spec.engines
-  in
-  let* () =
-    List.fold_left
-      (fun acc name ->
-        let* () = acc in
-        Result.map ignore (backend_of_string name))
-      (Ok ()) spec.backends
-  in
-  Ok spec
+  let* backends = map_ok backend_of_string spec.backends in
+  Ok (Array.of_list scenarios, Array.of_list engines, Array.of_list backends)
+
+let validate_spec spec =
+  match
+    List.find_opt fst
+      [
+        (spec.scenarios = [], "spec needs at least one scenario");
+        (spec.seed_count < 1, "seeds.count must be positive");
+        (spec.profiles = [], "spec needs at least one harvester profile");
+        (spec.engines = [], "spec needs at least one engine");
+        (spec.backends = [], "spec needs at least one backend");
+      ]
+  with
+  | Some (_, msg) -> Error msg
+  | None -> Result.map (fun _ -> spec) (resolve spec)
 
 let spec_of_json text =
   let ( let* ) = Result.bind in
@@ -180,15 +186,11 @@ let spec_of_json text =
         match Json.to_arr j with
         | None -> Error (Printf.sprintf "%s must be an array of strings" what)
         | Some items ->
-            List.fold_left
-              (fun acc item ->
-                let* acc = acc in
-                match Json.to_str item with
-                | Some s -> Ok (s :: acc)
-                | None ->
-                    Error (Printf.sprintf "%s must be an array of strings" what))
-              (Ok []) items
-            |> Result.map List.rev)
+            map_ok
+              (fun item ->
+                Option.to_result (Json.to_str item)
+                  ~none:(Printf.sprintf "%s must be an array of strings" what))
+              items)
   in
   let int_field what default = function
     | None -> (
@@ -223,14 +225,7 @@ let spec_of_json text =
   let* harvesters =
     str_list "harvesters" [ "default" ] (Json.member "harvesters" doc)
   in
-  let* profiles =
-    List.fold_left
-      (fun acc s ->
-        let* acc = acc in
-        Result.map (fun p -> p :: acc) (profile_of_string s))
-      (Ok []) harvesters
-    |> Result.map List.rev
-  in
+  let* profiles = map_ok profile_of_string harvesters in
   let* engines = str_list "engines" [ "default" ] (Json.member "engines" doc) in
   let* backends =
     str_list "backends" [ "immortal" ] (Json.member "backends" doc)
@@ -275,35 +270,8 @@ type coord = {
 (* Scenario-major decomposition of the flat device index; seeds vary
    fastest so consecutive devices share a freshly-warmed scenario
    closure. *)
-let expand spec =
-  let scenarios =
-    List.map
-      (fun name ->
-        match Scenario.lookup name with
-        | Ok s -> s
-        | Error msg -> failwith ("Fleet.run: " ^ msg))
-      spec.scenarios
-  in
-  let scenarios = Array.of_list scenarios in
+let expand spec (scenarios, engines, backends) =
   let profiles = Array.of_list spec.profiles in
-  let engines =
-    Array.of_list
-      (List.map
-         (fun name ->
-           match engine_of_string name with
-           | Ok e -> (name, e)
-           | Error msg -> failwith ("Fleet.run: " ^ msg))
-         spec.engines)
-  in
-  let backends =
-    Array.of_list
-      (List.map
-         (fun name ->
-           match backend_of_string name with
-           | Ok b -> b
-           | Error msg -> failwith ("Fleet.run: " ^ msg))
-         spec.backends)
-  in
   let np = Array.length profiles and ne = Array.length engines in
   let nb = Array.length backends in
   let k = spec.seed_count in
@@ -327,18 +295,25 @@ let expand spec =
       c_backend = backends.(b_i);
     }
 
-let verdict_counts log =
+let histogram key items =
   let tbl = Hashtbl.create 8 in
   List.iter
-    (fun (e : Event.timed) ->
-      match e.Event.event with
-      | Event.Monitor_verdict { action; _ } ->
-          Hashtbl.replace tbl action
-            (1 + try Hashtbl.find tbl action with Not_found -> 0)
-      | _ -> ())
-    (Log.events log);
+    (fun item ->
+      List.iter
+        (fun (k, v) ->
+          Hashtbl.replace tbl k (v + try Hashtbl.find tbl k with Not_found -> 0))
+        (key item))
+    items;
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+let verdict_counts log =
+  histogram
+    (fun (e : Event.timed) ->
+      match e.Event.event with
+      | Event.Monitor_verdict { action; _ } -> [ (action, 1) ]
+      | _ -> [])
+    (Log.events log)
 
 let run_device ~index coord =
   let built =
@@ -414,18 +389,6 @@ let worse a b =
 let worst_devices ~k devices =
   let sorted = List.sort worse devices in
   List.filteri (fun i _ -> i < k) sorted
-
-let histogram key items =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun item ->
-      List.iter
-        (fun (k, v) ->
-          Hashtbl.replace tbl k (v + try Hashtbl.find tbl k with Not_found -> 0))
-        (key item))
-    items;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 type group = {
   g_scenario : string;
@@ -514,7 +477,11 @@ let run ?(jobs = 1) ?on_progress spec =
   let n = spec_size spec in
   if n = 0 then invalid_arg "Fleet.run: empty device matrix";
   if jobs < 1 then invalid_arg "Fleet.run: jobs must be >= 1";
-  let coord = expand spec in
+  let coord =
+    match resolve spec with
+    | Ok names -> expand spec names
+    | Error msg -> failwith ("Fleet.run: " ^ msg)
+  in
   let progress_lock = Mutex.create () in
   let completed = ref 0 in
   let tick () =

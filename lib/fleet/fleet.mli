@@ -33,7 +33,9 @@ type profile =
 
 val profile_of_string : string -> (profile, string) result
 (** ["default"], ["fixed:30s"] (also [us]/[ms]/[min] suffixes; the delay
-    must round to at least 1us), ["duty:200uw"], ["constant:65uw"]. *)
+    must round to at least 1us and stay below [max_int] us),
+    ["duty:200uw"], ["constant:65uw"].  A duty or constant source must
+    pass {!Artemis.Harvester.validate}. *)
 
 val profile_label : profile -> string
 (** Canonical rendering, parseable by {!profile_of_string}. *)
@@ -66,6 +68,12 @@ val spec_of_json : string -> (spec, string) result
     [["immortal"]]; [scenarios] and [seeds.count] are required.
     Scenario, profile, engine and backend names are validated here, so
     {!run} cannot fail on a parsed spec. *)
+
+val validate_spec : spec -> (spec, string) result
+(** The checks {!spec_of_json} ends with: every axis non-empty, a
+    positive seed count, and every scenario, engine and backend name
+    resolving, through the same resolver {!run} expands the matrix
+    with. *)
 
 val spec_size : spec -> int
 (** Devices in the matrix:
@@ -145,7 +153,7 @@ val run :
 
     @raise Invalid_argument if the spec is empty or [jobs < 1], and
     [Failure] if a scenario/engine/backend name does not resolve
-    (impossible for a spec from {!spec_of_json}). *)
+    (impossible for a spec that passed {!validate_spec}). *)
 
 val output_report_json : ?devices:bool -> out_channel -> report -> unit
 (** Stream the report as JSON with a fixed key order.  [devices]

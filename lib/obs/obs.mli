@@ -34,9 +34,10 @@
       fleet runners, gives every item its own context, merging them
       deterministically with {!absorb}.
 
-    Each domain has a {e current} context ({!current}, {!with_ctx}),
-    which is what a device or store created without an explicit one
-    records into; every domain starts with a private quiet context.
+    Each domain has a {e current} context ({!current}, {!with_ctx}).
+    A device or NVM store takes no context argument: it records into the
+    context that was current when it was created.  Every domain starts
+    with a private quiet context.
 
     Timestamps come from the {e simulated} clock - the owning device
     installs it with {!set_clock} - so exported traces are in simulated
@@ -85,9 +86,10 @@ val par_map : jobs:int -> int -> (int -> 'a) -> 'a array
 (** [par_map ~jobs n f] is {!Artemis_util.Par.map}[ ~jobs n f] made safe
     for code that records.  When the calling domain's current context
     records metrics or tracing, item [i] runs under {!with_ctx} in a
-    fresh context created [~like] it, and the item contexts are absorbed
-    into the caller's context in index order, so the merged metrics and
-    trace are byte-identical for every [jobs].  Otherwise it is plain
+    fresh context ({!create}) with the caller's metrics and tracing
+    switches, and the item contexts are absorbed into the caller's
+    context in index order, so the merged metrics and trace are
+    byte-identical for every [jobs].  Otherwise it is plain
     [Par.map]: items run in their worker domain's quiet context. *)
 
 (** {1 Switches and simulated clock} *)

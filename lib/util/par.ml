@@ -19,14 +19,6 @@
 
 let recommended_jobs () = Domain.recommended_domain_count ()
 
-let jobs_of_flag ~prog jobs =
-  if jobs < 0 then
-    Error
-      (Printf.sprintf "%s: --jobs must be 0 (auto) or positive (got %d)" prog
-         jobs)
-  else if jobs = 0 then Ok (recommended_jobs ())
-  else Ok jobs
-
 let map ~jobs n f =
   if jobs < 1 then invalid_arg "Par.map: jobs must be >= 1";
   if n < 0 then invalid_arg "Par.map: negative size";

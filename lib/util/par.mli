@@ -17,13 +17,6 @@ val recommended_jobs : unit -> int
 (** [Domain.recommended_domain_count ()]: what [--jobs] defaults to when
     the caller asks for "all cores" ([--jobs 0] in the CLIs). *)
 
-val jobs_of_flag : prog:string -> int -> (int, string) result
-(** The CLIs' shared [--jobs N] policy: [0] means {!recommended_jobs}, a
-    positive [N] is taken as given, and a negative one is an [Error]
-    carrying the usage message
-    ["<prog>: --jobs must be 0 (auto) or positive (got N)"] (the binaries
-    print it and exit 2). *)
-
 val map : jobs:int -> int -> (int -> 'a) -> 'a array
 (** [map ~jobs n f] is [Array.init n f] evaluated in parallel.  The
     effective worker count is [jobs] capped at both [n] and

@@ -76,12 +76,19 @@ let test_validate () =
   let ok h = Alcotest.(check bool) "valid" true (Harvester.validate h = Ok ()) in
   ok duty;
   ok trace;
+  ok (Harvester.duty_cycle ~avg_uw:1e300);
   let bad h = Alcotest.(check bool) "invalid" true (Result.is_error (Harvester.validate h)) in
   bad (Harvester.Duty_cycle { period = Time.zero; on_fraction = 0.5; rate = Energy.mw 1. });
   bad (Harvester.Duty_cycle { period = Time.of_sec 1; on_fraction = 1.5; rate = Energy.mw 1. });
   bad (Harvester.Trace [||]);
   bad (Harvester.Trace [| (Time.of_sec 1, Energy.mw 1.) |]);
-  bad (Harvester.Trace [| (Time.zero, Energy.mw 1.); (Time.zero, Energy.mw 2.) |])
+  bad (Harvester.Trace [| (Time.zero, Energy.mw 1.); (Time.zero, Energy.mw 2.) |]);
+  (* an overflowing rate, and a finite rate whose energy per period
+     overflows *)
+  bad (Harvester.duty_cycle ~avg_uw:1e308);
+  bad (Harvester.duty_cycle ~avg_uw:8.9e307);
+  bad (Harvester.Constant (Energy.uw Float.infinity));
+  bad (Harvester.Trace [| (Time.zero, Energy.uw Float.nan) |])
 
 (* time_to_harvest is consistent with harvested: collecting for the
    returned duration yields at least the requested energy. *)
